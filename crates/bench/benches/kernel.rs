@@ -5,10 +5,10 @@
 //! scalar path (`evaluate_f64` in a loop) pays, per scenario: one
 //! `O(|D|)` cache-key construction + hash, one values-buffer allocation,
 //! and one full gate decode. The lane-batched path
-//! (`evaluate_batch_f64`) groups the same-shape run once, then walks the
-//! artifact in blocks of `LANES` scenarios: one gate decode and zero
-//! steady-state allocations per *block*, with the per-gate arithmetic
-//! auto-vectorized across lanes.
+//! (`evaluate_batch_sharded_f64` on one shard) groups the same-shape run
+//! once, then walks the artifact in blocks of `LANES` scenarios: one
+//! gate decode and zero steady-state allocations per *block*, with the
+//! per-gate arithmetic auto-vectorized across lanes.
 //!
 //! This is an **allocation + cache-locality win, not a threading win** —
 //! both contenders here run on a single core (the sharded variant is
@@ -72,7 +72,7 @@ fn bench_kernel(c: &mut Criterion) {
             .iter()
             .map(|tid| engine.evaluate_f64(q, tid).unwrap())
             .collect();
-        let lane = engine.evaluate_batch_f64(q, &workload).unwrap();
+        let lane = engine.evaluate_batch_sharded_f64(q, &workload, 1).unwrap();
         assert_eq!(scalar, lane, "{kind}: lane kernel must be bit-identical");
 
         g.bench_with_input(BenchmarkId::new("scalar", kind), &workload, |b, w| {
@@ -85,7 +85,7 @@ fn bench_kernel(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("lane-batched", kind), &workload, |b, w| {
-            b.iter(|| black_box(engine.evaluate_batch_f64(q, w).unwrap()));
+            b.iter(|| black_box(engine.evaluate_batch_sharded_f64(q, w, 1).unwrap()));
         });
         // The whole point: neither contender recompiled after the warm-up,
         // and only the lane path invoked the kernel.

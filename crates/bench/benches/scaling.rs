@@ -1,5 +1,7 @@
 //! E15: the dichotomy shape — brute force (exponential in tuples)
-//! against the two polynomial engines on the same inputs.
+//! against the two polynomial engines on the same inputs. Each
+//! polynomial sample is one-shot: lifted inference from scratch, or a
+//! fresh d-D compile plus one walk.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use intext_bench::bench_tid;
@@ -23,7 +25,7 @@ fn bench_scaling(c: &mut Criterion) {
             b.iter(|| black_box(pqe_brute_force_f64(&q, tid).unwrap()));
         });
     }
-    for domain in [1u32, 2, 4, 8] {
+    for domain in [1u32, 2, 4, 8, 16] {
         let tid = bench_tid(3, domain, 31);
         let q = HQuery::new(phi9());
         g.bench_with_input(BenchmarkId::new("extensional", domain), &tid, |b, tid| {

@@ -2,15 +2,14 @@
 //!
 //! **E18 — sharded vs sequential batch speedup.** One φ9 d-D circuit is
 //! compiled once for a domain-16 database (≥ 650 tuples), then a
-//! 1000-scenario re-weighting workload is evaluated sequentially
-//! (`evaluate_batch`-style loop) and sharded across 1/2/4/8 workers
-//! (`evaluate_batch_sharded_f64`). Every scenario is a pure linear walk
-//! of the *same* `Arc`-shared circuit, so with ≥ 4 hardware threads the
-//! 4-shard run is expected ≥ 2× below sequential, approaching the core
-//! count as walks dominate; on fewer cores the sharded curves collapse
-//! onto sequential plus a small `thread::scope` spawn overhead (≈ tens
-//! of µs per batch) — the printed `threads=` line says which regime the
-//! numbers were measured in.
+//! 1000-scenario re-weighting workload is evaluated by a scalar
+//! `evaluate_f64` loop (`sequential`) and by the batch executor
+//! (`evaluate_batch_sharded_f64`) on 1/2/4/8 shards. Every scenario is a
+//! pure walk of the *same* `Arc`-shared circuit. The gap between
+//! `sequential` and `sharded/1` is the lane kernel (E21), not threads:
+//! one shard runs inline on the calling thread. Beyond one shard the
+//! speedup is bounded by the hardware threads — the printed `threads=`
+//! line says which regime the numbers were measured in.
 //!
 //! **E19 — eviction rate vs cache budget.** The same engine evaluates a
 //! round-robin workload over four database shapes (domains 2/4/6/8)
@@ -59,8 +58,8 @@ fn bench_sharded_speedup(c: &mut Criterion) {
         std::thread::available_parallelism().map_or(0, usize::from)
     );
 
-    // Sequential baseline: the pre-sharding `evaluate_batch` path (one
-    // compile, then one cached walk per scenario on the calling thread).
+    // Sequential baseline: one scalar cached walk per scenario on the
+    // calling thread, through the single-query `evaluate_f64`.
     let mut engine = PqeEngine::new();
     engine.evaluate_f64(&q, &base).unwrap(); // pre-warm: compile once
     g.bench_with_input(BenchmarkId::new("sequential", 0), &workload, |b, w| {

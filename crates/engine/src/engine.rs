@@ -1,26 +1,25 @@
-//! The `PqeEngine`: plan, compile, cache, evaluate — sequentially or
-//! fanned across shard workers sharing one compiled circuit.
+//! The `PqeEngine`: one pipeline — resolve, plan same-shape runs,
+//! prepare each run once, execute over `(runs, shards)` — behind every
+//! evaluation, plus the artifact cache and live updates.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use intext_boolfn::BoolFn;
 use intext_circuits::{EvalScratch, ProbMatrix, LANES};
 use intext_core::{classify, compile_dd, Region};
-use intext_extensional::{pqe_extensional_with_lattice, pqe_extensional_with_lattice_f64};
-use intext_lattice::{cnf_lattice, QueryLattice};
 use intext_lineage::{compile_degenerate_obdd, DegenerateLineage};
 use intext_numeric::BigRational;
 use intext_query::{
     dnf_clause_bound, ground_circuit, is_safe_ucq, lifted_probability, lifted_probability_f64,
     pqe_brute_force, pqe_brute_force_f64, recognize_h, HQuery, Query, QueryExpr, Ucq,
 };
-use intext_tid::{Relation, Tid, TidError, TupleDesc, TupleId};
-
-use intext_tid::Database;
+use intext_tid::{Database, Relation, Tid, TidError, TupleDesc, TupleId};
 
 use crate::cache::{Artifact, ArtifactCache, CacheKey};
 use crate::sample::{SampleRun, SamplerArtifact};
@@ -59,12 +58,6 @@ pub struct EngineConfig {
     /// (`2^tuples` possible worlds); larger instances return
     /// [`EngineError::Intractable`]. Capped at 63 by the world bitmask.
     pub max_brute_force_tuples: usize,
-    /// Route *monotone safe* nondegenerate queries through lifted
-    /// inference instead of the d-D pipeline. Off by default: the
-    /// compiled circuit amortizes across re-weightings, which lifted
-    /// inference cannot. Degenerate queries keep the OBDD route either
-    /// way (it is both cheaper and cacheable).
-    pub prefer_extensional: bool,
     /// Gate budget of the artifact cache (total OBDD nodes + d-D gates
     /// retained); `None` keeps every artifact forever. When the budget
     /// overflows, least-recently-used artifacts are evicted and counted
@@ -90,7 +83,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_brute_force_tuples: 20,
-            prefer_extensional: false,
             cache_gate_budget: None,
             sampling: None,
             max_ground_tuples: 64,
@@ -108,7 +100,7 @@ impl Default for EngineConfig {
 ///
 /// let config = EngineConfig::builder()
 ///     .max_brute_force_tuples(16)
-///     .prefer_extensional(true)
+///     .max_ground_tuples(32)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(config.max_brute_force_tuples, 16);
@@ -125,12 +117,6 @@ impl EngineConfigBuilder {
     /// Sets [`EngineConfig::max_brute_force_tuples`].
     pub fn max_brute_force_tuples(mut self, tuples: usize) -> Self {
         self.config.max_brute_force_tuples = tuples;
-        self
-    }
-
-    /// Sets [`EngineConfig::prefer_extensional`].
-    pub fn prefer_extensional(mut self, prefer: bool) -> Self {
-        self.config.prefer_extensional = prefer;
         self
     }
 
@@ -320,12 +306,6 @@ impl std::error::Error for EngineError {}
 pub struct PqeEngine {
     config: EngineConfig,
     cache: ArtifactCache,
-    /// Memoized `cnf_lattice(φ)` + Möbius values per extensional `φ`.
-    /// Keyed by the canonical truth table (like the artifact cache), so
-    /// syntactic variants share one lattice; entries are a few hundred
-    /// bytes (the lattice depends only on `φ`, never on the database),
-    /// so no eviction policy is needed.
-    lattices: HashMap<BoolFn, Arc<QueryLattice>>,
     stats: EngineStats,
 }
 
@@ -337,12 +317,12 @@ pub struct PqeEngine {
 /// work; general queries split by the Dalvi–Suciu safety test.
 enum Resolved {
     /// H-shaped: `Q_φ` over the chain vocabulary, routed by Figure 1.
-    H(HQuery),
+    H(Arc<HQuery>),
     /// General and Dalvi–Suciu safe: lifted inference, PTIME, no
     /// artifact.
     Lifted {
         /// The normalized union of conjunctive queries.
-        ucq: Ucq,
+        ucq: Arc<Ucq>,
         /// Largest binary-relation index the query mentions, plus one —
         /// the minimum vocabulary `k` an instance must provide.
         required_k: u8,
@@ -351,7 +331,7 @@ enum Resolved {
     /// over raw tuple ids, within [`EngineConfig::max_ground_tuples`].
     Ground {
         /// The query expression to ground per instance.
-        expr: QueryExpr,
+        expr: Arc<QueryExpr>,
         /// Canonical rendering of the normalized expression — the
         /// text component of the ground [`CacheKey`], so syntactic
         /// variants of one query share an artifact.
@@ -361,229 +341,176 @@ enum Resolved {
     },
 }
 
-impl Resolved {
-    /// The H-query, when this resolution is H-shaped.
-    fn as_h(&self) -> Option<&HQuery> {
+/// The routing decision for one instance, carrying exactly what
+/// preparing it needs.
+enum Route {
+    /// A cacheable plan: fetch the artifact, or compile it.
+    Artifact(Recipe),
+    /// [`Plan::BruteForce`].
+    BruteForce(Arc<HQuery>),
+    /// [`Plan::Lifted`].
+    Lifted(Arc<Ucq>),
+    /// [`Plan::Sample`]: ground the sampler, run it per scenario.
+    Sample {
+        query: Arc<HQuery>,
+        kind: SamplerKind,
+        config: SamplingConfig,
+    },
+}
+
+/// How a cacheable route compiles its artifact.
+enum Recipe {
+    /// [`Plan::Obdd`]: Proposition 3.7's OBDD for a degenerate `φ`.
+    Obdd(Arc<HQuery>),
+    /// [`Plan::DdCircuit`]: Theorem 5.2's d-D for a zero-Euler `φ`.
+    Dd(Arc<HQuery>),
+    /// [`Plan::GroundCircuit`]: the grounded lineage of an unsafe query.
+    Ground {
+        expr: Arc<QueryExpr>,
+        text: Arc<str>,
+    },
+}
+
+impl Route {
+    fn plan(&self) -> Plan {
         match self {
-            Resolved::H(q) => Some(q),
-            _ => None,
+            Route::Artifact(Recipe::Obdd(_)) => Plan::Obdd,
+            Route::Artifact(Recipe::Dd(_)) => Plan::DdCircuit,
+            Route::Artifact(Recipe::Ground { .. }) => Plan::GroundCircuit,
+            Route::BruteForce(_) => Plan::BruteForce,
+            Route::Lifted(_) => Plan::Lifted,
+            Route::Sample { kind, .. } => Plan::Sample(*kind),
         }
     }
 }
 
-/// One scenario's precomputed work order inside a batch: everything the
-/// evaluation loop (or a shard worker) needs so that walking never
-/// touches the cache, the lattice memo, or `&mut self`.
-struct Task {
-    /// The resolved query this task evaluates — shared across a run so
-    /// fallback backends (and shard workers) never re-resolve.
-    query: Arc<Resolved>,
+impl Recipe {
+    /// The artifact-cache key on `db`.
+    fn cache_key(&self, db: &Database) -> CacheKey {
+        match self {
+            Recipe::Obdd(q) | Recipe::Dd(q) => CacheKey::new(q.phi(), db),
+            Recipe::Ground { text, .. } => CacheKey::for_ground(text, db),
+        }
+    }
+
+    /// Compiles the artifact on `db`. The planner already established
+    /// the backend preconditions (vocabulary match, degeneracy / zero
+    /// Euler characteristic, grounding budget), so this cannot fail.
+    fn compile(&self, db: &Database) -> Artifact {
+        match self {
+            Recipe::Obdd(q) => Artifact::Obdd(
+                compile_degenerate_obdd(q.phi(), db)
+                    .expect("planner guarantees a degenerate φ on a matching vocabulary"),
+            ),
+            Recipe::Dd(q) => {
+                Artifact::Dd(compile_dd(q.phi(), db).expect("planner guarantees e(φ) = 0"))
+            }
+            Recipe::Ground { expr, .. } => {
+                let (manager, root) = ground_circuit(expr, db);
+                // Split 0 and no unroll trace: a ground artifact walks
+                // and lane-batches like any degenerate OBDD but is never
+                // structurally patched (the trace is what patching
+                // replays), so live updates simply leave it to recompile.
+                Artifact::Obdd(DegenerateLineage::new(manager, root, 0))
+            }
+        }
+    }
+}
+
+/// Consecutive same-shape scenarios and their routing decision, as
+/// [`PqeEngine::plan_runs`] leaves them: nothing fetched or compiled.
+pub struct PlannedRun {
+    route: Route,
+    scenarios: Range<usize>,
+}
+
+/// The shared state of one prepared run, one variant per backend.
+enum Backend {
+    /// A cached or just compiled circuit; `size` is counted once per
+    /// fetch (an OBDD's size is a reachability count).
+    Artifact {
+        artifact: Arc<Artifact>,
+        size: usize,
+    },
+    /// Possible-worlds enumeration.
+    BruteForce(Arc<HQuery>),
+    /// Lifted inference over a safe UCQ.
+    Lifted(Arc<Ucq>),
+    /// A sampler grounded once per run (it depends only on the shape).
+    Sampler(SamplerArtifact),
+}
+
+/// A prepared run: a planned query whose shared state — the cached
+/// `Arc<Artifact>` or a grounded sampler — has already been fetched or
+/// built, so evaluation is a **pure function of the prepared state**:
+/// no cache probe, no lock, no `&mut PqeEngine`. This is the unit of
+/// work the serve layer hands its worker pool; `PreparedQuery` is
+/// `Send + Sync`, and many threads may evaluate the same preparation
+/// concurrently.
+///
+/// Obtain one from [`PqeEngine::prepare`] / [`PqeEngine::prepare_run`]
+/// (may compile; needs `&mut self`) or [`PqeEngine::prepare_shared`]
+/// (read-only probe; `&self`). Every evaluation records one
+/// [`QueryStats`] per scenario into the *caller's* [`EngineStats`], so
+/// worker-local stats merged back via [`EngineStats::merge`] equal the
+/// counters a sequential engine evaluating the same requests would
+/// report — the invariant the serve-layer differential tests pin.
+pub struct PreparedQuery {
     plan: Plan,
-    artifact: Option<Arc<Artifact>>,
-    /// The memoized CNF lattice, present iff `plan` is
-    /// [`Plan::Extensional`].
-    lattice: Option<Arc<QueryLattice>>,
-    /// The grounded sampler input, present iff `plan` is
-    /// [`Plan::Sample`]. Like the artifact, it depends only on the
-    /// database *shape*, so one build serves a whole same-shape run.
-    sampler: Option<Arc<SamplerArtifact>>,
-    /// `artifact.size()`, computed once per compile/fetch — an OBDD's
-    /// size is a reachability count, too expensive to recount per
-    /// scenario.
-    size: Option<usize>,
+    backend: Backend,
+    /// The batch positions this run covers (`0..1` for a single query).
+    scenarios: Range<usize>,
     cache_hit: bool,
     compile_time: Duration,
 }
 
-impl Task {
-    /// The record for a scenario that shares this task's artifact (or
-    /// lattice, or sampler) instead of fetching its own.
-    fn shared(&self) -> Task {
-        Task {
-            query: Arc::clone(&self.query),
-            plan: self.plan,
-            artifact: self.artifact.clone(),
-            lattice: self.lattice.clone(),
-            sampler: self.sampler.clone(),
-            size: self.size,
-            cache_hit: self.artifact.is_some(),
-            compile_time: Duration::ZERO,
-        }
-    }
+/// One lane-kernel pass: up to [`LANES`] scenarios through an artifact.
+type Kernel<N> = fn(&Artifact, &ProbMatrix, &mut EvalScratch) -> [N; LANES];
 
-    /// This scenario's [`QueryStats`] record, given its measured
-    /// evaluation time.
-    fn query_stats(&self, eval_time: Duration) -> QueryStats {
-        QueryStats {
-            plan: self.plan,
-            cache_hit: self.cache_hit,
-            circuit_size: self.size,
-            compile_time: self.compile_time,
-            eval_time,
-            samples: 0,
-        }
-    }
+/// The number types the one walker produces: exact rationals and `f64`
+/// (the pattern of `intext_query`'s lifted evaluator).
+trait Prob: Sized + Send {
+    /// The lane kernel producing this type, if any (exact walks stay
+    /// scalar).
+    const KERNEL: Option<Kernel<Self>>;
+    fn walk(artifact: &Artifact, tid: &Tid) -> Self;
+    fn brute_force(q: &HQuery, tid: &Tid) -> Self;
+    fn lifted(ucq: &Ucq, tid: &Tid) -> Self;
+    /// A sampler estimate, embedded exactly (an f64 is a dyadic
+    /// rational).
+    fn estimate(value: f64) -> Self;
+}
 
-    /// The record skeleton for the scenario at `offset` within a run
-    /// this task heads: the run head (offset 0) carries the task's
-    /// compile/hit attribution, every later scenario is a shared walk
-    /// ([`Task::shared`] derives the same fields). `eval_time` is left
-    /// zero for the caller to fill in.
-    fn query_stats_at(&self, offset: usize) -> QueryStats {
-        QueryStats {
-            plan: self.plan,
-            cache_hit: if offset == 0 {
-                self.cache_hit
-            } else {
-                self.artifact.is_some()
-            },
-            circuit_size: self.size,
-            compile_time: if offset == 0 {
-                self.compile_time
-            } else {
-                Duration::ZERO
-            },
-            eval_time: Duration::ZERO,
-            samples: 0,
-        }
+impl Prob for BigRational {
+    const KERNEL: Option<Kernel<Self>> = None;
+    fn walk(artifact: &Artifact, tid: &Tid) -> Self {
+        artifact.probability_exact(tid)
     }
-
-    /// Runs this task's sampler for the scenario at global batch index
-    /// `stream`. The stream index is what makes sharded sampling
-    /// bit-identical to sequential: every scenario draws from the RNG
-    /// stream `(seed, its own batch position)` no matter which worker
-    /// runs it.
-    fn run_sampler(&self, tid: &Tid, stream: u64) -> SampleRun {
-        self.sampler
-            .as_deref()
-            .expect("sample tasks carry a sampler artifact")
-            .run(tid, stream)
+    fn brute_force(q: &HQuery, tid: &Tid) -> Self {
+        pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples")
     }
-
-    /// The non-artifact fallback evaluation (exact): the single dispatch
-    /// every batch path shares, so extensional/brute-force/sampling
-    /// semantics can never drift between the sequential, lane-batched,
-    /// and sharded paths whose bit-for-bit parity the tests pin.
-    /// `stream` is the scenario's global batch index (used only by
-    /// [`Plan::Sample`]); the returned [`SampleRun`] is present iff the
-    /// sampler ran.
-    fn eval_fallback_exact(&self, tid: &Tid, stream: u64) -> (BigRational, Option<SampleRun>) {
-        match self.plan {
-            Plan::Extensional => {
-                let q = self.query.as_h().expect("extensional plans are H-only");
-                let lat = self
-                    .lattice
-                    .as_deref()
-                    .expect("extensional tasks carry a lattice");
-                let p = pqe_extensional_with_lattice(q, tid, lat)
-                    .expect("planner guarantees a monotone safe φ");
-                (p, None)
-            }
-            Plan::BruteForce => {
-                let q = self.query.as_h().expect("brute force is H-only");
-                let p =
-                    pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples");
-                (p, None)
-            }
-            Plan::Sample(_) => {
-                let run = self.run_sampler(tid, stream);
-                // The estimate is a finite f64; embed it exactly so the
-                // exact and f64 batch paths agree bit for bit.
-                let p = BigRational::from_f64(run.estimate.value)
-                    .expect("estimates are finite by construction");
-                (p, Some(run))
-            }
-            Plan::Lifted => {
-                let Resolved::Lifted { ucq, .. } = &*self.query else {
-                    unreachable!("a Lifted plan carries a lifted resolution")
-                };
-                let p = lifted_probability(ucq, tid).expect("the planner verified the safety test");
-                (p, None)
-            }
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
-                unreachable!("cacheable tasks carry an artifact")
-            }
-        }
+    fn lifted(ucq: &Ucq, tid: &Tid) -> Self {
+        lifted_probability(ucq, tid).expect("the planner verified the safety test")
     }
-
-    /// Floating-point [`eval_fallback_exact`](Self::eval_fallback_exact).
-    fn eval_fallback_f64(&self, tid: &Tid, stream: u64) -> (f64, Option<SampleRun>) {
-        match self.plan {
-            Plan::Extensional => {
-                let q = self.query.as_h().expect("extensional plans are H-only");
-                let lat = self
-                    .lattice
-                    .as_deref()
-                    .expect("extensional tasks carry a lattice");
-                let p = pqe_extensional_with_lattice_f64(q, tid, lat)
-                    .expect("planner guarantees a monotone safe φ");
-                (p, None)
-            }
-            Plan::BruteForce => {
-                let q = self.query.as_h().expect("brute force is H-only");
-                let p = pqe_brute_force_f64(q, tid)
-                    .expect("planner bounds the instance below 64 tuples");
-                (p, None)
-            }
-            Plan::Sample(_) => {
-                let run = self.run_sampler(tid, stream);
-                (run.estimate.value, Some(run))
-            }
-            Plan::Lifted => {
-                let Resolved::Lifted { ucq, .. } = &*self.query else {
-                    unreachable!("a Lifted plan carries a lifted resolution")
-                };
-                let p =
-                    lifted_probability_f64(ucq, tid).expect("the planner verified the safety test");
-                (p, None)
-            }
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
-                unreachable!("cacheable tasks carry an artifact")
-            }
-        }
+    fn estimate(value: f64) -> Self {
+        BigRational::from_f64(value).expect("estimates are finite by construction")
     }
 }
 
-/// Folds one fallback evaluation's outcome into a stats record: sampler
-/// runs contribute their sample count (and any lane-kernel calls the
-/// naive world sampler made) exactly once, on whichever path ran them.
-fn record_fallback(
-    stats: &mut EngineStats,
-    mut record: QueryStats,
-    eval_time: Duration,
-    run: Option<SampleRun>,
-) {
-    record.eval_time = eval_time;
-    if let Some(run) = run {
-        record.samples = run.estimate.samples;
-        stats.lane_kernel_calls += run.kernel_calls;
+impl Prob for f64 {
+    const KERNEL: Option<Kernel<Self>> = Some(Artifact::probability_f64_many);
+    fn walk(artifact: &Artifact, tid: &Tid) -> Self {
+        artifact.probability_f64(tid)
     }
-    stats.record(record);
-}
-
-/// A planned query whose shared state — the cached `Arc<Artifact>`, the
-/// memoized CNF lattice, or a grounded sampler — has already been
-/// fetched, so evaluation is a **pure function of the prepared state**:
-/// no cache probe, no lock, no `&mut PqeEngine`. This is the unit of
-/// work the serve layer hands its worker pool; `PreparedQuery` is
-/// `Send + Sync`, and many threads may evaluate clones of the same
-/// preparation concurrently.
-///
-/// Obtain one from [`PqeEngine::prepare`] (may compile; needs
-/// `&mut self`) or [`PqeEngine::prepare_shared`] (read-only probe;
-/// `&self`). Every evaluation records one [`QueryStats`] into the
-/// *caller's* [`EngineStats`], so worker-local stats merged back via
-/// [`EngineStats::merge`] equal the counters a sequential engine
-/// evaluating the same requests would report — the invariant the
-/// serve-layer differential tests pin.
-pub struct PreparedQuery {
-    task: Task,
-    /// The lattice came from a read-path memo probe
-    /// ([`PqeEngine::prepare_shared`]) rather than being built by this
-    /// preparation: evaluation records the
-    /// [`EngineStats::extensional_memo_hits`] the write path would have
-    /// counted inside the engine.
-    memo_hit: bool,
+    fn brute_force(q: &HQuery, tid: &Tid) -> Self {
+        pqe_brute_force_f64(q, tid).expect("planner bounds the instance below 64 tuples")
+    }
+    fn lifted(ucq: &Ucq, tid: &Tid) -> Self {
+        lifted_probability_f64(ucq, tid).expect("the planner verified the safety test")
+    }
+    fn estimate(value: f64) -> Self {
+        value
+    }
 }
 
 /// Reusable lane-kernel scratch for [`PreparedQuery::eval_run_f64`]:
@@ -603,31 +530,63 @@ impl LaneScratch {
 }
 
 impl PreparedQuery {
+    /// The one preparer: builds `run`'s shared state from its head
+    /// scenario. Artifact routes go through `fetch`, which returns the
+    /// artifact plus the compile time if it compiled one; it fails only
+    /// on the read path, for a cold key.
+    fn prepare<E>(
+        run: &PlannedRun,
+        tids: &[Tid],
+        fetch: impl FnOnce(&Recipe, &Database) -> Result<(Arc<Artifact>, Option<Duration>), E>,
+    ) -> Result<PreparedQuery, E> {
+        let tid = &tids[run.scenarios.start];
+        let (backend, cache_hit, compile_time) = match &run.route {
+            Route::Artifact(recipe) => {
+                let (artifact, compiled) = fetch(recipe, tid.database())?;
+                let size = artifact.size();
+                (
+                    Backend::Artifact { artifact, size },
+                    compiled.is_none(),
+                    compiled.unwrap_or_default(),
+                )
+            }
+            Route::BruteForce(q) => (Backend::BruteForce(Arc::clone(q)), false, Duration::ZERO),
+            Route::Lifted(ucq) => (Backend::Lifted(Arc::clone(ucq)), false, Duration::ZERO),
+            Route::Sample {
+                query,
+                kind,
+                config,
+            } => {
+                let started = Instant::now();
+                let sampler = SamplerArtifact::build(*kind, query, tid, *config);
+                (Backend::Sampler(sampler), false, started.elapsed())
+            }
+        };
+        Ok(PreparedQuery {
+            plan: run.route.plan(),
+            backend,
+            scenarios: run.scenarios.clone(),
+            cache_hit,
+            compile_time,
+        })
+    }
+
     /// The backend the planner chose.
     pub fn plan(&self) -> Plan {
-        self.task.plan
+        self.plan
     }
 
     /// Whether the artifact came from the cache (always `false` for
     /// non-cacheable plans).
     pub fn cache_hit(&self) -> bool {
-        self.task.cache_hit
+        self.cache_hit
     }
 
     /// Size of the compiled circuit, when the plan is cacheable.
     pub fn circuit_size(&self) -> Option<usize> {
-        self.task.size
-    }
-
-    /// A preparation for another same-shape scenario sharing this one's
-    /// fetched state: the share is accounted exactly like the engine's
-    /// own batch paths (a cache hit for artifact plans, one
-    /// [`EngineStats::extensional_memo_hits`] for extensional ones,
-    /// zero compile time).
-    pub fn share(&self) -> PreparedQuery {
-        PreparedQuery {
-            task: self.task.shared(),
-            memo_hit: self.task.plan == Plan::Extensional,
+        match self.backend {
+            Backend::Artifact { size, .. } => Some(size),
+            _ => None,
         }
     }
 
@@ -636,41 +595,13 @@ impl PreparedQuery {
     /// RNG stream under a [`Plan::Sample`] route — pass `0` for a
     /// standalone query to match [`PqeEngine::evaluate`] bit for bit).
     pub fn eval_exact(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> BigRational {
-        if self.memo_hit {
-            stats.extensional_memo_hits += 1;
-        }
-        let started = Instant::now();
-        let (p, sample_run) = match &self.task.artifact {
-            Some(artifact) => (artifact.probability_exact(tid), None),
-            None => self.task.eval_fallback_exact(tid, stream),
-        };
-        record_fallback(
-            stats,
-            self.task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        p
+        self.eval_scalar(tid, stream, 0, stats).0
     }
 
     /// Floating-point [`eval_exact`](Self::eval_exact), bit-identical to
     /// [`PqeEngine::evaluate_f64`] at `stream = 0`.
     pub fn eval_f64(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> f64 {
-        if self.memo_hit {
-            stats.extensional_memo_hits += 1;
-        }
-        let started = Instant::now();
-        let (p, sample_run) = match &self.task.artifact {
-            Some(artifact) => (artifact.probability_f64(tid), None),
-            None => self.task.eval_fallback_f64(tid, stream),
-        };
-        record_fallback(
-            stats,
-            self.task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        p
+        self.eval_scalar(tid, stream, 0, stats).0
     }
 
     /// `PQE(Q)` as a uniformly-shaped [`Estimate`], bit-identical to
@@ -678,43 +609,27 @@ impl PreparedQuery {
     /// with `eps = delta = 0`, [`Plan::Sample`] routes Monte-Carlo
     /// bounded.
     pub fn eval_estimate(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> Estimate {
-        match self.task.plan {
-            Plan::Sample(_) => {
-                let started = Instant::now();
-                let run = self.task.run_sampler(tid, stream);
-                record_fallback(
-                    stats,
-                    self.task.query_stats(Duration::ZERO),
-                    started.elapsed(),
-                    Some(run),
-                );
-                run.estimate
-            }
-            _ => {
-                let started = Instant::now();
-                let value = self.eval_f64(tid, stream, stats);
-                Estimate {
-                    value,
-                    eps: 0.0,
-                    delta: 0.0,
-                    samples: 0,
-                    elapsed: started.elapsed(),
-                    sampler: None,
-                    deadline_hit: false,
-                }
-            }
-        }
+        let started = Instant::now();
+        let (value, sampled) = self.eval_scalar::<f64>(tid, stream, 0, stats);
+        sampled.unwrap_or(Estimate {
+            value,
+            eps: 0.0,
+            delta: 0.0,
+            samples: 0,
+            elapsed: started.elapsed(),
+            sampler: None,
+            deadline_hit: false,
+        })
     }
 
     /// Evaluates a contiguous same-shape run of scenarios in f64,
     /// through the lane-batched kernel when the plan carries an
-    /// artifact — bit-identical to [`PqeEngine::evaluate_batch_f64`] on
-    /// the same run (the kernel's fixed-op-order contract), pushing one
+    /// artifact — bit-identical to [`PqeEngine::evaluate_f64`] per
+    /// scenario (the kernel's fixed-op-order contract), pushing one
     /// probability per scenario onto `out` and recording one
-    /// [`QueryStats`] per scenario. `base` is the run's global batch
-    /// offset: scenario `i` of the run samples from RNG stream
-    /// `base + i`, which is what keeps server-side sharding
-    /// bit-identical to a sequential batch at any split.
+    /// [`QueryStats`] per scenario (the first as the run head). `base`
+    /// is the run's global batch offset: scenario `i` of the run samples
+    /// from RNG stream `base + i`.
     pub fn eval_run_f64(
         &self,
         tids: &[Tid],
@@ -723,36 +638,234 @@ impl PreparedQuery {
         out: &mut Vec<f64>,
         stats: &mut EngineStats,
     ) {
-        if tids.is_empty() {
-            return;
+        self.walk(tids, base, 0, Some(scratch), out, stats);
+    }
+
+    /// The [`QueryStats`] of scenario `offset` of this run: the run head
+    /// carries the preparation's compile/hit attribution, every later
+    /// scenario is a shared walk (a hit iff the run has an artifact).
+    fn record_at(&self, offset: usize, eval_time: Duration) -> QueryStats {
+        let shared = offset > 0;
+        QueryStats {
+            plan: self.plan,
+            cache_hit: self.cache_hit || (shared && self.circuit_size().is_some()),
+            circuit_size: self.circuit_size(),
+            compile_time: if shared {
+                Duration::ZERO
+            } else {
+                self.compile_time
+            },
+            eval_time,
+            samples: 0,
         }
-        match &self.task.artifact {
-            Some(artifact) => PqeEngine::walk_lane_run_f64(
-                artifact,
-                tids,
-                &mut scratch.probs,
-                &mut scratch.scratch,
-                out,
-                stats,
-                |offset| self.task.query_stats_at(offset),
-            ),
-            None => {
-                for (offset, tid) in tids.iter().enumerate() {
-                    if self.task.plan == Plan::Extensional && (offset > 0 || self.memo_hit) {
-                        stats.extensional_memo_hits += 1;
-                    }
-                    let started = Instant::now();
-                    let (p, sample_run) = self.task.eval_fallback_f64(tid, base + offset as u64);
-                    out.push(p);
-                    record_fallback(
+    }
+
+    /// One scenario through this run's backend, recorded as scenario
+    /// `offset` of the run, plus the sampler's estimate if one ran.
+    fn eval_scalar<N: Prob>(
+        &self,
+        tid: &Tid,
+        stream: u64,
+        offset: usize,
+        stats: &mut EngineStats,
+    ) -> (N, Option<Estimate>) {
+        let started = Instant::now();
+        let (p, sampled): (N, Option<SampleRun>) = match &self.backend {
+            Backend::Artifact { artifact, .. } => (N::walk(artifact, tid), None),
+            Backend::BruteForce(q) => (N::brute_force(q, tid), None),
+            Backend::Lifted(ucq) => (N::lifted(ucq, tid), None),
+            Backend::Sampler(sampler) => {
+                let run = sampler.run(tid, stream);
+                (N::estimate(run.estimate.value), Some(run))
+            }
+        };
+        let mut record = self.record_at(offset, started.elapsed());
+        if let Some(run) = sampled {
+            record.samples = run.estimate.samples;
+            stats.lane_kernel_calls += run.kernel_calls;
+        }
+        stats.record(record);
+        (p, sampled.map(|run| run.estimate))
+    }
+
+    /// The one walker: evaluates `tids` — scenarios `offset..` of this
+    /// run, at batch positions `stream..` — pushing and recording one
+    /// result each. Given `lanes` and a kernel, an artifact run walks
+    /// [`LANES`] scenarios per forward pass, the block's wall time split
+    /// evenly across its lanes; everything else walks scalar.
+    fn walk<N: Prob>(
+        &self,
+        tids: &[Tid],
+        stream: u64,
+        offset: usize,
+        lanes: Option<&mut LaneScratch>,
+        out: &mut Vec<N>,
+        stats: &mut EngineStats,
+    ) {
+        let (Backend::Artifact { artifact, .. }, Some(lanes), Some(kernel)) =
+            (&self.backend, lanes, N::KERNEL)
+        else {
+            for (i, tid) in tids.iter().enumerate() {
+                out.push(
+                    self.eval_scalar(tid, stream + i as u64, offset + i, stats)
+                        .0,
+                );
+            }
+            return;
+        };
+        let support = artifact.support_vars();
+        for (block_idx, block) in tids.chunks(LANES).enumerate() {
+            lanes.probs.reset(block[0].len());
+            for (lane, tid) in block.iter().enumerate() {
+                for &v in &support {
+                    lanes.probs.set(v, lane, tid.prob_f64(TupleId(v)));
+                }
+            }
+            let started = Instant::now();
+            let ps = kernel(artifact, &lanes.probs, &mut lanes.scratch);
+            let per_lane = started.elapsed() / block.len() as u32;
+            stats.lane_kernel_calls += 1;
+            for (lane, p) in ps.into_iter().take(block.len()).enumerate() {
+                out.push(p);
+                stats.record(self.record_at(offset + block_idx * LANES + lane, per_lane));
+            }
+        }
+    }
+}
+
+/// A batch whose runs are all planned, then prepared: the executor's
+/// input.
+pub struct PreparedBatch {
+    runs: Vec<PreparedQuery>,
+}
+
+/// The number of workers a request for `shards` shards over
+/// `scenarios` scenarios actually runs: contiguous chunks of
+/// `ceil(scenarios / shards)`, so small workloads use fewer workers
+/// than asked and `shards == 0` is treated as `1`.
+fn shard_count(scenarios: usize, shards: usize) -> usize {
+    if scenarios == 0 {
+        return 0;
+    }
+    let shards = shards.clamp(1, scenarios);
+    scenarios.div_ceil(scenarios.div_ceil(shards))
+}
+
+/// The [`BatchPlan`] of `scenarios` at `shards`, from each run's
+/// `(compiles, shared walks, sampled)` counts.
+fn batch_plan(
+    scenarios: usize,
+    shards: usize,
+    runs: impl Iterator<Item = (usize, usize, usize)>,
+) -> BatchPlan {
+    let (compiles, shared, sampled) = runs.fold((0, 0, 0), |(c, s, x), (dc, ds, dx)| {
+        (c + dc, s + ds, x + dx)
+    });
+    BatchPlan {
+        scenarios,
+        shards: shard_count(scenarios, shards),
+        compiles,
+        shared,
+        sampled,
+    }
+}
+
+impl PreparedBatch {
+    /// The runs of one batch, in [`PqeEngine::plan_runs`] order.
+    pub fn new(runs: Vec<PreparedQuery>) -> Self {
+        PreparedBatch { runs }
+    }
+
+    /// Exact probabilities of `tids` (the scenarios this batch was
+    /// planned for), fanned across `shards` workers; see
+    /// [`PqeEngine::evaluate_batch_sharded`].
+    pub fn eval_exact(
+        &self,
+        tids: &[Tid],
+        shards: usize,
+        stats: &mut EngineStats,
+    ) -> Vec<BigRational> {
+        self.execute(tids, shards, stats)
+    }
+
+    /// Floating-point [`eval_exact`](Self::eval_exact) through the lane
+    /// kernel; see [`PqeEngine::evaluate_batch_sharded_f64`].
+    pub fn eval_f64(&self, tids: &[Tid], shards: usize, stats: &mut EngineStats) -> Vec<f64> {
+        self.execute(tids, shards, stats)
+    }
+
+    /// The one executor. Scenarios split into [`shard_count`] contiguous
+    /// chunks, and each chunk walks its slice of every run it overlaps
+    /// through one reused [`LaneScratch`]. Workers only read —
+    /// `Arc<Artifact>` walks take `&self`, the other backends are pure
+    /// functions of `(query, tid)` — and record into their own
+    /// [`EngineStats`], merged in chunk order, so the counters equal a
+    /// sequential run's. One shard runs inline. Scenario `i` samples
+    /// from RNG stream `i` whatever chunk runs it, which is what makes
+    /// sharded sampling bit-identical to sequential.
+    fn execute<N: Prob>(&self, tids: &[Tid], shards: usize, stats: &mut EngineStats) -> Vec<N> {
+        let shards = shard_count(tids.len(), shards);
+        let chunk = tids.len().div_ceil(shards.max(1));
+        let walk_chunk = |start: usize, out: &mut Vec<N>, stats: &mut EngineStats| {
+            let end = (start + chunk).min(tids.len());
+            let mut lanes = LaneScratch::new();
+            for run in &self.runs {
+                let (from, to) = (run.scenarios.start.max(start), run.scenarios.end.min(end));
+                if from < to {
+                    let offset = from - run.scenarios.start;
+                    run.walk(
+                        &tids[from..to],
+                        from as u64,
+                        offset,
+                        Some(&mut lanes),
+                        out,
                         stats,
-                        self.task.query_stats_at(offset),
-                        started.elapsed(),
-                        sample_run,
                     );
                 }
             }
+        };
+        let mut out = Vec::with_capacity(tids.len());
+        if shards <= 1 {
+            walk_chunk(0, &mut out, stats);
+            return out;
         }
+        let walk_chunk = &walk_chunk;
+        let parts: Vec<(Vec<N>, EngineStats)> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..tids.len())
+                .step_by(chunk)
+                .map(|start| {
+                    scope.spawn(move || {
+                        let (mut part, mut local) =
+                            (Vec::with_capacity(chunk), EngineStats::default());
+                        walk_chunk(start, &mut part, &mut local);
+                        (part, local)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
+        });
+        for (part, local) in parts {
+            out.extend(part);
+            stats.merge(&local);
+        }
+        out
+    }
+
+    /// How this batch executes at `shards`: the compile/share/sample
+    /// split its preparation actually produced.
+    fn batch_plan(&self, scenarios: usize, shards: usize) -> BatchPlan {
+        let runs = self.runs.iter().map(|run| {
+            let (len, compiled) = (run.scenarios.len(), usize::from(!run.cache_hit));
+            match run.backend {
+                Backend::Artifact { .. } => (compiled, len - compiled, 0),
+                Backend::Sampler(_) => (0, 0, len),
+                Backend::BruteForce(_) | Backend::Lifted(_) => (0, 0, 0),
+            }
+        });
+        batch_plan(scenarios, shards, runs)
     }
 }
 
@@ -785,7 +898,6 @@ impl PqeEngine {
         Ok(PqeEngine {
             cache: ArtifactCache::new(config.cache_gate_budget),
             config,
-            lattices: HashMap::new(),
             stats: EngineStats::default(),
         })
     }
@@ -835,30 +947,9 @@ impl PqeEngine {
         self.stats.cache_evictions += self.cache.set_budget(budget);
     }
 
-    /// Drops every cached artifact (not counted as evictions) and the
-    /// memoized extensional lattices.
+    /// Drops every cached artifact (not counted as evictions).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-        self.lattices.clear();
-    }
-
-    /// Number of distinct `φ` whose CNF lattice + Möbius values are
-    /// memoized for [`Plan::Extensional`] re-evaluation.
-    pub fn lattice_memo_len(&self) -> usize {
-        self.lattices.len()
-    }
-
-    /// The memoized CNF lattice for `phi`, building (and retaining) it
-    /// on first use; every reuse counts one
-    /// [`EngineStats::extensional_memo_hits`].
-    fn extensional_lattice(&mut self, phi: &BoolFn) -> Arc<QueryLattice> {
-        if let Some(lat) = self.lattices.get(phi) {
-            self.stats.extensional_memo_hits += 1;
-            return Arc::clone(lat);
-        }
-        let lat = Arc::new(cnf_lattice(phi));
-        self.lattices.insert(phi.clone(), Arc::clone(&lat));
-        lat
     }
 
     /// Serializes the whole artifact cache into one versioned bundle
@@ -1177,11 +1268,11 @@ impl PqeEngine {
     ///
     /// A general query needing a longer chain than the instance
     /// provides fails here with [`EngineError::VocabularyMismatch`];
-    /// H-queries keep their exact-`k` check in
-    /// [`plan_resolved`](Self::plan_resolved), per instance.
+    /// H-queries keep their exact-`k` check in [`route`](Self::route),
+    /// per instance.
     fn resolve(q: &Query, k: u8) -> Result<Resolved, EngineError> {
         if let Some(h) = q.as_h() {
-            return Ok(Resolved::H(h.clone()));
+            return Ok(Resolved::H(Arc::new(h.clone())));
         }
         let (expr, _voc) = q.general().expect("a Query is either H or general");
         let required_k = q.required_k();
@@ -1192,12 +1283,15 @@ impl PqeEngine {
             });
         }
         if let Some(h) = recognize_h(expr, k) {
-            return Ok(Resolved::H(h));
+            return Ok(Resolved::H(Arc::new(h)));
         }
         if let Some(ucq) = expr.to_ucq() {
             let ucq = ucq.normalize();
             if is_safe_ucq(&ucq) {
-                return Ok(Resolved::Lifted { ucq, required_k });
+                return Ok(Resolved::Lifted {
+                    ucq: Arc::new(ucq),
+                    required_k,
+                });
             }
         }
         // Canonical, vocabulary-independent text: the ground cache key.
@@ -1206,7 +1300,7 @@ impl PqeEngine {
                 .render(&|rel: Relation| rel.to_string()),
         );
         Ok(Resolved::Ground {
-            expr: expr.clone(),
+            expr: Arc::new(expr.clone()),
             text,
             required_k,
         })
@@ -1222,46 +1316,35 @@ impl PqeEngine {
         }
     }
 
-    /// The artifact-cache key of a cacheable resolution on `db`.
-    fn resolved_cache_key(r: &Resolved, db: &Database) -> CacheKey {
-        match r {
-            Resolved::H(q) => CacheKey::new(q.phi(), db),
-            Resolved::Ground { text, .. } => CacheKey::for_ground(text, db),
-            Resolved::Lifted { .. } => unreachable!("lifted plans are not cacheable"),
-        }
-    }
-
     /// The routing decision for an already-resolved query on `tid` —
-    /// the per-instance half of [`plan`](Self::plan), also run per
-    /// scenario inside batches (so a mixed-vocabulary batch still fails
-    /// all-or-nothing).
-    fn plan_resolved(&self, r: &Resolved, tid: &Tid) -> Result<Plan, EngineError> {
+    /// the per-instance half of [`plan`](Self::plan), run once per
+    /// same-shape run by [`plan_runs`](Self::plan_runs).
+    fn route(&self, r: &Resolved, tid: &Tid) -> Result<Route, EngineError> {
+        let database_k = tid.database().k();
         match r {
             Resolved::H(q) => {
-                let phi = q.phi();
-                if tid.database().k() != q.k() {
+                if database_k != q.k() {
                     return Err(EngineError::VocabularyMismatch {
                         query_k: q.k(),
-                        database_k: tid.database().k(),
+                        database_k,
                     });
                 }
-                let region = classify(phi);
-                match region {
-                    Region::DegenerateObdd => Ok(Plan::Obdd),
-                    Region::ZeroEulerDD => {
-                        if self.config.prefer_extensional && phi.is_monotone() {
-                            Ok(Plan::Extensional)
-                        } else {
-                            Ok(Plan::DdCircuit)
-                        }
-                    }
-                    Region::HardMonotone | Region::HardByTransfer | Region::ConjecturedHard => {
+                match classify(q.phi()) {
+                    Region::DegenerateObdd => Ok(Route::Artifact(Recipe::Obdd(Arc::clone(q)))),
+                    Region::ZeroEulerDD => Ok(Route::Artifact(Recipe::Dd(Arc::clone(q)))),
+                    region @ (Region::HardMonotone
+                    | Region::HardByTransfer
+                    | Region::ConjecturedHard) => {
                         // Validated ≤ 63 at construction (ConfigError otherwise).
                         let budget = self.config.max_brute_force_tuples;
                         if tid.len() <= budget {
-                            Ok(Plan::BruteForce)
-                        } else if self.config.sampling.is_some() {
-                            Ok(Plan::Sample(Self::sampler_kind(q, tid)))
+                            Ok(Route::BruteForce(Arc::clone(q)))
+                        } else if let Some(config) = self.config.sampling {
+                            Ok(Route::Sample {
+                                query: Arc::clone(q),
+                                kind: Self::sampler_kind(q, tid),
+                                config,
+                            })
                         } else {
                             Err(EngineError::Intractable {
                                 region,
@@ -1275,25 +1358,22 @@ impl PqeEngine {
                     }
                 }
             }
-            Resolved::Lifted { required_k, .. } => {
-                if *required_k > tid.database().k() {
-                    return Err(EngineError::VocabularyMismatch {
-                        query_k: *required_k,
-                        database_k: tid.database().k(),
-                    });
-                }
-                Ok(Plan::Lifted)
+            Resolved::Lifted { required_k, .. } | Resolved::Ground { required_k, .. }
+                if *required_k > database_k =>
+            {
+                Err(EngineError::VocabularyMismatch {
+                    query_k: *required_k,
+                    database_k,
+                })
             }
-            Resolved::Ground { required_k, .. } => {
-                if *required_k > tid.database().k() {
-                    return Err(EngineError::VocabularyMismatch {
-                        query_k: *required_k,
-                        database_k: tid.database().k(),
-                    });
-                }
+            Resolved::Lifted { ucq, .. } => Ok(Route::Lifted(Arc::clone(ucq))),
+            Resolved::Ground { expr, text, .. } => {
                 let budget = self.config.max_ground_tuples;
                 if tid.len() <= budget {
-                    Ok(Plan::GroundCircuit)
+                    Ok(Route::Artifact(Recipe::Ground {
+                        expr: Arc::clone(expr),
+                        text: Arc::clone(text),
+                    }))
                 } else {
                     Err(EngineError::GroundingTooLarge {
                         tuples: tid.len(),
@@ -1314,11 +1394,9 @@ impl PqeEngine {
     /// `DESIGN.md`):
     ///
     /// 1. degenerate `φ` → [`Plan::Obdd`] (Proposition 3.7);
-    /// 2. monotone `φ`, `e(φ) = 0`, with
-    ///    [`prefer_extensional`](EngineConfig::prefer_extensional) →
-    ///    [`Plan::Extensional`] (safe by Corollary 3.9);
-    /// 3. `e(φ) = 0` → [`Plan::DdCircuit`] (Theorem 5.2);
-    /// 4. otherwise `PQE(Q_φ)` is `#P`-hard or conjectured so →
+    /// 2. `e(φ) = 0` → [`Plan::DdCircuit`] (Theorem 5.2; by
+    ///    Corollary 5.3 this covers every safe H⁺-query);
+    /// 3. otherwise `PQE(Q_φ)` is `#P`-hard or conjectured so →
     ///    [`Plan::BruteForce`] within the budget; beyond it,
     ///    [`Plan::Sample`] when [`EngineConfig::sampling`] is enabled
     ///    (Karp–Luby over the grounded DNF when `φ` is monotone and the
@@ -1331,9 +1409,8 @@ impl PqeEngine {
     /// [`EngineConfig::max_ground_tuples`], else
     /// [`EngineError::GroundingTooLarge`].
     pub fn plan(&self, q: impl Into<Query>, tid: &Tid) -> Result<Plan, EngineError> {
-        let q = q.into();
-        let resolved = Self::resolve(&q, tid.database().k())?;
-        self.plan_resolved(&resolved, tid)
+        let resolved = Self::resolve(&q.into(), tid.database().k())?;
+        self.route(&resolved, tid).map(|route| route.plan())
     }
 
     /// Which sampler a [`Plan::Sample`] query runs: Karp–Luby needs a
@@ -1356,15 +1433,13 @@ impl PqeEngine {
         let q = q.into();
         match Self::resolve(&q, tid.database().k()) {
             Ok(resolved) => {
-                let plan = self.plan_resolved(&resolved, tid);
-                let cached = matches!(plan, Ok(p) if p.is_cacheable())
-                    && self
-                        .cache
-                        .contains(&Self::resolved_cache_key(&resolved, tid.database()));
+                let route = self.route(&resolved, tid);
+                let cached = matches!(&route, Ok(Route::Artifact(recipe))
+                    if self.cache.contains(&recipe.cache_key(tid.database())));
                 Explanation {
                     region: Self::region_of(&resolved),
                     tuples: tid.len(),
-                    plan,
+                    plan: route.map(|route| route.plan()),
                     cached,
                 }
             }
@@ -1384,44 +1459,6 @@ impl PqeEngine {
         }
     }
 
-    /// Compiles the artifact a cacheable `plan` promised. The planner
-    /// already established the backend preconditions (vocabulary match,
-    /// degeneracy / zero Euler characteristic, grounding budget), so
-    /// compilation cannot fail.
-    fn compile_artifact(plan: Plan, query: &Resolved, tid: &Tid) -> Artifact {
-        match plan {
-            Plan::Obdd => {
-                let q = query.as_h().expect("an Obdd plan implies an H resolution");
-                Artifact::Obdd(
-                    compile_degenerate_obdd(q.phi(), tid.database())
-                        .expect("planner guarantees a degenerate φ on a matching vocabulary"),
-                )
-            }
-            Plan::DdCircuit => {
-                let q = query
-                    .as_h()
-                    .expect("a DdCircuit plan implies an H resolution");
-                Artifact::Dd(
-                    compile_dd(q.phi(), tid.database()).expect("planner guarantees e(φ) = 0"),
-                )
-            }
-            Plan::GroundCircuit => {
-                let Resolved::Ground { expr, .. } = query else {
-                    unreachable!("a GroundCircuit plan carries a ground resolution")
-                };
-                let (manager, root) = ground_circuit(expr, tid.database());
-                // Split 0 and no unroll trace: a ground artifact walks
-                // and lane-batches like any degenerate OBDD but is never
-                // structurally patched (the trace is what patching
-                // replays), so live updates simply leave it to recompile.
-                Artifact::Obdd(DegenerateLineage::new(manager, root, 0))
-            }
-            Plan::Extensional | Plan::BruteForce | Plan::Sample(_) | Plan::Lifted => {
-                unreachable!("only cacheable plans compile artifacts")
-            }
-        }
-    }
-
     /// Exact `PQE(Q)` through the planner: resolves, routes, compiles
     /// or reuses a cached artifact, evaluates, and records
     /// [`QueryStats`]. Accepts an [`HQuery`] or any general [`Query`].
@@ -1431,62 +1468,17 @@ impl PqeEngine {
     /// a dyadic rational) — use [`estimate`](Self::estimate) when the
     /// error bound itself matters.
     pub fn evaluate(&mut self, q: impl Into<Query>, tid: &Tid) -> Result<BigRational, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        self.evaluate_resolved(&resolved, tid)
-    }
-
-    /// The single-query exact path shared by [`evaluate`](Self::evaluate)
-    /// and [`estimate`](Self::estimate): one [`begin_run`](Self::begin_run)
-    /// (plan + fetch/compile shared state), one evaluation, one record.
-    fn evaluate_resolved(
-        &mut self,
-        resolved: &Arc<Resolved>,
-        tid: &Tid,
-    ) -> Result<BigRational, EngineError> {
-        let task = self.begin_run(resolved, tid)?;
-        let started = Instant::now();
-        let (p, sample_run) = match &task.artifact {
-            Some(artifact) => (artifact.probability_exact(tid), None),
-            None => task.eval_fallback_exact(tid, 0),
-        };
-        record_fallback(
-            &mut self.stats,
-            task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        Ok(p)
+        let prepared = self.prepare(q, tid)?;
+        Ok(prepared.eval_exact(tid, 0, &mut self.stats))
     }
 
     /// Floating-point `PQE(Q)` through the same planner and cache
-    /// (used by the benchmarks; cached-artifact walks stay linear).
-    /// [`Plan::Sample`] routes return the Monte-Carlo estimate's value.
+    /// (used by the benchmarks; cached-artifact walks stay linear and
+    /// scalar — no lane-kernel call). [`Plan::Sample`] routes return the
+    /// Monte-Carlo estimate's value.
     pub fn evaluate_f64(&mut self, q: impl Into<Query>, tid: &Tid) -> Result<f64, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        self.evaluate_f64_resolved(&resolved, tid)
-    }
-
-    /// Floating-point [`evaluate_resolved`](Self::evaluate_resolved).
-    fn evaluate_f64_resolved(
-        &mut self,
-        resolved: &Arc<Resolved>,
-        tid: &Tid,
-    ) -> Result<f64, EngineError> {
-        let task = self.begin_run(resolved, tid)?;
-        let started = Instant::now();
-        let (p, sample_run) = match &task.artifact {
-            Some(artifact) => (artifact.probability_f64(tid), None),
-            None => task.eval_fallback_f64(tid, 0),
-        };
-        record_fallback(
-            &mut self.stats,
-            task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        Ok(p)
+        let prepared = self.prepare(q, tid)?;
+        Ok(prepared.eval_f64(tid, 0, &mut self.stats))
     }
 
     /// `PQE(Q)` as a uniformly-shaped [`Estimate`]: exact routes come
@@ -1495,315 +1487,84 @@ impl PqeEngine {
     /// Monte-Carlo-bounded with the sampler named. This is the anytime
     /// front door the hard region previously lacked.
     pub fn estimate(&mut self, q: impl Into<Query>, tid: &Tid) -> Result<Estimate, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        match self.plan_resolved(&resolved, tid)? {
-            Plan::Sample(kind) => {
-                let h = resolved.as_h().expect("sampling is H-only");
-                Ok(self.run_sampler_single(h, tid, kind).estimate)
-            }
-            _ => {
-                let started = Instant::now();
-                let value = self.evaluate_f64_resolved(&resolved, tid)?;
-                Ok(Estimate {
-                    value,
-                    eps: 0.0,
-                    delta: 0.0,
-                    samples: 0,
-                    elapsed: started.elapsed(),
-                    sampler: None,
-                    deadline_hit: false,
-                })
-            }
-        }
+        let prepared = self.prepare(q, tid)?;
+        Ok(prepared.eval_estimate(tid, 0, &mut self.stats))
     }
 
-    /// One standalone sampler invocation (the single-query path; batches
-    /// go through [`Task`]s): grounds the sampler artifact, runs stream
-    /// 0, and records stats — sampler wall time lands in `eval_time` /
-    /// [`EngineStats::sample_nanos`], grounding time in `compile_time`.
-    fn run_sampler_single(&mut self, q: &HQuery, tid: &Tid, kind: SamplerKind) -> SampleRun {
-        let sampling = self
-            .config
-            .sampling
-            .expect("a Sample plan implies sampling is configured");
-        let build_started = Instant::now();
-        let artifact = SamplerArtifact::build(kind, q, tid, sampling);
-        let compile_time = build_started.elapsed();
-        let started = Instant::now();
-        let run = artifact.run(tid, 0);
-        record_fallback(
-            &mut self.stats,
-            QueryStats {
-                plan: Plan::Sample(kind),
-                cache_hit: false,
-                circuit_size: None,
-                compile_time,
-                eval_time: Duration::ZERO,
-                samples: 0,
-            },
-            started.elapsed(),
-            Some(run),
-        );
-        run
-    }
-
-    /// Begins a contiguous same-shape run of a batch: plans the first
-    /// scenario and fetches (or compiles) whatever shared state the run
-    /// needs — the cached artifact for cacheable plans, the memoized CNF
-    /// lattice for extensional ones. Every later scenario of the run
-    /// reuses the returned [`Task`] via [`Task::shared`], skipping the
-    /// `O(|D|)` cache-key hash entirely.
-    fn begin_run(&mut self, query: &Arc<Resolved>, tid: &Tid) -> Result<Task, EngineError> {
-        let plan = self.plan_resolved(query, tid)?;
-        let mut task = Task {
-            query: Arc::clone(query),
-            plan,
-            artifact: None,
-            lattice: None,
-            sampler: None,
-            size: None,
-            cache_hit: false,
-            compile_time: Duration::ZERO,
+    /// The one run planner: resolves `q` once, splits `tids` into
+    /// maximal runs of consecutive same-shape scenarios, and plans each
+    /// run from its head (a plan depends on a TID only through its
+    /// shape). Pure, so a batch with an unsound scenario anywhere fails
+    /// before anything is fetched or compiled. One scenario is one run.
+    pub fn plan_runs(
+        &self,
+        q: impl Into<Query>,
+        tids: &[Tid],
+    ) -> Result<Vec<PlannedRun>, EngineError> {
+        let Some(first) = tids.first() else {
+            return Ok(Vec::new());
         };
-        if plan.is_cacheable() {
-            let key = Self::resolved_cache_key(query, tid.database());
-            let artifact = match self.cache.get(&key) {
-                Some(artifact) => {
-                    task.cache_hit = true;
-                    artifact
+        let resolved = Self::resolve(&q.into(), first.database().k())?;
+        let mut runs: Vec<PlannedRun> = Vec::new();
+        for (i, tid) in tids.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if tid.database().same_shape(tids[i - 1].database()) => {
+                    run.scenarios.end += 1;
                 }
-                None => {
-                    let started = Instant::now();
-                    let compiled = Self::compile_artifact(plan, query, tid);
-                    task.compile_time = started.elapsed();
-                    let (artifact, evicted) = self.cache.insert(key, compiled);
-                    self.stats.cache_evictions += evicted;
-                    artifact
-                }
-            };
-            task.size = Some(artifact.size());
-            task.artifact = Some(artifact);
-        } else if plan == Plan::Extensional {
-            let phi = query.as_h().expect("extensional plans are H-only").phi();
-            task.lattice = Some(self.extensional_lattice(phi));
-        } else if let Plan::Sample(kind) = plan {
-            let q = query.as_h().expect("sampling is H-only");
-            let sampling = self
-                .config
-                .sampling
-                .expect("a Sample plan implies sampling is configured");
-            let started = Instant::now();
-            task.sampler = Some(Arc::new(SamplerArtifact::build(kind, q, tid, sampling)));
-            task.compile_time = started.elapsed();
+                _ => runs.push(PlannedRun {
+                    route: self.route(&resolved, tid)?,
+                    scenarios: i..i + 1,
+                }),
+            }
         }
-        Ok(task)
+        Ok(runs)
     }
 
-    /// Prepares `(q, tid)` for pure `&self` evaluation, compiling (and
-    /// caching) the artifact or building the lattice memo when the key
-    /// is cold — the **write path** of the serve layer's locking
-    /// contract (`DESIGN.md` §10): hold the engine exclusively for this
-    /// call, then evaluate the returned [`PreparedQuery`] outside any
-    /// lock. Cache-hit/miss attribution lands in the preparation and is
-    /// recorded at evaluation time, exactly as the engine's own
-    /// `evaluate` records it.
+    /// The write path of the serve layer's locking contract
+    /// (`DESIGN.md` §10): prepares planned `run` of `tids`, serving its
+    /// artifact from the cache or compiling and caching it when cold.
+    /// Hit/miss attribution is recorded at evaluation time.
+    pub fn prepare_run(&mut self, run: &PlannedRun, tids: &[Tid]) -> PreparedQuery {
+        let (cache, stats) = (&mut self.cache, &mut self.stats);
+        let Ok(prepared) = PreparedQuery::prepare(run, tids, |recipe, db| {
+            let key = recipe.cache_key(db);
+            if let Some(artifact) = cache.get(&key) {
+                return Ok::<_, Infallible>((artifact, None));
+            }
+            let started = Instant::now();
+            let compiled = recipe.compile(db);
+            let compile_time = started.elapsed();
+            let (artifact, evicted) = cache.insert(key, compiled);
+            stats.cache_evictions += evicted;
+            Ok((artifact, Some(compile_time)))
+        });
+        prepared
+    }
+
+    /// The read path: prepares planned `run` of `tids` **without
+    /// mutating anything** — artifact plans only
+    /// [`peek`](ArtifactCache::peek) the cache (no compile, no LRU
+    /// bump). `None` when the artifact is cold: escalate to
+    /// [`prepare_run`](Self::prepare_run), which re-probes, so two
+    /// racing readers cost one compile.
+    pub fn prepare_shared(&self, run: &PlannedRun, tids: &[Tid]) -> Option<PreparedQuery> {
+        PreparedQuery::prepare(run, tids, |recipe, db| {
+            let artifact = self.cache.peek(&recipe.cache_key(db)).ok_or(())?;
+            Ok::<_, ()>((Arc::clone(artifact), None))
+        })
+        .ok()
+    }
+
+    /// Plans and prepares `(q, tid)` on the write path — a batch of one:
+    /// [`plan_runs`](Self::plan_runs) + [`prepare_run`](Self::prepare_run).
     pub fn prepare(
         &mut self,
         q: impl Into<Query>,
         tid: &Tid,
     ) -> Result<PreparedQuery, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        Ok(PreparedQuery {
-            task: self.begin_run(&resolved, tid)?,
-            memo_hit: false,
-        })
-    }
-
-    /// The read path of the serve layer's locking contract: plans
-    /// `(q, tid)` and probes the artifact cache / lattice memo
-    /// **without mutating anything** — no compile, no LRU recency bump
-    /// (probes use [`ArtifactCache::peek`]-style reads, so concurrent
-    /// readers never contend on eviction order). Returns:
-    ///
-    /// * `Ok(Some(_))` — the preparation is complete: a cached artifact
-    ///   was resident (accounted as a cache hit), the lattice was
-    ///   memoized, or the plan needs no shared state at all
-    ///   ([`Plan::BruteForce`], [`Plan::Lifted`] — lifted inference is
-    ///   a pure function of the query structure — and [`Plan::Sample`],
-    ///   whose sampler grounding is a deterministic pure function,
-    ///   rebuilt here exactly as the single-query path rebuilds it).
-    /// * `Ok(None)` — the key is cold; escalate to
-    ///   [`prepare`](Self::prepare) under exclusive access. A
-    ///   double-checked re-probe is free: `prepare` re-probes the cache
-    ///   itself, so two racing readers cost one compile, not two.
-    /// * `Err(_)` — no sound plan ([`EngineError`] as from
-    ///   [`plan`](Self::plan)).
-    pub fn prepare_shared(
-        &self,
-        q: impl Into<Query>,
-        tid: &Tid,
-    ) -> Result<Option<PreparedQuery>, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        let plan = self.plan_resolved(&resolved, tid)?;
-        let mut task = Task {
-            query: Arc::clone(&resolved),
-            plan,
-            artifact: None,
-            lattice: None,
-            sampler: None,
-            size: None,
-            cache_hit: false,
-            compile_time: Duration::ZERO,
-        };
-        let mut memo_hit = false;
-        if plan.is_cacheable() {
-            let key = Self::resolved_cache_key(&resolved, tid.database());
-            match self.cache.peek(&key) {
-                Some(artifact) => {
-                    task.cache_hit = true;
-                    task.size = Some(artifact.size());
-                    task.artifact = Some(Arc::clone(artifact));
-                }
-                None => return Ok(None),
-            }
-        } else if plan == Plan::Extensional {
-            let phi = resolved.as_h().expect("extensional plans are H-only").phi();
-            match self.lattices.get(phi) {
-                Some(lat) => {
-                    task.lattice = Some(Arc::clone(lat));
-                    memo_hit = true;
-                }
-                None => return Ok(None),
-            }
-        } else if let Plan::Sample(kind) = plan {
-            let h = resolved.as_h().expect("sampling is H-only");
-            let sampling = self
-                .config
-                .sampling
-                .expect("a Sample plan implies sampling is configured");
-            let started = Instant::now();
-            task.sampler = Some(Arc::new(SamplerArtifact::build(kind, h, tid, sampling)));
-            task.compile_time = started.elapsed();
-        }
-        Ok(Some(PreparedQuery { task, memo_hit }))
-    }
-
-    /// Evaluates `q` on every TID of a workload, amortizing compilation:
-    /// TIDs sharing a database shape (the common case — one instance,
-    /// many probability scenarios) compile once and re-walk the cached
-    /// circuit for every other member of the batch. Consecutive
-    /// same-shape scenarios (detected via [`Database::same_shape`]) skip
-    /// even the cache-key construction.
-    ///
-    /// Fails on the first TID with no sound plan, so a batch is
-    /// all-or-nothing. [`evaluate_batch_sharded`](Self::evaluate_batch_sharded)
-    /// is the parallel variant with identical results, and
-    /// [`evaluate_batch_f64`](Self::evaluate_batch_f64) the lane-batched
-    /// floating-point one.
-    pub fn evaluate_batch(
-        &mut self,
-        q: impl Into<Query>,
-        tids: &[Tid],
-    ) -> Result<Vec<BigRational>, EngineError> {
-        let Some(first) = tids.first() else {
-            return Ok(Vec::new());
-        };
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, first.database().k())?);
-        let mut out = Vec::with_capacity(tids.len());
-        let mut run: Option<Task> = None;
-        for (i, tid) in tids.iter().enumerate() {
-            let fresh = i == 0 || !tid.database().same_shape(tids[i - 1].database());
-            let task = match run.take() {
-                Some(prev) if !fresh => {
-                    if prev.plan == Plan::Extensional {
-                        self.stats.extensional_memo_hits += 1;
-                    }
-                    prev.shared()
-                }
-                _ => self.begin_run(&resolved, tid)?,
-            };
-            let started = Instant::now();
-            let (p, sample_run) = match &task.artifact {
-                Some(artifact) => (artifact.probability_exact(tid), None),
-                None => task.eval_fallback_exact(tid, i as u64),
-            };
-            record_fallback(
-                &mut self.stats,
-                task.query_stats(Duration::ZERO),
-                started.elapsed(),
-                sample_run,
-            );
-            out.push(p);
-            run = Some(task);
-        }
-        Ok(out)
-    }
-
-    /// Floating-point [`evaluate_batch`](Self::evaluate_batch) through
-    /// the **lane-batched evaluation kernel**: consecutive same-shape
-    /// scenarios share one compiled artifact, and each block of up to
-    /// [`LANES`] scenarios is evaluated by a *single* forward pass over
-    /// the circuit ([`Artifact::probability_f64_many`]) — one gate
-    /// decode, zero steady-state allocations, all lanes advancing
-    /// together. Results are bit-identical to calling
-    /// [`evaluate_f64`](Self::evaluate_f64) per scenario (the kernel's
-    /// fixed-op-order contract); each kernel invocation counts one
-    /// [`EngineStats::lane_kernel_calls`].
-    pub fn evaluate_batch_f64(
-        &mut self,
-        q: impl Into<Query>,
-        tids: &[Tid],
-    ) -> Result<Vec<f64>, EngineError> {
-        let Some(head) = tids.first() else {
-            return Ok(Vec::new());
-        };
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, head.database().k())?);
-        let mut out = Vec::with_capacity(tids.len());
-        let mut probs = ProbMatrix::new();
-        let mut scratch = EvalScratch::new();
-        let mut start = 0;
-        while start < tids.len() {
-            // The run of consecutive same-shape scenarios beginning here.
-            let mut end = start + 1;
-            while end < tids.len() && tids[end].database().same_shape(tids[end - 1].database()) {
-                end += 1;
-            }
-            let first = self.begin_run(&resolved, &tids[start])?;
-            match &first.artifact {
-                Some(artifact) => Self::walk_lane_run_f64(
-                    artifact,
-                    &tids[start..end],
-                    &mut probs,
-                    &mut scratch,
-                    &mut out,
-                    &mut self.stats,
-                    |offset| first.query_stats_at(offset),
-                ),
-                None => {
-                    for (offset, tid) in tids[start..end].iter().enumerate() {
-                        if offset > 0 && first.plan == Plan::Extensional {
-                            self.stats.extensional_memo_hits += 1;
-                        }
-                        let started = Instant::now();
-                        let (p, sample_run) = first.eval_fallback_f64(tid, (start + offset) as u64);
-                        out.push(p);
-                        record_fallback(
-                            &mut self.stats,
-                            first.query_stats_at(offset),
-                            started.elapsed(),
-                            sample_run,
-                        );
-                    }
-                }
-            }
-            start = end;
-        }
-        Ok(out)
+        let tids = std::slice::from_ref(tid);
+        let runs = self.plan_runs(q, tids)?;
+        Ok(self.prepare_run(&runs[0], tids))
     }
 
     /// Dry-runs the sharded batch: how many workers would run, how many
@@ -1821,428 +1582,85 @@ impl PqeEngine {
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<BatchPlan, EngineError> {
-        let mut compiles = 0;
-        let mut shared = 0;
-        let mut sampled = 0;
-        let resolved = match scenarios.first() {
-            Some(first) => Some(Self::resolve(&q.into(), first.database().k())?),
-            None => None,
-        };
         let mut simulated: HashSet<CacheKey> = HashSet::new();
-        let mut prev_plan = None;
-        for (i, tid) in scenarios.iter().enumerate() {
-            let resolved = resolved
-                .as_ref()
-                .expect("a scenario exists, so resolution ran");
-            // The plan depends on the TID only through its shape
-            // (vocabulary k and tuple count), so a same-shape run shares
-            // one decision.
-            let plan = match prev_plan {
-                Some(p) if i > 0 && tid.database().same_shape(scenarios[i - 1].database()) => p,
-                _ => self.plan_resolved(resolved, tid)?,
-            };
-            prev_plan = Some(plan);
-            if plan.is_cacheable() {
-                let key = Self::resolved_cache_key(resolved, tid.database());
-                if simulated.contains(&key) || self.cache.contains(&key) {
-                    shared += 1;
-                } else {
-                    compiles += 1;
-                    simulated.insert(key);
+        let runs = self.plan_runs(q, scenarios)?;
+        let tallies = runs.iter().map(|run| {
+            let len = run.scenarios.len();
+            match &run.route {
+                Route::Artifact(recipe) => {
+                    let key = recipe.cache_key(scenarios[run.scenarios.start].database());
+                    let compiled = usize::from(!self.cache.contains(&key) && simulated.insert(key));
+                    (compiled, len - compiled, 0)
                 }
-            } else if matches!(plan, Plan::Sample(_)) {
-                sampled += 1;
+                Route::Sample { .. } => (0, 0, len),
+                Route::BruteForce(_) | Route::Lifted(_) => (0, 0, 0),
             }
-        }
-        Ok(BatchPlan {
-            scenarios: scenarios.len(),
-            shards: Self::shard_count(scenarios.len(), shards),
-            compiles,
-            shared,
-            sampled,
-        })
+        });
+        Ok(batch_plan(scenarios.len(), shards, tallies))
     }
 
-    /// The number of workers a request for `shards` shards over
-    /// `scenarios` scenarios actually spawns: contiguous chunks of
-    /// `ceil(scenarios / shards)`, so small workloads use fewer workers
-    /// than asked and `shards == 0` is treated as `1`.
-    fn shard_count(scenarios: usize, shards: usize) -> usize {
-        if scenarios == 0 {
-            return 0;
-        }
-        let shards = shards.clamp(1, scenarios);
-        scenarios.div_ceil(scenarios.div_ceil(shards))
-    }
-
-    /// [`evaluate_batch`](Self::evaluate_batch), fanned across `shards`
-    /// worker threads — bit-identical results, one compilation.
+    /// Exact `PQE(Q)` on every scenario of a workload, fanned across
+    /// `shards` worker threads — bit-identical to evaluating each
+    /// scenario alone (scenario `i` samples from RNG stream `i`), with
+    /// one compilation per distinct shape. Three phases (sequence
+    /// diagram in `DESIGN.md`):
     ///
-    /// Three phases (sequence diagram in `DESIGN.md`):
-    ///
-    /// 1. **Plan + compile (sequential).** Every scenario is planned, and
-    ///    each *distinct* database shape compiles (or fetches) its
-    ///    artifact exactly once; the artifacts are `Arc`-shared, so this
-    ///    is the only phase that touches the cache or `&mut self`.
-    ///    Consecutive same-shape scenarios (the dominant workload) skip
-    ///    even the key construction via [`Tid::database`] shape equality.
-    /// 2. **Walk (parallel).** Scenario chunks fan out over
-    ///    `std::thread::scope` workers; each walk is a pure `&self` pass
-    ///    over the shared circuit, and each worker records into its own
-    ///    [`EngineStats`] — no locks, no shared mutable state.
-    /// 3. **Merge.** Per-shard stats fold into the engine's aggregate via
-    ///    [`EngineStats::merge`], in shard order, so the merged counters
-    ///    equal a sequential run's; the [`BatchPlan`] (shard count,
-    ///    compile/share split) lands in `EngineStats::last_batch`.
-    ///
-    /// Fails up front if any scenario lacks a sound plan — planning all
-    /// scenarios is the very first step, so on error *nothing* has
-    /// happened yet: no compile, no cache mutation, no eviction, no
-    /// stats. (The sequential variant, by contrast, records the
-    /// scenarios it finished before hitting the unsound one.)
+    /// 1. **Plan** ([`plan_runs`](Self::plan_runs)): every scenario, up
+    ///    front and pure — an unsound scenario anywhere fails here, so
+    ///    on error *nothing* has happened: no compile, no cache
+    ///    mutation, no eviction, no stats.
+    /// 2. **Prepare** ([`prepare_run`](Self::prepare_run)): each
+    ///    same-shape run fetches or compiles its shared state once, in
+    ///    scenario order, so hit/miss/eviction counters equal a
+    ///    sequential run's.
+    /// 3. **Execute** ([`PreparedBatch::eval_exact`]): contiguous
+    ///    scenario chunks walk on `std::thread::scope` workers (one
+    ///    shard runs inline), each recording into its own
+    ///    [`EngineStats`], merged in chunk order; the [`BatchPlan`]
+    ///    lands in `EngineStats::last_batch`.
     pub fn evaluate_batch_sharded(
         &mut self,
         q: impl Into<Query>,
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<BigRational>, EngineError> {
-        let q = q.into();
-        let Some((tasks, compiles, shared, sampled)) = self.compile_batch_tasks(&q, scenarios)?
-        else {
-            return Ok(Vec::new());
-        };
-        let shards = Self::shard_count(scenarios.len(), shards);
-        let outputs = Self::fan_out(scenarios, &tasks, shards, |base, tids, tasks| {
-            let mut stats = EngineStats::default();
-            let probs = tids
-                .iter()
-                .zip(tasks)
-                .enumerate()
-                .map(|(offset, (tid, task))| {
-                    let started = Instant::now();
-                    let (p, sample_run) = match &task.artifact {
-                        Some(artifact) => (artifact.probability_exact(tid), None),
-                        None => task.eval_fallback_exact(tid, (base + offset) as u64),
-                    };
-                    record_fallback(
-                        &mut stats,
-                        task.query_stats(Duration::ZERO),
-                        started.elapsed(),
-                        sample_run,
-                    );
-                    p
-                })
-                .collect();
-            (probs, stats)
-        });
-        Ok(self.merge_shard_outputs(scenarios.len(), shards, compiles, shared, sampled, outputs))
+        self.run_batch(q, scenarios, shards)
     }
 
-    /// Floating-point [`evaluate_batch_sharded`](Self::evaluate_batch_sharded),
-    /// with each shard worker driving the **lane-batched evaluation
-    /// kernel**: inside its contiguous chunk, consecutive scenarios
-    /// sharing an artifact are walked [`LANES`] at a time through a
-    /// worker-private [`EvalScratch`]/[`ProbMatrix`] pair (no shared
-    /// mutable state, zero steady-state allocations per scenario).
-    /// Results stay bit-identical to both the sequential
-    /// [`evaluate_batch_f64`](Self::evaluate_batch_f64) and a per-scenario
-    /// [`evaluate_f64`](Self::evaluate_f64) loop.
+    /// Floating-point [`evaluate_batch_sharded`](Self::evaluate_batch_sharded)
+    /// through the **lane-batched evaluation kernel**: inside its chunk,
+    /// each worker walks every same-artifact run [`LANES`] scenarios per
+    /// forward pass ([`Artifact::probability_f64_many`]) through a
+    /// worker-private scratch — zero steady-state allocations, and each
+    /// kernel invocation counts one [`EngineStats::lane_kernel_calls`].
+    /// Results stay bit-identical to a per-scenario
+    /// [`evaluate_f64`](Self::evaluate_f64) loop (the kernel's
+    /// fixed-op-order contract).
     pub fn evaluate_batch_sharded_f64(
         &mut self,
         q: impl Into<Query>,
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<f64>, EngineError> {
-        let q = q.into();
-        let Some((tasks, compiles, shared, sampled)) = self.compile_batch_tasks(&q, scenarios)?
-        else {
-            return Ok(Vec::new());
-        };
-        let shards = Self::shard_count(scenarios.len(), shards);
-        let outputs = Self::fan_out(scenarios, &tasks, shards, |base, tids, tasks| {
-            Self::walk_chunk_f64(base, tids, tasks)
-        });
-        Ok(self.merge_shard_outputs(scenarios.len(), shards, compiles, shared, sampled, outputs))
+        self.run_batch(q, scenarios, shards)
     }
 
-    /// Phases 1a + 1b of every sharded batch: plan all scenarios, then
-    /// compile (or fetch) each distinct shape's shared state exactly
-    /// once — artifacts for cacheable plans, the memoized CNF lattice
-    /// for extensional ones. Returns `None` for an empty batch (after
-    /// recording the empty [`BatchPlan`]), otherwise the per-scenario
-    /// [`Task`]s plus the compile/share split.
-    ///
-    /// Planning happens strictly first and is pure, so an unsound
-    /// scenario anywhere in the batch fails before *any* state — cache
-    /// contents, eviction counters, memo entries — has been touched:
-    /// all-or-nothing, observably. Compilation mirrors the cache access
-    /// order of a sequential run, so hit/miss/eviction counters come out
-    /// identical.
-    #[allow(clippy::type_complexity)]
-    fn compile_batch_tasks(
+    /// Plan → prepare → execute for both sharded batch methods.
+    fn run_batch<N: Prob>(
         &mut self,
-        q: &Query,
+        q: impl Into<Query>,
         scenarios: &[Tid],
-    ) -> Result<Option<(Vec<Task>, usize, usize, usize)>, EngineError> {
-        if scenarios.is_empty() {
-            self.stats.last_batch = Some(BatchPlan {
-                scenarios: 0,
-                shards: 0,
-                compiles: 0,
-                shared: 0,
-                sampled: 0,
-            });
-            return Ok(None);
-        }
-        let resolved = Arc::new(Self::resolve(q, scenarios[0].database().k())?);
-
-        // Phase 1a: plan every scenario first. The plan depends on the
-        // TID only through its shape (vocabulary k and tuple count), so
-        // a same-shape run shares one decision.
-        let mut plans: Vec<Plan> = Vec::with_capacity(scenarios.len());
-        for (i, tid) in scenarios.iter().enumerate() {
-            let plan = match plans.last() {
-                Some(&p) if i > 0 && tid.database().same_shape(scenarios[i - 1].database()) => p,
-                _ => self.plan_resolved(&resolved, tid)?,
-            };
-            plans.push(plan);
-        }
-
-        // Phase 1b: fetch/compile per distinct shape.
-        let mut tasks: Vec<Task> = Vec::with_capacity(scenarios.len());
-        let mut compiles = 0;
-        let mut shared = 0;
-        let mut sampled = 0;
-        for (i, (tid, &plan)) in scenarios.iter().zip(&plans).enumerate() {
-            if matches!(plan, Plan::Sample(_)) {
-                sampled += 1;
-            }
-            if i > 0 && tid.database().same_shape(scenarios[i - 1].database()) {
-                let prev = tasks.last().expect("i > 0 ⟹ a previous task exists");
-                if prev.artifact.is_some() {
-                    shared += 1;
-                }
-                if prev.plan == Plan::Extensional {
-                    self.stats.extensional_memo_hits += 1;
-                }
-                let task = prev.shared();
-                tasks.push(task);
-                continue;
-            }
-            if !plan.is_cacheable() {
-                let mut compile_time = Duration::ZERO;
-                let sampler = if let Plan::Sample(kind) = plan {
-                    let h = resolved.as_h().expect("sampling is H-only");
-                    let sampling = self
-                        .config
-                        .sampling
-                        .expect("a Sample plan implies sampling is configured");
-                    let started = Instant::now();
-                    let built = Arc::new(SamplerArtifact::build(kind, h, tid, sampling));
-                    compile_time = started.elapsed();
-                    Some(built)
-                } else {
-                    None
-                };
-                tasks.push(Task {
-                    query: Arc::clone(&resolved),
-                    plan,
-                    artifact: None,
-                    lattice: (plan == Plan::Extensional).then(|| {
-                        let phi = resolved.as_h().expect("extensional plans are H-only").phi();
-                        self.extensional_lattice(phi)
-                    }),
-                    sampler,
-                    size: None,
-                    cache_hit: false,
-                    compile_time,
-                });
-                continue;
-            }
-            let key = Self::resolved_cache_key(&resolved, tid.database());
-            let (artifact, cache_hit, compile_time) = match self.cache.get(&key) {
-                Some(artifact) => {
-                    shared += 1;
-                    (artifact, true, Duration::ZERO)
-                }
-                None => {
-                    let started = Instant::now();
-                    let compiled = Self::compile_artifact(plan, &resolved, tid);
-                    let compile_time = started.elapsed();
-                    let (artifact, evicted) = self.cache.insert(key, compiled);
-                    self.stats.cache_evictions += evicted;
-                    compiles += 1;
-                    (artifact, false, compile_time)
-                }
-            };
-            tasks.push(Task {
-                query: Arc::clone(&resolved),
-                plan,
-                size: Some(artifact.size()),
-                artifact: Some(artifact),
-                lattice: None,
-                sampler: None,
-                cache_hit,
-                compile_time,
-            });
-        }
-        Ok(Some((tasks, compiles, shared, sampled)))
-    }
-
-    /// Phase 2 of a sharded batch: fan contiguous scenario chunks across
-    /// `std::thread::scope` workers. Workers only read — `Arc<Artifact>`
-    /// walks take `&self`, lattices are shared immutably, and the
-    /// non-cacheable backends are pure functions of `(q, tid)` — and
-    /// each records into its own [`EngineStats`]: no locks, no shared
-    /// mutable state. `shard_count` already fixed how many workers run
-    /// (it is what `plan_batch` predicts); deriving the chunk size from
-    /// its result reproduces exactly that many chunks
-    /// (`s ↦ ceil(n / ceil(n / s))` is idempotent).
-    /// Each worker also receives its chunk's *global base index*, so
-    /// per-scenario RNG streams (`(seed, base + offset)`) are positions
-    /// in the whole batch, not in the chunk — the invariant that makes
-    /// sharded sampling bit-identical to sequential at any shard count.
-    fn fan_out<T: Send>(
-        scenarios: &[Tid],
-        tasks: &[Task],
         shards: usize,
-        work: impl Fn(usize, &[Tid], &[Task]) -> (Vec<T>, EngineStats) + Sync,
-    ) -> Vec<(Vec<T>, EngineStats)> {
-        let chunk = scenarios.len().div_ceil(shards);
-        let work = &work;
-        thread::scope(|scope| {
-            let handles: Vec<_> = scenarios
-                .chunks(chunk)
-                .zip(tasks.chunks(chunk))
-                .enumerate()
-                .map(|(ci, (tids, tasks))| scope.spawn(move || work(ci * chunk, tids, tasks)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    }
-
-    /// One f64 shard worker's chunk: consecutive tasks sharing an
-    /// artifact (one `Arc`, detected by pointer identity) are walked
-    /// through the lane kernel in blocks of up to [`LANES`]; everything
-    /// else falls back to the scalar backends. Pure function of its
-    /// inputs — statistics come back in the returned [`EngineStats`].
-    fn walk_chunk_f64(base: usize, tids: &[Tid], tasks: &[Task]) -> (Vec<f64>, EngineStats) {
-        let mut stats = EngineStats::default();
-        let mut out = Vec::with_capacity(tids.len());
-        let mut probs = ProbMatrix::new();
-        let mut scratch = EvalScratch::new();
-        let mut start = 0;
-        while start < tids.len() {
-            let Some(artifact) = &tasks[start].artifact else {
-                // Scalar fallback: extensional / brute-force / sampled
-                // scenarios (the sampler draws from the stream of the
-                // scenario's global batch position).
-                let (task, tid) = (&tasks[start], &tids[start]);
-                let started = Instant::now();
-                let (p, sample_run) = task.eval_fallback_f64(tid, (base + start) as u64);
-                out.push(p);
-                record_fallback(
-                    &mut stats,
-                    task.query_stats(Duration::ZERO),
-                    started.elapsed(),
-                    sample_run,
-                );
-                start += 1;
-                continue;
-            };
-            // The run of consecutive scenarios sharing this artifact.
-            let mut end = start + 1;
-            while end < tids.len()
-                && tasks[end]
-                    .artifact
-                    .as_ref()
-                    .is_some_and(|a| Arc::ptr_eq(a, artifact))
-            {
-                end += 1;
-            }
-            Self::walk_lane_run_f64(
-                artifact,
-                &tids[start..end],
-                &mut probs,
-                &mut scratch,
-                &mut out,
-                &mut stats,
-                |offset| tasks[start + offset].query_stats(Duration::ZERO),
-            );
-            start = end;
-        }
-        (out, stats)
-    }
-
-    /// The lane-kernel inner loop both f64 batch paths share: walks one
-    /// same-artifact run of scenarios in blocks of up to [`LANES`],
-    /// pushing one probability per scenario and recording one
-    /// [`QueryStats`] per scenario (`record_for(offset)` supplies the
-    /// skeleton; the block's wall time is apportioned evenly across its
-    /// lanes so per-query and aggregate timings keep adding up). The
-    /// artifact's support is scanned once per run, so every block
-    /// converts probabilities only for tuples the artifact reads.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_lane_run_f64(
-        artifact: &Artifact,
-        tids: &[Tid],
-        probs: &mut ProbMatrix,
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-        stats: &mut EngineStats,
-        record_for: impl Fn(usize) -> QueryStats,
-    ) {
-        let support = artifact.support_vars();
-        let vars = tids[0].len();
-        for (block_idx, block) in tids.chunks(LANES).enumerate() {
-            probs.reset(vars);
-            for (lane, tid) in block.iter().enumerate() {
-                for &v in &support {
-                    probs.set(v, lane, tid.prob_f64(TupleId(v)));
-                }
-            }
-            let started = Instant::now();
-            let lanes = artifact.probability_f64_many(probs, scratch);
-            let elapsed = started.elapsed();
-            stats.lane_kernel_calls += 1;
-            let per_lane = elapsed / block.len() as u32;
-            for (lane, &p) in lanes.iter().take(block.len()).enumerate() {
-                out.push(p);
-                let mut record = record_for(block_idx * LANES + lane);
-                record.eval_time = per_lane;
-                stats.record(record);
-            }
-        }
-    }
-
-    /// Phase 3 of a sharded batch: merge per-shard stats in order and
-    /// stitch the results back into input order (chunks are contiguous).
-    fn merge_shard_outputs<T>(
-        &mut self,
-        scenarios: usize,
-        shards: usize,
-        compiles: usize,
-        shared: usize,
-        sampled: usize,
-        outputs: Vec<(Vec<T>, EngineStats)>,
-    ) -> Vec<T> {
-        debug_assert_eq!(outputs.len(), shards, "chunking spawned as planned");
-        let mut probs = Vec::with_capacity(scenarios);
-        for (chunk_probs, chunk_stats) in outputs {
-            probs.extend(chunk_probs);
-            self.stats.merge(&chunk_stats);
-        }
-        self.stats.last_batch = Some(BatchPlan {
-            scenarios,
-            shards,
-            compiles,
-            shared,
-            sampled,
-        });
-        probs
+    ) -> Result<Vec<N>, EngineError> {
+        let runs = self.plan_runs(q, scenarios)?;
+        let batch = PreparedBatch::new(
+            runs.iter()
+                .map(|run| self.prepare_run(run, scenarios))
+                .collect(),
+        );
+        let out = batch.execute(scenarios, shards, &mut self.stats);
+        self.stats.last_batch = Some(batch.batch_plan(scenarios.len(), shards));
+        Ok(out)
     }
 }
 
@@ -2297,7 +1715,7 @@ mod tests {
         let p = engine.evaluate(&q, &tid).unwrap();
         let brute = pqe_brute_force(&q, &tid).unwrap();
         assert_eq!(p, brute);
-        assert_eq!(engine.stats().obdd_plans, 1);
+        assert_eq!(engine.stats().plans(Plan::Obdd), 1);
     }
 
     #[test]
@@ -2388,7 +1806,7 @@ mod tests {
         let est = engine.estimate(&q, &tid).unwrap();
         assert_eq!(est.sampler, Some(SamplerKind::KarpLuby));
         assert!(est.samples > 0);
-        assert_eq!(engine.stats().sample_plans, 1);
+        assert_eq!(engine.stats().plans(Plan::Sample(SamplerKind::KarpLuby)), 1);
         assert_eq!(engine.stats().samples_drawn, est.samples);
         assert!(engine.stats().sample_nanos > 0);
         // Non-monotone hard φ on the same instance: no DNF, so the
@@ -2437,22 +1855,6 @@ mod tests {
     }
 
     #[test]
-    fn prefer_extensional_routes_monotone_safe_queries() {
-        let mut engine = PqeEngine::with_config(EngineConfig {
-            prefer_extensional: true,
-            ..EngineConfig::default()
-        });
-        let q = HQuery::new(phi9());
-        let tid = uniform_tid(complete_database(3, 1), half());
-        assert_eq!(engine.plan(&q, &tid), Ok(Plan::Extensional));
-        let p = engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(p, pqe_brute_force(&q, &tid).unwrap());
-        // Nothing cacheable was produced.
-        assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.stats().extensional_plans, 1);
-    }
-
-    #[test]
     fn vocabulary_mismatch_is_rejected_up_front() {
         let engine = PqeEngine::new();
         let q = HQuery::new(phi9()); // k = 3
@@ -2478,7 +1880,7 @@ mod tests {
         scenarios[2]
             .set_prob(TupleId(2), BigRational::from_ratio(4, 5))
             .unwrap();
-        let probs = engine.evaluate_batch(&q, &scenarios).unwrap();
+        let probs = engine.evaluate_batch_sharded(&q, &scenarios, 1).unwrap();
         assert_eq!(probs.len(), 3);
         assert_eq!(engine.stats().cache_misses, 1);
         assert_eq!(engine.stats().cache_hits, 2);
@@ -2500,7 +1902,10 @@ mod tests {
             })
             .collect();
         let mut sequential = PqeEngine::new();
-        let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
+        let expected: Vec<_> = scenarios
+            .iter()
+            .map(|tid| sequential.evaluate(&q, tid).unwrap())
+            .collect();
         for shards in [1, 2, 3, 7, 99] {
             let mut engine = PqeEngine::new();
             let planned = engine.plan_batch(&q, &scenarios, shards).unwrap();
@@ -2534,7 +1939,10 @@ mod tests {
         let scenarios = vec![tid.clone(), tid];
         let probs = engine.evaluate_batch_sharded(&hard, &scenarios, 2).unwrap();
         assert_eq!(probs[0], pqe_brute_force(&hard, &scenarios[0]).unwrap());
-        assert_eq!(probs, engine.evaluate_batch(&hard, &scenarios).unwrap());
+        assert_eq!(
+            probs,
+            engine.evaluate_batch_sharded(&hard, &scenarios, 1).unwrap()
+        );
         assert_eq!(engine.cache_len(), 0);
         assert_eq!(engine.stats().last_batch.unwrap().compiles, 0);
     }
@@ -2620,7 +2028,7 @@ mod tests {
         assert_eq!(scalar.stats().lane_kernel_calls, 0, "scalar path");
 
         let mut lane = PqeEngine::new();
-        let got = lane.evaluate_batch_f64(&q, &scenarios).unwrap();
+        let got = lane.evaluate_batch_sharded_f64(&q, &scenarios, 1).unwrap();
         assert_eq!(got, expected, "lane lanes must be bit-identical");
         // One compile, 18 shared walks — and ceil(19 / LANES) kernel calls.
         assert_eq!(lane.stats().cache_misses, 1);
@@ -2665,8 +2073,12 @@ mod tests {
             .map(|tid| scalar.evaluate_f64(&deg, tid).unwrap())
             .collect();
         let mut lane = PqeEngine::new();
-        assert_eq!(lane.evaluate_batch_f64(&deg, &scenarios).unwrap(), expected);
-        assert_eq!(lane.stats().obdd_plans, 11);
+        assert_eq!(
+            lane.evaluate_batch_sharded_f64(&deg, &scenarios, 1)
+                .unwrap(),
+            expected
+        );
+        assert_eq!(lane.stats().plans(Plan::Obdd), 11);
         assert_eq!(lane.stats().lane_kernel_calls, 2);
 
         // Brute-force scenarios flow through the scalar fallback,
@@ -2681,51 +2093,13 @@ mod tests {
             .collect();
         let mut batch = PqeEngine::new();
         assert_eq!(
-            batch.evaluate_batch_f64(&hard, &hard_scenarios).unwrap(),
+            batch
+                .evaluate_batch_sharded_f64(&hard, &hard_scenarios, 1)
+                .unwrap(),
             expected
         );
         assert_eq!(batch.stats().lane_kernel_calls, 0);
-        assert_eq!(batch.stats().brute_force_plans, 2);
-    }
-
-    #[test]
-    fn extensional_lattice_memo_counts_hits_across_all_paths() {
-        let mut engine = PqeEngine::with_config(EngineConfig {
-            prefer_extensional: true,
-            ..EngineConfig::default()
-        });
-        let q = HQuery::new(phi9());
-        let tid = uniform_tid(complete_database(3, 1), half());
-
-        // First evaluation builds the lattice; the second reuses it.
-        let p1 = engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 0);
-        assert_eq!(engine.lattice_memo_len(), 1);
-        let p2 = engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(p1, p2, "memoized lattice must not change the answer");
-        assert_eq!(engine.stats().extensional_memo_hits, 1);
-
-        // Batches count one hit per reuse, exactly like the loop would.
-        let scenarios = vec![tid.clone(), tid.clone(), tid.clone()];
-        engine.evaluate_batch(&q, &scenarios).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 4);
-        engine.evaluate_batch_sharded(&q, &scenarios, 2).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 7);
-        engine.evaluate_batch_f64(&q, &scenarios).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 10);
-        assert_eq!(engine.lattice_memo_len(), 1, "one φ, one lattice");
-
-        // The memo answers match brute force (the lattice is per-φ).
-        let brute = pqe_brute_force(&q, &tid).unwrap();
-        assert_eq!(p1, brute);
-
-        // clear_cache drops the memo too; the next call rebuilds.
-        engine.clear_cache();
-        assert_eq!(engine.lattice_memo_len(), 0);
-        let hits = engine.stats().extensional_memo_hits;
-        engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, hits);
-        assert_eq!(engine.lattice_memo_len(), 1);
+        assert_eq!(batch.stats().plans(Plan::BruteForce), 2);
     }
 
     #[test]
@@ -2914,7 +2288,7 @@ mod tests {
         assert_eq!(p, ucq_brute_force(expr, &tid).unwrap());
         // Lifted plans produce no artifact and touch no cache.
         assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.stats().lifted_plans, 1);
+        assert_eq!(engine.stats().plans(Plan::Lifted), 1);
         assert_eq!(engine.stats().queries, 1);
     }
 
@@ -2954,7 +2328,7 @@ mod tests {
         assert_eq!(engine.stats().cache_misses, 1);
         assert_eq!(engine.stats().cache_hits, 1);
         assert!(engine.explain(&q, &tid).cached);
-        assert_eq!(engine.stats().ground_plans, 2);
+        assert_eq!(engine.stats().plans(Plan::GroundCircuit), 2);
     }
 
     #[test]
@@ -3042,13 +2416,11 @@ mod tests {
     fn builder_round_trips_every_knob_and_validates() {
         let cfg = EngineConfig::builder()
             .max_brute_force_tuples(12)
-            .prefer_extensional(true)
             .cache_gate_budget(Some(1000))
             .max_ground_tuples(10)
             .build()
             .unwrap();
         assert_eq!(cfg.max_brute_force_tuples, 12);
-        assert!(cfg.prefer_extensional);
         assert_eq!(cfg.cache_gate_budget, Some(1000));
         assert_eq!(cfg.max_ground_tuples, 10);
         let bad = EngineConfig::builder()
@@ -3072,18 +2444,20 @@ mod tests {
         assert_eq!(prepared.plan(), Plan::GroundCircuit);
         assert!(prepared.cache_hit());
         assert_eq!(prepared.eval_exact(&tid, 0, &mut stats), expected);
-        let shared = engine.prepare_shared(&q, &tid).unwrap().unwrap();
+        let one = std::slice::from_ref(&tid);
+        let runs = engine.plan_runs(&q, one).unwrap();
+        let shared = engine.prepare_shared(&runs[0], one).unwrap();
         assert_eq!(shared.eval_exact(&tid, 0, &mut stats), expected);
-        // Batches: sequential, lane-batched f64, and sharded agree.
+        // Batches: one shard, lane-batched f64, and sharded agree.
         let tids = vec![tid.clone(), tid.clone(), tid.clone()];
-        let batch = engine.evaluate_batch(&q, &tids).unwrap();
+        let batch = engine.evaluate_batch_sharded(&q, &tids, 1).unwrap();
         assert!(batch.iter().all(|p| *p == expected));
         let plan = engine.plan_batch(&q, &tids, 2).unwrap();
         assert_eq!(plan.compiles, 0);
         assert_eq!(plan.shared, 3);
         let sharded = engine.evaluate_batch_sharded(&q, &tids, 2).unwrap();
         assert_eq!(sharded, batch);
-        let f64s = engine.evaluate_batch_f64(&q, &tids).unwrap();
+        let f64s = engine.evaluate_batch_sharded_f64(&q, &tids, 1).unwrap();
         let sharded_f64 = engine.evaluate_batch_sharded_f64(&q, &tids, 2).unwrap();
         assert_eq!(f64s, sharded_f64);
     }
@@ -3097,18 +2471,19 @@ mod tests {
         // A lifted plan needs no shared state: prepare_shared completes
         // on a read-only probe.
         let mut stats = EngineStats::default();
+        let one = std::slice::from_ref(&tid);
+        let runs = engine.plan_runs(&q, one).unwrap();
         let shared = engine
-            .prepare_shared(&q, &tid)
-            .unwrap()
+            .prepare_shared(&runs[0], one)
             .expect("lifted plans need no shared state");
         assert_eq!(shared.plan(), Plan::Lifted);
         assert_eq!(shared.eval_exact(&tid, 0, &mut stats), expected);
         let tids = vec![tid.clone(), tid.clone()];
-        let batch = engine.evaluate_batch(&q, &tids).unwrap();
+        let batch = engine.evaluate_batch_sharded(&q, &tids, 1).unwrap();
         assert!(batch.iter().all(|p| *p == expected));
         let sharded = engine.evaluate_batch_sharded(&q, &tids, 2).unwrap();
         assert_eq!(sharded, batch);
-        let f64s = engine.evaluate_batch_f64(&q, &tids).unwrap();
+        let f64s = engine.evaluate_batch_sharded_f64(&q, &tids, 1).unwrap();
         let sharded_f64 = engine.evaluate_batch_sharded_f64(&q, &tids, 2).unwrap();
         assert_eq!(f64s, sharded_f64);
         assert_eq!(engine.cache_len(), 0);

@@ -1,59 +1,55 @@
-//! The unified PQE front door: one planner over the workspace's seven
+//! The unified PQE front door: one planner over the workspace's six
 //! evaluation backends, with compiled-lineage caching.
 //!
-//! The repo implements seven routes for probabilistic query evaluation —
-//! brute-force possible-worlds enumeration, Dalvi–Suciu lifted
-//! inference over `φ`'s CNF lattice, the degenerate-`φ` OBDD of
+//! The engine implements six routes for probabilistic query evaluation —
+//! brute-force possible-worlds enumeration, the degenerate-`φ` OBDD of
 //! Proposition 3.7, the zero-Euler d-D pipeline of Theorem 5.2, a
 //! Monte-Carlo anytime backend ([`Plan::Sample`]) for hard instances
 //! beyond the brute-force budget, and — behind the UCQ front door — a
 //! structural lifted plan ([`Plan::Lifted`]) for Dalvi–Suciu-safe
 //! general queries plus a grounded lineage circuit
-//! ([`Plan::GroundCircuit`]) for unsafe ones within a budget.
-//! [`PqeEngine`] makes the choice automatic:
+//! ([`Plan::GroundCircuit`]) for unsafe ones within a budget. Safe
+//! H-queries take the cacheable intensional route: by Corollary 5.3
+//! every safe H⁺-query has a polynomial-time d-D (`intext-extensional`
+//! stays as the reference oracle). [`PqeEngine`] makes the choice
+//! automatic, and every entry point runs one pipeline:
 //!
-//! 1. **Plan** — resolve any [`Query`] (an [`intext_query::HQuery`], or
-//!    a parsed UCQ over a vocabulary): H-shaped queries — including
-//!    parsed queries *recognized* as H-shaped — classify on the paper's
-//!    Figure 1 region map ([`intext_core::classify()`]) and pick the
-//!    cheapest sound backend; general queries split by the Dalvi–Suciu
-//!    safety test. The decision is an inspectable [`Plan`] and
-//!    [`PqeEngine::explain`] narrates the rationale.
-//! 2. **Cache** — compiled artifacts (OBDD or d-D circuit) are keyed by
-//!    `(φ's canonical truth table, database shape)` and *not* by tuple
-//!    probabilities, so re-evaluating under new probabilities is one
-//!    linear circuit walk instead of a recompilation — the whole point
-//!    of the intensional representation. Artifacts live in a
-//!    gate-budgeted LRU [`ArtifactCache`] as `Arc<Artifact>`, so memory
-//!    is bounded ([`EngineConfig::cache_gate_budget`]) and circuits are
-//!    shared immutably across threads.
-//! 3. **Scale** — [`PqeEngine::evaluate_batch_sharded`] compiles once
-//!    and fans a scenario workload across `std::thread::scope` workers,
-//!    each doing pure circuit walks; results are bit-identical to the
-//!    sequential [`PqeEngine::evaluate_batch`]. The floating-point batch
-//!    paths ([`PqeEngine::evaluate_batch_f64`],
-//!    [`PqeEngine::evaluate_batch_sharded_f64`]) additionally drive the
-//!    **lane-batched evaluation kernel**: consecutive same-shape
-//!    scenarios are grouped, and each block of up to
-//!    [`intext_circuits::LANES`] scenarios is one forward pass over the
-//!    shared artifact with zero steady-state allocations — still
-//!    bit-identical to the scalar walk. Repeated [`Plan::Extensional`]
-//!    queries reuse a per-`φ` memo of the CNF lattice + Möbius values
-//!    instead of rebuilding them. Hard scenarios in a mixed batch route
-//!    through the Monte-Carlo sampler with RNG streams derived from
-//!    `(seed, global scenario index)`, so sharded sampling is
-//!    bit-identical to sequential.
-//! 4. **Observe** — every call records [`QueryStats`] (plan, cache
+//! 1. **Plan** — [`PqeEngine::plan_runs`] resolves any [`Query`] (an
+//!    [`intext_query::HQuery`], or a parsed UCQ over a vocabulary):
+//!    H-shaped queries — including parsed queries *recognized* as
+//!    H-shaped — classify on the paper's Figure 1 region map
+//!    ([`intext_core::classify()`]) and pick the cheapest sound backend;
+//!    general queries split by the Dalvi–Suciu safety test. Each run of
+//!    consecutive same-shape scenarios is planned once, before anything
+//!    is fetched or compiled; [`PqeEngine::explain`] narrates a plan.
+//! 2. **Prepare** — each run fetches or builds its shared state once
+//!    ([`PqeEngine::prepare_run`], or the read-only probe
+//!    [`PqeEngine::prepare_shared`]). Compiled artifacts (OBDD or d-D
+//!    circuit) are keyed by `(φ's canonical truth table, database
+//!    shape)` and *not* by tuple probabilities, so re-evaluating under
+//!    new probabilities is one linear circuit walk instead of a
+//!    recompilation. Artifacts live in a gate-budgeted LRU
+//!    [`ArtifactCache`] as `Arc<Artifact>`, so memory is bounded
+//!    ([`EngineConfig::cache_gate_budget`]) and circuits are shared
+//!    immutably across threads.
+//! 3. **Execute** — a [`PreparedQuery`] evaluates one scenario; a
+//!    [`PreparedBatch`] fans a workload across `std::thread::scope`
+//!    workers ([`PqeEngine::evaluate_batch_sharded`],
+//!    [`PqeEngine::evaluate_batch_sharded_f64`]), bit-identical to
+//!    evaluating each scenario alone. Exact and f64 share one walker;
+//!    f64 batches drive the **lane-batched evaluation kernel**, one
+//!    forward pass per [`intext_circuits::LANES`] same-shape scenarios
+//!    with zero steady-state allocations. Sampled scenarios draw from
+//!    RNG streams `(seed, global scenario index)`, so sharded sampling
+//!    is bit-identical to sequential.
+//! 4. **Observe** — every evaluation records [`QueryStats`] (plan, cache
 //!    hit/miss, circuit size, wall time) into aggregate
 //!    [`EngineStats`]; per-shard stats fold back into one report via
 //!    [`EngineStats::merge`], and each batch leaves its [`BatchPlan`]
 //!    in `EngineStats::last_batch`. Timing splits into
-//!    `EngineStats::compile_nanos` (building circuits, derived from
-//!    `compile_time`) vs
-//!    `EngineStats::walk_nanos` (walking them), with
-//!    `EngineStats::lane_kernel_calls` and
-//!    `EngineStats::extensional_memo_hits` counting the two
-//!    amortizations.
+//!    `EngineStats::compile_nanos` vs `EngineStats::walk_nanos`, with
+//!    `EngineStats::lane_kernel_calls` counting the kernel's
+//!    amortization.
 //!
 //! The hard region — previously a dead end past
 //! [`EngineConfig::max_brute_force_tuples`] — gets an *anytime* story:
@@ -121,7 +117,7 @@ pub mod wal;
 pub use cache::{Artifact, ArtifactCache, CacheKey};
 pub use engine::{
     ConfigError, EngineConfig, EngineConfigBuilder, EngineError, LaneScratch, LoadReport,
-    PqeEngine, PreparedQuery,
+    PlannedRun, PqeEngine, PreparedBatch, PreparedQuery,
 };
 pub use intext_query::Query;
 pub use plan::{BatchPlan, Explanation, Plan};

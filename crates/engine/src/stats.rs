@@ -10,7 +10,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::{BatchPlan, Plan};
+use crate::{BatchPlan, Plan, SamplerKind};
 
 /// What happened on one successful `evaluate` call.
 #[derive(Clone, Copy, Debug)]
@@ -57,32 +57,11 @@ pub struct EngineStats {
     /// saved workload shows `artifact_loads == distinct shapes` and
     /// `cache_misses == 0`: every evaluation re-walks a loaded circuit.
     pub artifact_loads: u64,
-    /// Queries routed to [`Plan::Obdd`].
-    pub obdd_plans: u64,
-    /// Queries routed to [`Plan::DdCircuit`].
-    pub dd_plans: u64,
-    /// Queries routed to [`Plan::Extensional`].
-    pub extensional_plans: u64,
-    /// Queries routed to [`Plan::BruteForce`].
-    pub brute_force_plans: u64,
-    /// Queries routed to [`Plan::Sample`] (either sampler).
-    pub sample_plans: u64,
-    /// Queries routed to [`Plan::Lifted`] (safe general queries).
-    pub lifted_plans: u64,
-    /// Queries routed to [`Plan::GroundCircuit`] (unsafe general
-    /// queries within the grounding budget).
-    pub ground_plans: u64,
     /// Total Monte-Carlo samples drawn across all sampled queries.
     pub samples_drawn: u64,
     /// Nanoseconds spent inside the samplers (the sampling share of
     /// [`eval_time`](Self::eval_time)).
     pub sample_nanos: u64,
-    /// Queries whose [`Plan::Extensional`] evaluation reused the
-    /// engine's memoized CNF lattice + Möbius values for `φ` instead of
-    /// rebuilding them. The first extensional evaluation of each distinct
-    /// `φ` builds the lattice (not a hit); every later one — sequential,
-    /// batched, or sharded — is a hit.
-    pub extensional_memo_hits: u64,
     /// Invocations of the lane-batched evaluation kernel: each call
     /// walks one compiled artifact once for a block of up to
     /// `intext_circuits::LANES` scenarios. `queries` per kernel call is
@@ -96,8 +75,9 @@ pub struct EngineStats {
     /// parallelism.
     pub eval_time: Duration,
     /// Nanoseconds spent *walking* compiled artifacts (scalar walks and
-    /// lane-kernel calls alike; excludes extensional and brute-force
-    /// evaluation, which walk nothing). `walk_nanos / queries` falling as
+    /// lane-kernel calls alike; excludes brute-force, lifted and
+    /// sampled evaluation, which walk no cached artifact).
+    /// `walk_nanos / queries` falling as
     /// batches grow is the lane kernel's win made observable; its
     /// counterpart [`compile_nanos`](Self::compile_nanos) is derived
     /// from [`compile_time`](Self::compile_time).
@@ -136,9 +116,10 @@ pub struct EngineStats {
     pub lock_poisonings_recovered: u64,
     /// Per-route latency histograms: one [`LatencyHistogram`] per
     /// [`Plan`] route, fed one sample (`compile_time + eval_time`) per
-    /// recorded query. Merging adds bucket counts, so a server that
-    /// folds worker-local stats reports the same distribution a
-    /// sequential run of the same requests would.
+    /// recorded query — so a route's sample count is the number of
+    /// queries routed there ([`plans`](Self::plans)). Merging adds bucket
+    /// counts, so a server that folds worker-local stats reports the same
+    /// distribution a sequential run of the same requests would.
     pub route_latency: RouteLatency,
     /// The most recent query's record.
     pub last: Option<QueryStats>,
@@ -246,8 +227,6 @@ pub struct RouteLatency {
     pub obdd: LatencyHistogram,
     /// Latencies of queries routed to [`Plan::DdCircuit`].
     pub dd: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::Extensional`].
-    pub extensional: LatencyHistogram,
     /// Latencies of queries routed to [`Plan::BruteForce`].
     pub brute_force: LatencyHistogram,
     /// Latencies of queries routed to [`Plan::Sample`] (either sampler).
@@ -264,7 +243,6 @@ impl RouteLatency {
         match plan {
             Plan::Obdd => &self.obdd,
             Plan::DdCircuit => &self.dd,
-            Plan::Extensional => &self.extensional,
             Plan::BruteForce => &self.brute_force,
             Plan::Sample(_) => &self.sample,
             Plan::Lifted => &self.lifted,
@@ -276,7 +254,6 @@ impl RouteLatency {
         match plan {
             Plan::Obdd => &mut self.obdd,
             Plan::DdCircuit => &mut self.dd,
-            Plan::Extensional => &mut self.extensional,
             Plan::BruteForce => &mut self.brute_force,
             Plan::Sample(_) => &mut self.sample,
             Plan::Lifted => &mut self.lifted,
@@ -289,7 +266,6 @@ impl RouteLatency {
     pub fn total_count(&self) -> u64 {
         self.obdd.count()
             + self.dd.count()
-            + self.extensional.count()
             + self.brute_force.count()
             + self.sample.count()
             + self.lifted.count()
@@ -300,7 +276,6 @@ impl RouteLatency {
     pub fn merge(&mut self, other: &RouteLatency) {
         self.obdd.merge(&other.obdd);
         self.dd.merge(&other.dd);
-        self.extensional.merge(&other.extensional);
         self.brute_force.merge(&other.brute_force);
         self.sample.merge(&other.sample);
         self.lifted.merge(&other.lifted);
@@ -315,18 +290,9 @@ impl EngineStats {
     /// internally.
     pub fn record(&mut self, q: QueryStats) {
         self.queries += 1;
-        match q.plan {
-            Plan::Obdd => self.obdd_plans += 1,
-            Plan::DdCircuit => self.dd_plans += 1,
-            Plan::Extensional => self.extensional_plans += 1,
-            Plan::BruteForce => self.brute_force_plans += 1,
-            Plan::Sample(_) => {
-                self.sample_plans += 1;
-                self.samples_drawn += q.samples;
-                self.sample_nanos += duration_nanos(q.eval_time);
-            }
-            Plan::Lifted => self.lifted_plans += 1,
-            Plan::GroundCircuit => self.ground_plans += 1,
+        if let Plan::Sample(_) = q.plan {
+            self.samples_drawn += q.samples;
+            self.sample_nanos += duration_nanos(q.eval_time);
         }
         if q.plan.is_cacheable() {
             if q.cache_hit {
@@ -334,16 +300,20 @@ impl EngineStats {
             } else {
                 self.cache_misses += 1;
             }
+            self.walk_nanos += duration_nanos(q.eval_time);
         }
         self.compile_time += q.compile_time;
         self.eval_time += q.eval_time;
-        if q.plan.is_cacheable() {
-            self.walk_nanos += duration_nanos(q.eval_time);
-        }
         self.route_latency
             .for_plan_mut(q.plan)
             .record(q.compile_time + q.eval_time);
         self.last = Some(q);
+    }
+
+    /// Queries routed to `plan`'s route ([`Plan::Sample`] counts both
+    /// samplers), read off that route's latency histogram.
+    pub fn plans(&self, plan: Plan) -> u64 {
+        self.route_latency.for_plan(plan).count()
     }
 
     /// [`compile_time`](Self::compile_time) in integer nanoseconds — the
@@ -364,16 +334,8 @@ impl EngineStats {
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
         self.artifact_loads += other.artifact_loads;
-        self.obdd_plans += other.obdd_plans;
-        self.dd_plans += other.dd_plans;
-        self.extensional_plans += other.extensional_plans;
-        self.brute_force_plans += other.brute_force_plans;
-        self.sample_plans += other.sample_plans;
-        self.lifted_plans += other.lifted_plans;
-        self.ground_plans += other.ground_plans;
         self.samples_drawn += other.samples_drawn;
         self.sample_nanos += other.sample_nanos;
-        self.extensional_memo_hits += other.extensional_memo_hits;
         self.lane_kernel_calls += other.lane_kernel_calls;
         self.compile_time += other.compile_time;
         self.eval_time += other.eval_time;
@@ -404,22 +366,20 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} queries (obdd {}, d-D {}, extensional {}, brute {}, sampled {}, \
-             lifted {}, ground {}); \
+            "{} queries (obdd {}, d-D {}, brute {}, sampled {}, lifted {}, ground {}); \
              cache {} hits / {} misses / {} evictions / {} loads; \
              compile {:?} ({} ns), walk {} ns over {} lane-kernel call(s), \
-             eval {:?}; {} extensional memo hit(s); \
+             eval {:?}; \
              {} sample(s) drawn over {} ns; \
              {} patch(es) over {} ns avoiding {} recompile(s); \
              {} WAL record(s) replayed, {} quarantine(s), {} poisoning(s) recovered",
             self.queries,
-            self.obdd_plans,
-            self.dd_plans,
-            self.extensional_plans,
-            self.brute_force_plans,
-            self.sample_plans,
-            self.lifted_plans,
-            self.ground_plans,
+            self.plans(Plan::Obdd),
+            self.plans(Plan::DdCircuit),
+            self.plans(Plan::BruteForce),
+            self.plans(Plan::Sample(SamplerKind::KarpLuby)),
+            self.plans(Plan::Lifted),
+            self.plans(Plan::GroundCircuit),
             self.cache_hits,
             self.cache_misses,
             self.cache_evictions,
@@ -429,7 +389,6 @@ impl fmt::Display for EngineStats {
             self.walk_nanos,
             self.lane_kernel_calls,
             self.eval_time,
-            self.extensional_memo_hits,
             self.samples_drawn,
             self.sample_nanos,
             self.patches_applied,
@@ -466,7 +425,7 @@ mod tests {
             samples: 1234,
             ..q(Plan::Sample(SamplerKind::KarpLuby), false)
         });
-        assert_eq!(s.sample_plans, 1);
+        assert_eq!(s.plans(Plan::Sample(SamplerKind::KarpLuby)), 1);
         assert_eq!(s.samples_drawn, 1234);
         assert_eq!(s.sample_nanos, 1_000, "the sampler's eval_time share");
         // Sampled queries are neither cache traffic nor circuit walks.
@@ -476,7 +435,7 @@ mod tests {
         merged.merge(&s);
         merged.merge(&s);
         assert_eq!(merged.samples_drawn, 2468);
-        assert_eq!(merged.sample_plans, 2);
+        assert_eq!(merged.plans(Plan::Sample(SamplerKind::NaiveWorlds)), 2);
         assert!(merged.to_string().contains("2468 sample(s)"), "{merged}");
     }
 
@@ -488,9 +447,9 @@ mod tests {
         s.record(q(Plan::Obdd, false));
         s.record(q(Plan::BruteForce, false));
         assert_eq!(s.queries, 4);
-        assert_eq!(s.dd_plans, 2);
-        assert_eq!(s.obdd_plans, 1);
-        assert_eq!(s.brute_force_plans, 1);
+        assert_eq!(s.plans(Plan::DdCircuit), 2);
+        assert_eq!(s.plans(Plan::Obdd), 1);
+        assert_eq!(s.plans(Plan::BruteForce), 1);
         assert_eq!(s.cache_hits, 1);
         // The brute-force query counts as neither hit nor miss.
         assert_eq!(s.cache_misses, 2);
@@ -518,10 +477,9 @@ mod tests {
         a.lane_kernel_calls = 3;
         let mut b = EngineStats::default();
         b.record(q(Plan::Obdd, true));
-        b.record(q(Plan::Extensional, false));
+        b.record(q(Plan::Lifted, false));
         b.cache_evictions = 1;
         b.lane_kernel_calls = 4;
-        b.extensional_memo_hits = 1;
         a.patches_applied = 2;
         a.patch_nanos = 500;
         a.full_recompiles_avoided = 5;
@@ -533,9 +491,9 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.queries, 3);
-        assert_eq!(merged.dd_plans, 1);
-        assert_eq!(merged.obdd_plans, 1);
-        assert_eq!(merged.extensional_plans, 1);
+        assert_eq!(merged.plans(Plan::DdCircuit), 1);
+        assert_eq!(merged.plans(Plan::Obdd), 1);
+        assert_eq!(merged.plans(Plan::Lifted), 1);
         assert_eq!(merged.cache_hits, 1);
         assert_eq!(merged.cache_misses, 1);
         assert_eq!(merged.cache_evictions, 3);
@@ -544,7 +502,6 @@ mod tests {
         assert_eq!(merged.compile_nanos(), 15_000);
         assert_eq!(merged.walk_nanos, 2_000, "the two cacheable walks");
         assert_eq!(merged.lane_kernel_calls, 7);
-        assert_eq!(merged.extensional_memo_hits, 1);
         assert_eq!(merged.patches_applied, 3);
         assert_eq!(merged.patch_nanos, 750);
         assert_eq!(merged.full_recompiles_avoided, 6);
@@ -558,7 +515,7 @@ mod tests {
         assert!(matches!(
             merged.last,
             Some(QueryStats {
-                plan: Plan::Extensional,
+                plan: Plan::Lifted,
                 ..
             })
         ));
@@ -575,8 +532,8 @@ mod tests {
         s.record(q(Plan::Lifted, false));
         s.record(q(Plan::GroundCircuit, false));
         s.record(q(Plan::GroundCircuit, true));
-        assert_eq!(s.lifted_plans, 1);
-        assert_eq!(s.ground_plans, 2);
+        assert_eq!(s.plans(Plan::Lifted), 1);
+        assert_eq!(s.plans(Plan::GroundCircuit), 2);
         // Ground circuits are cacheable artifacts; lifted runs are not.
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
@@ -586,8 +543,8 @@ mod tests {
         let mut merged = EngineStats::default();
         merged.merge(&s);
         merged.merge(&s);
-        assert_eq!(merged.lifted_plans, 2);
-        assert_eq!(merged.ground_plans, 4);
+        assert_eq!(merged.plans(Plan::Lifted), 2);
+        assert_eq!(merged.plans(Plan::GroundCircuit), 4);
         assert_eq!(merged.route_latency.total_count(), merged.queries);
         assert!(
             merged.to_string().contains("lifted 2, ground 4"),
@@ -639,7 +596,7 @@ mod tests {
     fn histograms_merge_additively_bucket_by_bucket() {
         let mut a = EngineStats::default();
         a.record(q(Plan::Obdd, false));
-        a.record(q(Plan::Extensional, false));
+        a.record(q(Plan::Lifted, false));
         let mut b = EngineStats::default();
         b.record(q(Plan::Obdd, true));
         b.record(QueryStats {
@@ -651,7 +608,7 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.route_latency.obdd.count(), 3);
-        assert_eq!(merged.route_latency.extensional.count(), 1);
+        assert_eq!(merged.route_latency.lifted.count(), 1);
         assert_eq!(merged.route_latency.total_count(), merged.queries);
         // Bucket-wise: the two 6 µs obdd walks sit together, the 3 ms
         // outlier alone, regardless of merge grouping.

@@ -25,6 +25,6 @@ mod safety;
 
 pub use lifted::{
     neg_h_probability, pqe_extensional, pqe_extensional_f64, pqe_extensional_with_lattice,
-    pqe_extensional_with_lattice_f64, ExtensionalError,
+    ExtensionalError,
 };
 pub use safety::{is_safe, is_safe_euler, SafetyError};

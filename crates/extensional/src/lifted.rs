@@ -187,8 +187,8 @@ pub fn pqe_extensional(q: &HQuery, tid: &Tid) -> Result<BigRational, Extensional
 ///
 /// The lattice and its Möbius values depend **only on `φ`** — not on the
 /// database, not on the probabilities — so a caller evaluating the same
-/// query over many TIDs (the `PqeEngine`'s extensional memo, a scenario
-/// batch) computes [`cnf_lattice`] once and re-runs only the per-TID
+/// query over many TIDs (a scenario batch) computes [`cnf_lattice`]
+/// once and re-runs only the per-TID
 /// `N(d)` closed forms here. `lat` must be `cnf_lattice(q.phi())`; the
 /// per-call safety check (`µ` at the hard bottom must vanish) still runs
 /// against whatever lattice is supplied.
@@ -232,15 +232,6 @@ pub fn pqe_extensional_with_lattice(
 /// conversion at the end; the rationals involved stay small).
 pub fn pqe_extensional_f64(q: &HQuery, tid: &Tid) -> Result<f64, ExtensionalError> {
     pqe_extensional(q, tid).map(|p| p.to_f64())
-}
-
-/// `f64` wrapper around [`pqe_extensional_with_lattice`].
-pub fn pqe_extensional_with_lattice_f64(
-    q: &HQuery,
-    tid: &Tid,
-    lat: &QueryLattice,
-) -> Result<f64, ExtensionalError> {
-    pqe_extensional_with_lattice(q, tid, lat).map(|p| p.to_f64())
 }
 
 #[cfg(test)]

@@ -18,10 +18,11 @@
 //! Determinism contract (pinned by `tests/engine_serve.rs`): every
 //! route returns answers **bit-identical** to a sequential
 //! [`PqeEngine`] fed the same requests — single queries evaluate at RNG
-//! stream 0 like [`PqeEngine::evaluate`], batch scenario `i` at stream
-//! `i` like [`PqeEngine::evaluate_batch`], and sharded batches replicate
-//! the engine's own chunk math so even the lane-kernel block boundaries
-//! line up.
+//! stream 0 like [`PqeEngine::evaluate`], and batches run the engine's
+//! own executor ([`PreparedBatch`](intext_engine::PreparedBatch)), so
+//! batch scenario `i` evaluates at stream `i` and even the lane-kernel
+//! block boundaries line up with
+//! [`PqeEngine::evaluate_batch_sharded_f64`].
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,9 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use intext_engine::{
-    ConfigError, EngineConfig, EngineStats, Estimate, LaneScratch, PqeEngine, PreparedQuery,
-};
+use intext_engine::{ConfigError, EngineConfig, EngineStats, Estimate, PqeEngine};
 use intext_numeric::BigRational;
 use intext_query::Query;
 use intext_tid::Tid;
@@ -67,7 +66,8 @@ pub enum Request {
         tid: Tid,
     },
     /// Exact batch: scenario `i` is bit-identical to
-    /// [`PqeEngine::evaluate_batch`]'s element `i`.
+    /// [`PqeEngine::evaluate_batch_sharded`]'s element `i` (at any shard
+    /// count); served on one shard.
     Batch {
         /// The query (an H-query or a parsed UCQ).
         q: Query,
@@ -370,8 +370,11 @@ impl Server {
         }))
         .unwrap_or(Err(ServeError::WorkerPanicked));
         // Merge before resolving so a client that observes its answer
-        // and immediately reads stats sees its own request counted.
-        shared.served().merge(&local);
+        // and immediately reads stats sees its own request counted; a
+        // request that failed returned no answer to count.
+        if result.is_ok() {
+            shared.served().merge(&local);
+        }
         slot.resolve(result);
     }
 
@@ -394,127 +397,17 @@ impl Server {
                 let prepared = shared.engine.prepare(q, tid)?;
                 Ok(Response::Estimate(prepared.eval_estimate(tid, 0, stats)))
             }
-            Request::Batch { q, tids } => Ok(Response::Batch(Self::eval_batch_exact(
-                &shared.engine,
-                q,
-                tids,
-                stats,
-            )?)),
-            Request::BatchF64 { q, tids, shards } => Ok(Response::BatchF64(Self::eval_batch_f64(
-                &shared.engine,
-                q,
-                tids,
-                *shards,
-                stats,
-            )?)),
+            Request::Batch { q, tids } => {
+                let batch = shared.engine.prepare_batch(q, tids)?;
+                Ok(Response::Batch(batch.eval_exact(tids, 1, stats)))
+            }
+            Request::BatchF64 { q, tids, shards } => {
+                let batch = shared.engine.prepare_batch(q, tids)?;
+                Ok(Response::BatchF64(batch.eval_f64(tids, *shards, stats)))
+            }
             Request::Snapshot => Ok(Response::Snapshot(shared.engine.save_cache())),
             Request::Ping => Ok(Response::Pong),
         }
-    }
-
-    /// Mirrors [`PqeEngine::evaluate_batch`] over the shared engine:
-    /// consecutive same-shape scenarios share one preparation, scenario
-    /// `i` evaluates at RNG stream `i` — identical answers, identical
-    /// counters.
-    fn eval_batch_exact(
-        engine: &SharedEngine,
-        q: &Query,
-        tids: &[Tid],
-        stats: &mut EngineStats,
-    ) -> Result<Vec<BigRational>, ServeError> {
-        let mut out = Vec::with_capacity(tids.len());
-        let mut run: Option<PreparedQuery> = None;
-        for (i, tid) in tids.iter().enumerate() {
-            let fresh = i == 0 || !tid.database().same_shape(tids[i - 1].database());
-            let prepared = match run.take() {
-                Some(prev) if !fresh => prev.share(),
-                _ => engine.prepare(q, tid)?,
-            };
-            out.push(prepared.eval_exact(tid, i as u64, stats));
-            run = Some(prepared);
-        }
-        Ok(out)
-    }
-
-    /// Mirrors [`PqeEngine::evaluate_batch_sharded_f64`]: prepare once
-    /// per same-shape run (shares within a run), then fan the scenarios
-    /// across `shards` chunks using the engine's exact chunk math — so
-    /// answers, per-scenario stats, *and* lane-kernel call counts all
-    /// match the engine's own sharded path at the same `shards`.
-    fn eval_batch_f64(
-        engine: &SharedEngine,
-        q: &Query,
-        tids: &[Tid],
-        shards: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<f64>, ServeError> {
-        if tids.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Phase 1: one preparation per scenario; `run_start[i]` marks
-        // the head of the same-shape run containing scenario `i`.
-        let mut prepared: Vec<PreparedQuery> = Vec::with_capacity(tids.len());
-        let mut run_start: Vec<usize> = Vec::with_capacity(tids.len());
-        for (i, tid) in tids.iter().enumerate() {
-            if i > 0 && tid.database().same_shape(tids[i - 1].database()) {
-                let share = prepared[i - 1].share();
-                prepared.push(share);
-                run_start.push(run_start[i - 1]);
-            } else {
-                prepared.push(engine.prepare(q, tid)?);
-                run_start.push(i);
-            }
-        }
-        // Phase 2: chunked walk, engine chunk math (`shard_count` /
-        // `div_ceil`) replicated so block boundaries line up with
-        // `evaluate_batch_sharded_f64`.
-        let shards = {
-            let clamped = shards.clamp(1, tids.len());
-            tids.len().div_ceil(tids.len().div_ceil(clamped))
-        };
-        let chunk = tids.len().div_ceil(shards);
-        let (prepared, run_start) = (&prepared, &run_start);
-        let outputs: Vec<(Vec<f64>, EngineStats)> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..tids.len())
-                .step_by(chunk)
-                .map(|base| {
-                    scope.spawn(move || {
-                        let end = (base + chunk).min(tids.len());
-                        let mut local = EngineStats::default();
-                        let mut scratch = LaneScratch::new();
-                        let mut out = Vec::with_capacity(end - base);
-                        let mut start = base;
-                        while start < end {
-                            // The run segment inside this chunk.
-                            let mut seg_end = start + 1;
-                            while seg_end < end && run_start[seg_end] == run_start[start] {
-                                seg_end += 1;
-                            }
-                            prepared[start].eval_run_f64(
-                                &tids[start..seg_end],
-                                start as u64,
-                                &mut scratch,
-                                &mut out,
-                                &mut local,
-                            );
-                            start = seg_end;
-                        }
-                        (out, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("chunk worker panicked"))
-                .collect()
-        });
-        // Phase 3: stitch and merge in chunk order (deterministic).
-        let mut out = Vec::with_capacity(tids.len());
-        for (chunk_out, chunk_stats) in outputs {
-            out.extend_from_slice(&chunk_out);
-            stats.merge(&chunk_stats);
-        }
-        Ok(out)
     }
 }
 
@@ -612,7 +505,8 @@ impl ServeHandle {
         }
     }
 
-    /// Exact batch — bit-identical to [`PqeEngine::evaluate_batch`].
+    /// Exact batch — bit-identical to
+    /// [`PqeEngine::evaluate_batch_sharded`].
     pub fn evaluate_batch(
         &self,
         q: impl Into<Query>,
@@ -662,7 +556,7 @@ impl ServeHandle {
     }
 
     /// Server totals: the engine's write-path counters (compiles,
-    /// evictions, memo builds) merged with every worker's evaluation
+    /// evictions) merged with every worker's evaluation
     /// counters, plus the lock-poisoning recoveries
     /// ([`EngineStats::lock_poisonings_recovered`]). For a quiesced
     /// server fed the same requests, the count fields equal a

@@ -1,23 +1,25 @@
 //! The sharded read-write layer around one [`PqeEngine`].
 //!
 //! The locking contract (`DESIGN.md` §10): the hot path — planning a
-//! query and probing the artifact cache / lattice memo — takes the
-//! **read** lock ([`PqeEngine::prepare_shared`], which never mutates,
-//! never bumps LRU recency), and the returned [`PreparedQuery`] is
-//! evaluated entirely **outside** any lock, as a pure walk over
-//! `Arc`-shared state. Only cold keys (first compile of a shape),
-//! live-tuple updates, and snapshot loads take the write lock. The
-//! cold path is **double-checked**: a reader that missed re-probes
-//! under the write lock (inside [`PqeEngine::prepare`]), so N racing
-//! readers cost one compile and N−1 hits — exactly the counters a
-//! sequential engine running the same requests reports, which is what
-//! lets the differential harness assert stats equality.
+//! query's runs ([`PqeEngine::plan_runs`]) and probing the artifact
+//! cache — takes the **read** lock ([`PqeEngine::prepare_shared`],
+//! which never mutates, never bumps LRU recency), and the returned
+//! [`PreparedQuery`] / [`PreparedBatch`] is evaluated entirely
+//! **outside** any lock, as a pure walk over `Arc`-shared state. Only
+//! cold keys (first compile of a shape), live-tuple updates, and
+//! snapshot loads take the write lock. The cold path is
+//! **double-checked**: a reader that missed hands its planned run to
+//! [`PqeEngine::prepare_run`] under the write lock, which re-probes, so
+//! N racing readers cost one compile and N−1 hits — exactly the
+//! counters a sequential engine running the same requests reports,
+//! which is what lets the differential harness assert stats equality.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use intext_engine::{
-    EngineError, EngineStats, LoadReport, PqeEngine, PreparedQuery, StoreError, TupleUpdate,
+    EngineError, EngineStats, LoadReport, PqeEngine, PreparedBatch, PreparedQuery, StoreError,
+    TupleUpdate,
 };
 use intext_numeric::BigRational;
 use intext_query::{HQuery, Query};
@@ -45,16 +47,44 @@ impl SharedEngine {
         }
     }
 
-    /// Prepares `(q, tid)` for lock-free evaluation: read-locked probe
-    /// first, write-locked compile only when the key is cold
+    /// Prepares `(q, tid)` for lock-free evaluation: read-locked plan +
+    /// probe first, write-locked compile only when the key is cold
     /// (double-checked, so concurrent cold probes compile once).
     /// Accepts any [`Query`] — an H-query, or a parsed UCQ routed to
     /// the lifted or grounded-circuit backend.
     pub fn prepare(&self, q: &Query, tid: &Tid) -> Result<PreparedQuery, EngineError> {
-        if let Some(prepared) = self.read().prepare_shared(q, tid)? {
-            return Ok(prepared);
-        }
-        self.write().prepare(q, tid)
+        let mut runs = self.prepare_runs(q, std::slice::from_ref(tid))?;
+        // One scenario plans to exactly one run.
+        Ok(runs.swap_remove(0))
+    }
+
+    /// Prepares a batch for lock-free execution: every run is planned
+    /// first, so an unsound scenario fails before anything is fetched or
+    /// compiled; then each run is prepared as [`prepare`](Self::prepare)
+    /// prepares one query.
+    pub(crate) fn prepare_batch(
+        &self,
+        q: &Query,
+        tids: &[Tid],
+    ) -> Result<PreparedBatch, EngineError> {
+        self.prepare_runs(q, tids).map(PreparedBatch::new)
+    }
+
+    /// Plans every run under the read lock, then prepares each in order:
+    /// a read-locked probe, escalating to the write lock (with the read
+    /// path's plan) only for a cold run.
+    fn prepare_runs(&self, q: &Query, tids: &[Tid]) -> Result<Vec<PreparedQuery>, EngineError> {
+        let engine = self.read();
+        let runs = engine.plan_runs(q, tids)?;
+        let mut reader = Some(engine);
+        let prepare = |run| {
+            let engine = reader.get_or_insert_with(|| self.read());
+            engine.prepare_shared(run, tids).unwrap_or_else(|| {
+                reader = None; // release the read lock before writing
+                self.write().prepare_run(run, tids)
+            })
+        };
+        Ok(runs.iter().map(prepare).collect())
     }
 
     /// Write-locked [`PqeEngine::insert_tuple`]: readers drain first,
@@ -117,8 +147,8 @@ impl SharedEngine {
         self.write().apply_delta(bytes)
     }
 
-    /// A clone of the engine's own stats (compiles, evictions,
-    /// memo-builds — the write-path counters). The serve layer merges
+    /// A clone of the engine's own stats (compiles, evictions — the
+    /// write-path counters). The serve layer merges
     /// worker-local evaluation stats on top; see
     /// [`ServeHandle::stats`](crate::ServeHandle::stats).
     pub fn engine_stats(&self) -> EngineStats {

@@ -8,7 +8,9 @@
 //! three underlying routes:
 //!
 //! 1. brute force over all possible worlds (exponential, exact),
-//! 2. extensional lifted inference (Möbius inversion, Proposition 3.5),
+//! 2. extensional lifted inference (Möbius inversion, Proposition 3.5) —
+//!    the reference oracle: the engine itself routes every safe H-query
+//!    to a cacheable circuit (Corollary 5.3),
 //! 3. the paper's intensional d-D pipeline (Theorem 5.2),
 //!
 //! and finish in the hard region: a `#P`-hard query on an instance no
@@ -162,19 +164,22 @@ fn main() {
     let sharded = engine
         .evaluate_batch_sharded(&q, &scenarios, 4)
         .expect("same shape as the cached circuit");
-    let sequential = engine.evaluate_batch(&q, &scenarios).expect("tractable");
+    let sequential: Vec<_> = scenarios
+        .iter()
+        .map(|s| engine.evaluate(&q, s).expect("cached"))
+        .collect();
     assert_eq!(sharded, sequential, "sharding never changes the bits");
     println!(
         "\nsharded batch: {}  (bit-identical to sequential ✓)",
         engine.stats().last_batch.expect("batch just ran"),
     );
 
-    // Floating-point batches drive the lane-batched evaluation kernel:
-    // one circuit walk per 8 scenarios instead of one per scenario,
-    // bit-identical to the scalar loop (DESIGN.md §6). The stats split
-    // the batch's time into compiling vs walking.
+    // Floating-point batches drive the lane-batched evaluation kernel
+    // (here on one shard): one circuit walk per 8 scenarios instead of
+    // one per scenario, bit-identical to the scalar loop (DESIGN.md §6).
+    // The stats split the batch's time into compiling vs walking.
     let lane = engine
-        .evaluate_batch_f64(&q, &scenarios)
+        .evaluate_batch_sharded_f64(&q, &scenarios, 1)
         .expect("same shape as the cached circuit");
     let scalar: Vec<f64> = scenarios
         .iter()

@@ -20,7 +20,8 @@
 //! from text** over a named vocabulary ([`Query::parse`]). H-shaped
 //! queries (including parsed text *recognized* as H-shaped) classify on
 //! the paper's Figure 1 region map and route to the cheapest sound
-//! backend (OBDD, d-D pipeline, lifted inference, or brute force);
+//! backend (OBDD, d-D pipeline, or brute force — safe ones always get a
+//! cacheable circuit, by Corollary 5.3);
 //! general queries split on the Dalvi–Suciu safety test — safe ones get
 //! a lifted PTIME plan, unsafe ones ground to a lineage OBDD within a
 //! budget (DESIGN.md §11). Compiled lineage artifacts are cached so
@@ -58,7 +59,7 @@
 //! let mut engine = PqeEngine::new();
 //! assert_eq!(engine.plan(&parsed, &papers), Ok(Plan::Lifted));
 //! engine.evaluate(&parsed, &papers).unwrap();
-//! assert_eq!(engine.stats().lifted_plans, 1);
+//! assert_eq!(engine.stats().plans(Plan::Lifted), 1);
 //!
 //! // Dalvi–Suciu's q9 on a complete database, every tuple with Pr = 1/2.
 //! let tid = uniform_tid(complete_database(3, 2), BigRational::from_ratio(1, 2));
@@ -85,10 +86,11 @@
 //! assert!(probs.iter().all(|pi| pi == &p));
 //! assert_eq!(engine.stats().cache_misses, 1); // compiled exactly once
 //!
-//! // f64 batches go through the lane-batched kernel: one circuit walk
-//! // per 8 scenarios, bit-identical to a per-scenario loop, with the
-//! // time split into compiling vs walking (`compile_nanos`/`walk_nanos`).
-//! let f64s = engine.evaluate_batch_f64(&q, &scenarios).unwrap();
+//! // f64 batches go through the lane-batched kernel (here on one
+//! // shard): one circuit walk per 8 scenarios, bit-identical to a
+//! // per-scenario loop, with the time split into compiling vs walking
+//! // (`compile_nanos`/`walk_nanos`).
+//! let f64s = engine.evaluate_batch_sharded_f64(&q, &scenarios, 1).unwrap();
 //! assert_eq!(f64s.len(), 4);
 //! assert_eq!(engine.stats().lane_kernel_calls, 1); // 4 scenarios, 1 walk
 //! assert!(engine.stats().walk_nanos > 0);

@@ -411,7 +411,7 @@ fn patched_engines_shard_and_batch_identically() {
         })
         .collect();
 
-    let sequential = live.evaluate_batch(&q, &scenarios).unwrap();
+    let sequential = live.evaluate_batch_sharded(&q, &scenarios, 1).unwrap();
     let sharded = live.evaluate_batch_sharded(&q, &scenarios, 3).unwrap();
     assert_eq!(
         sequential, sharded,
@@ -426,7 +426,7 @@ fn patched_engines_shard_and_batch_identically() {
     }
 
     let sequential_f64: Vec<u64> = live
-        .evaluate_batch_f64(&q, &scenarios)
+        .evaluate_batch_sharded_f64(&q, &scenarios, 1)
         .unwrap()
         .into_iter()
         .map(f64::to_bits)

@@ -1,10 +1,9 @@
 //! The lane-batched evaluation kernel, end to end through the engine:
 //!
-//! * `evaluate_batch_f64` and `evaluate_batch_sharded_f64` are
+//! * `evaluate_batch_sharded_f64` on one and on several shards is
 //!   **bit-identical** to a per-scenario `evaluate_f64` loop for every
 //!   Boolean function with `k ≤ 2` on randomized TIDs — both artifact
-//!   kinds (OBDD and d-D), both fallback backends (extensional, brute
-//!   force) included,
+//!   kinds (OBDD and d-D) and the brute-force fallback included,
 //! * ragged batch sizes (tails that do not fill a `LANES`-wide block)
 //!   never change the bits, via a proptest sweep,
 //! * the compile-vs-walk timing split and the lane-kernel invocation
@@ -16,7 +15,7 @@
 
 use intext::boolfn::BoolFn;
 use intext::circuits::LANES;
-use intext::engine::{EngineConfig, PqeEngine};
+use intext::engine::{Plan, PqeEngine};
 use intext::numeric::BigRational;
 use intext::query::HQuery;
 use intext::tid::{
@@ -47,17 +46,15 @@ fn reweighted_scenarios(base: &Tid, count: usize, rng: &mut StdRng) -> Vec<Tid> 
 
 /// The counter halves of two `EngineStats` (wall-clock durations and the
 /// path-specific kernel-call counter legitimately differ between runs).
-fn counters(s: &intext::engine::EngineStats) -> [u64; 9] {
+fn counters(s: &intext::engine::EngineStats) -> [u64; 7] {
     [
         s.queries,
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
-        s.obdd_plans,
-        s.dd_plans,
-        s.extensional_plans,
-        s.brute_force_plans,
-        s.extensional_memo_hits,
+        s.plans(Plan::Obdd),
+        s.plans(Plan::DdCircuit),
+        s.plans(Plan::BruteForce),
     ]
 }
 
@@ -93,7 +90,7 @@ fn lane_batched_equals_scalar_loop_for_all_small_phi() {
                 .iter()
                 .map(|tid| scalar.evaluate_f64(&q, tid).unwrap())
                 .collect();
-            let batched = lane.evaluate_batch_f64(&q, &scenarios).unwrap();
+            let batched = lane.evaluate_batch_sharded_f64(&q, &scenarios, 1).unwrap();
             assert_eq!(batched, expected, "k={k}, table {table:#x} (sequential)");
             let fanned = sharded
                 .evaluate_batch_sharded_f64(&q, &scenarios, 3)
@@ -110,47 +107,12 @@ fn lane_batched_equals_scalar_loop_for_all_small_phi() {
         assert_eq!(scalar.stats().lane_kernel_calls, 0, "k={k}");
         assert!(lane.stats().lane_kernel_calls > 0, "k={k}");
         assert!(sharded.stats().lane_kernel_calls > 0, "k={k}");
-        assert!(lane.stats().brute_force_plans > 0, "k={k}");
-        assert!(lane.stats().obdd_plans > 0, "k={k}");
+        assert!(lane.stats().plans(Plan::BruteForce) > 0, "k={k}");
+        assert!(lane.stats().plans(Plan::Obdd) > 0, "k={k}");
         if k >= 2 {
-            assert!(lane.stats().dd_plans > 0, "k={k}");
+            assert!(lane.stats().plans(Plan::DdCircuit) > 0, "k={k}");
         }
     }
-}
-
-/// Under `prefer_extensional`, the batch paths reuse the memoized CNF
-/// lattice and still agree bit-for-bit with the scalar loop — and all
-/// three paths count the same number of memo hits.
-#[test]
-fn lane_batched_extensional_fallback_matches_loop_and_counts_memo_hits() {
-    let mut rng = StdRng::seed_from_u64(909);
-    let base = uniform_tid(complete_database(3, 2), half());
-    let scenarios = reweighted_scenarios(&base, 7, &mut rng);
-    let q = HQuery::new(intext::boolfn::phi9());
-    let config = EngineConfig {
-        prefer_extensional: true,
-        ..EngineConfig::default()
-    };
-
-    let mut scalar = PqeEngine::with_config(config);
-    let expected: Vec<f64> = scenarios
-        .iter()
-        .map(|tid| scalar.evaluate_f64(&q, tid).unwrap())
-        .collect();
-    let mut lane = PqeEngine::with_config(config);
-    assert_eq!(lane.evaluate_batch_f64(&q, &scenarios).unwrap(), expected);
-    let mut sharded = PqeEngine::with_config(config);
-    assert_eq!(
-        sharded
-            .evaluate_batch_sharded_f64(&q, &scenarios, 2)
-            .unwrap(),
-        expected
-    );
-    assert_eq!(counters(scalar.stats()), counters(lane.stats()));
-    assert_eq!(counters(scalar.stats()), counters(sharded.stats()));
-    // 7 extensional evaluations per engine: one lattice build, 6 reuses.
-    assert_eq!(scalar.stats().extensional_memo_hits, 6);
-    assert_eq!(lane.stats().lane_kernel_calls, 0, "no artifact, no kernel");
 }
 
 /// The split timers and kernel counter expose the batching: compiling
@@ -163,7 +125,9 @@ fn timing_split_and_kernel_calls_are_observable() {
     let scenarios = reweighted_scenarios(&base, 3 * LANES + 1, &mut rng);
     let q = HQuery::new(intext::boolfn::phi9());
     let mut engine = PqeEngine::new();
-    engine.evaluate_batch_f64(&q, &scenarios).unwrap();
+    engine
+        .evaluate_batch_sharded_f64(&q, &scenarios, 1)
+        .unwrap();
     let stats = engine.stats();
     assert_eq!(stats.lane_kernel_calls, 4, "ceil(25 / 8) blocks");
     assert_eq!(stats.cache_misses, 1);
@@ -176,7 +140,6 @@ fn timing_split_and_kernel_calls_are_observable() {
     );
     let shown = stats.to_string();
     assert!(shown.contains("lane-kernel"), "{shown}");
-    assert!(shown.contains("memo hit"), "{shown}");
 }
 
 proptest! {
@@ -208,7 +171,7 @@ proptest! {
             .map(|tid| scalar.evaluate_f64(&q, tid).unwrap())
             .collect();
         let mut lane = PqeEngine::new();
-        let batched = lane.evaluate_batch_f64(&q, &scenarios).unwrap();
+        let batched = lane.evaluate_batch_sharded_f64(&q, &scenarios, 1).unwrap();
         prop_assert_eq!(&batched, &expected);
         let mut fanned = PqeEngine::new();
         let sharded = fanned.evaluate_batch_sharded_f64(&q, &scenarios, shards).unwrap();

@@ -64,17 +64,16 @@ fn is_hard(region: Region) -> bool {
 /// (wall-clock durations legitimately differ between runs, and lane
 /// kernel calls from *circuit walks* depend on chunk boundaries — but
 /// `samples_drawn` must not).
-fn counters(s: &EngineStats) -> [u64; 10] {
+fn counters(s: &EngineStats) -> [u64; 9] {
     [
         s.queries,
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
-        s.obdd_plans,
-        s.dd_plans,
-        s.extensional_plans,
-        s.brute_force_plans,
-        s.sample_plans,
+        s.plans(Plan::Obdd),
+        s.plans(Plan::DdCircuit),
+        s.plans(Plan::BruteForce),
+        s.plans(Plan::Sample(SamplerKind::KarpLuby)),
         s.samples_drawn,
     ]
 }
@@ -284,12 +283,22 @@ fn sharded_sampling_is_bit_identical_for_every_shard_count() {
         ..EngineConfig::default()
     };
     let mut sequential = PqeEngine::with_config(config);
-    let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
+    let expected = sequential
+        .evaluate_batch_sharded(&q, &scenarios, 1)
+        .unwrap();
     let mut sequential_f64 = PqeEngine::with_config(config);
-    let expected_f64 = sequential_f64.evaluate_batch_f64(&q, &scenarios).unwrap();
+    let expected_f64 = sequential_f64
+        .evaluate_batch_sharded_f64(&q, &scenarios, 1)
+        .unwrap();
     assert!(sequential.stats().samples_drawn > 0);
-    assert_eq!(sequential.stats().sample_plans, 7, "7 of 13 are hard");
-    assert_eq!(sequential.stats().brute_force_plans, 6);
+    assert_eq!(
+        sequential
+            .stats()
+            .plans(Plan::Sample(SamplerKind::KarpLuby)),
+        7,
+        "7 of 13 are hard"
+    );
+    assert_eq!(sequential.stats().plans(Plan::BruteForce), 6);
     assert_eq!(
         counters(sequential.stats()),
         counters(sequential_f64.stats()),

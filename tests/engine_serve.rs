@@ -15,13 +15,13 @@
 //!
 //! * the headline sweep runs **all 272 Boolean functions with
 //!   `k ≤ 2`** (16 on two variables, 256 on three) through concurrent
-//!   clients, exact and f64, under two configs that together cover
-//!   every route — OBDD, d-D, extensional, brute force, and seeded
-//!   Monte-Carlo sampling — and diffs both answers and stats against a
-//!   sequential engine;
-//! * batch and sharded-batch requests diff against the engine's own
-//!   batch paths (including lane-kernel call counts: the server
-//!   replicates the engine's chunk math);
+//!   clients, exact and f64, under a config that covers every H-query
+//!   route — OBDD, d-D, brute force, and seeded Monte-Carlo sampling —
+//!   and diffs both answers and stats against a sequential engine;
+//! * batch and sharded-batch requests — H-shaped, safe and unsafe
+//!   parsed UCQs — diff against the engine's own batch paths
+//!   (including lane-kernel call counts: the server runs the engine's
+//!   executor), and a batch that cannot be planned leaves no trace;
 //! * a **deterministic saturation** test wedges the single worker on a
 //!   brute-force query, fills the admission queue, and accounts for
 //!   every submission: admitted ones all resolve (answer, deadline
@@ -49,11 +49,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use intext_boolfn::BoolFn;
-use intext_engine::{EngineConfig, EngineStats, Plan, PqeEngine, SamplingConfig};
+use intext_engine::{
+    EngineConfig, EngineError, EngineStats, Plan, PqeEngine, RouteLatency, SamplingConfig,
+};
 use intext_numeric::BigRational;
-use intext_query::HQuery;
+use intext_query::{HQuery, Query};
 use intext_serve::{listen_tcp, RemoteClient, Request, Response, ServeConfig, ServeError, Server};
-use intext_tid::{Database, Tid, TupleDesc};
+use intext_tid::{Database, Tid, TupleDesc, Vocabulary};
 
 /// Instance-size cap shared with `tests/engine_incremental.rs`: at most
 /// `2^7` possible worlds keeps full-corpus sweeps fast in debug builds.
@@ -153,27 +155,9 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
         server.artifact_loads, seq.artifact_loads,
         "{context}: artifact_loads"
     );
-    assert_eq!(server.obdd_plans, seq.obdd_plans, "{context}: obdd_plans");
-    assert_eq!(server.dd_plans, seq.dd_plans, "{context}: dd_plans");
-    assert_eq!(
-        server.extensional_plans, seq.extensional_plans,
-        "{context}: extensional_plans"
-    );
-    assert_eq!(
-        server.brute_force_plans, seq.brute_force_plans,
-        "{context}: brute_force_plans"
-    );
-    assert_eq!(
-        server.sample_plans, seq.sample_plans,
-        "{context}: sample_plans"
-    );
     assert_eq!(
         server.samples_drawn, seq.samples_drawn,
         "{context}: samples_drawn"
-    );
-    assert_eq!(
-        server.extensional_memo_hits, seq.extensional_memo_hits,
-        "{context}: extensional_memo_hits"
     );
     assert_eq!(
         server.lane_kernel_calls, seq.lane_kernel_calls,
@@ -185,25 +169,23 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
     );
     // Histograms: the *number* of recordings per route must match (the
     // recorded latencies themselves are wall-clock, so only counts are
-    // deterministic).
+    // deterministic). These counts are the per-plan query counts; the
+    // exhaustive destructuring keeps every route in the comparison.
+    let RouteLatency {
+        obdd,
+        dd,
+        brute_force,
+        sample,
+        lifted,
+        ground,
+    } = &server.route_latency;
     for (route, s, q) in [
-        ("obdd", &server.route_latency.obdd, &seq.route_latency.obdd),
-        ("dd", &server.route_latency.dd, &seq.route_latency.dd),
-        (
-            "extensional",
-            &server.route_latency.extensional,
-            &seq.route_latency.extensional,
-        ),
-        (
-            "brute_force",
-            &server.route_latency.brute_force,
-            &seq.route_latency.brute_force,
-        ),
-        (
-            "sample",
-            &server.route_latency.sample,
-            &seq.route_latency.sample,
-        ),
+        ("obdd", obdd, &seq.route_latency.obdd),
+        ("dd", dd, &seq.route_latency.dd),
+        ("brute_force", brute_force, &seq.route_latency.brute_force),
+        ("sample", sample, &seq.route_latency.sample),
+        ("lifted", lifted, &seq.route_latency.lifted),
+        ("ground", ground, &seq.route_latency.ground),
     ] {
         assert_eq!(s.count(), q.count(), "{context}: {route} latency count");
     }
@@ -227,161 +209,94 @@ fn circuit_config() -> EngineConfig {
     }
 }
 
-/// The extensional-leaning config: safe monotone functions go through
-/// lifted inference (exercising the lattice memo + its read-path
-/// probes) instead of the d-D pipeline.
-fn extensional_config() -> EngineConfig {
-    EngineConfig {
-        prefer_extensional: true,
-        ..circuit_config()
-    }
-}
-
 /// The headline differential: all 272 `k ≤ 2` functions, exact and
 /// f64, pushed through [`CLIENTS`] concurrent clients of one server —
 /// answers bit-identical to a sequential engine fed the same multiset,
-/// merged stats equal on every count field, under both route-coverage
-/// configs.
+/// merged stats equal on every count field.
 #[test]
 fn concurrent_clients_match_sequential_engine_for_all_k2_functions() {
-    for (config_name, config) in [
-        ("circuit", circuit_config()),
-        ("extensional", extensional_config()),
-    ] {
-        let mut coverage = EngineStats::default();
-        for k in 1u8..=2 {
-            let mut state = common::BASE_SEED ^ (u64::from(k) << 32);
-            // k = 1 stays under the 4-tuple brute-force budget (hard φ
-            // brute-forced); k = 2 sits above it (hard φ sampled).
-            let n = if k == 1 { 3 } else { TUPLE_CAP };
-            let tid = sized_tid(&mut state, k, 2, n);
-            let fns = all_functions(k);
+    let config = circuit_config();
+    let mut coverage = EngineStats::default();
+    for k in 1u8..=2 {
+        let mut state = common::BASE_SEED ^ (u64::from(k) << 32);
+        // k = 1 stays under the 4-tuple brute-force budget (hard φ
+        // brute-forced); k = 2 sits above it (hard φ sampled).
+        let n = if k == 1 { 3 } else { TUPLE_CAP };
+        let tid = sized_tid(&mut state, k, 2, n);
+        let fns = all_functions(k);
 
-            // Sequential oracle: same config, same requests, one thread.
-            let mut seq = PqeEngine::with_config(config);
-            let expected: Vec<(BigRational, u64)> = fns
-                .iter()
-                .map(|phi| {
-                    let q = HQuery::new(phi.clone());
-                    let exact = seq.evaluate(&q, &tid).unwrap();
-                    let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
-                    (exact, bits)
-                })
-                .collect();
-            let seq_stats = seq.stats().clone();
-
-            // Concurrent server: CLIENTS threads split the functions
-            // round-robin, each asking exact + f64.
-            let server = Server::start(ServeConfig {
-                engine: config,
-                workers: CLIENTS,
-                queue_capacity: 64,
-                ..ServeConfig::default()
+        // Sequential oracle: same config, same requests, one thread.
+        let mut seq = PqeEngine::with_config(config);
+        let expected: Vec<(BigRational, u64)> = fns
+            .iter()
+            .map(|phi| {
+                let q = HQuery::new(phi.clone());
+                let exact = seq.evaluate(&q, &tid).unwrap();
+                let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
+                (exact, bits)
             })
-            .unwrap();
-            let handle = server.handle();
-            thread::scope(|scope| {
-                for client in 0..CLIENTS {
-                    let handle = handle.clone();
-                    let (fns, expected, tid) = (&fns, &expected, &tid);
-                    scope.spawn(move || {
-                        for (i, phi) in fns.iter().enumerate().skip(client).step_by(CLIENTS) {
-                            let q = HQuery::new(phi.clone());
-                            let exact = handle.evaluate(&q, tid).unwrap();
-                            assert_eq!(
-                                exact,
-                                expected[i].0,
-                                "{config_name} k={k} φ table {:#x}: exact answer diverged",
-                                phi.table_u64()
-                            );
-                            let bits = handle.evaluate_f64(&q, tid).unwrap().to_bits();
-                            assert_eq!(
-                                bits,
-                                expected[i].1,
-                                "{config_name} k={k} φ table {:#x}: f64 bits diverged",
-                                phi.table_u64()
-                            );
-                        }
-                    });
-                }
-            });
-            let stats = server.shutdown();
-            assert_counts_equal(&stats, &seq_stats, &format!("{config_name} k={k}"));
-            assert_eq!(stats.queries, 2 * fns.len() as u64);
-            coverage.merge(&stats);
-        }
-        // No `k ≤ 2` function is both monotone and zero-Euler (the
-        // smallest, φ9, needs k = 3), so `prefer_extensional` gets a
-        // dedicated φ9 pass: repeated concurrent evaluations prove the
-        // lattice memo's read-path probe accounting (1 build, N − 1
-        // memo hits) matches a sequential engine.
-        if config_name == "extensional" {
-            let mut state = common::BASE_SEED ^ 0xE87;
-            let tid = sized_tid(&mut state, 3, 2, TUPLE_CAP);
-            let q = HQuery::new(intext_boolfn::phi9());
-            const REPS: usize = 8;
+            .collect();
+        let seq_stats = seq.stats().clone();
 
-            let mut seq = PqeEngine::with_config(config);
-            let exact = seq.evaluate(&q, &tid).unwrap();
-            let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
-            for _ in 1..CLIENTS * REPS {
-                assert_eq!(seq.evaluate(&q, &tid).unwrap(), exact);
-                assert_eq!(seq.evaluate_f64(&q, &tid).unwrap().to_bits(), bits);
+        // Concurrent server: CLIENTS threads split the functions
+        // round-robin, each asking exact + f64.
+        let server = Server::start(ServeConfig {
+            engine: config,
+            workers: CLIENTS,
+            queue_capacity: 64,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handle = server.handle();
+        thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let handle = handle.clone();
+                let (fns, expected, tid) = (&fns, &expected, &tid);
+                scope.spawn(move || {
+                    for (i, phi) in fns.iter().enumerate().skip(client).step_by(CLIENTS) {
+                        let q = HQuery::new(phi.clone());
+                        let exact = handle.evaluate(&q, tid).unwrap();
+                        assert_eq!(
+                            exact,
+                            expected[i].0,
+                            "k={k} φ table {:#x}: exact answer diverged",
+                            phi.table_u64()
+                        );
+                        let bits = handle.evaluate_f64(&q, tid).unwrap().to_bits();
+                        assert_eq!(
+                            bits,
+                            expected[i].1,
+                            "k={k} φ table {:#x}: f64 bits diverged",
+                            phi.table_u64()
+                        );
+                    }
+                });
             }
-            let seq_stats = seq.stats().clone();
-
-            let server = Server::start(ServeConfig {
-                engine: config,
-                workers: CLIENTS,
-                ..ServeConfig::default()
-            })
-            .unwrap();
-            let handle = server.handle();
-            thread::scope(|scope| {
-                for _ in 0..CLIENTS {
-                    let handle = handle.clone();
-                    let (q, tid, exact) = (&q, &tid, &exact);
-                    scope.spawn(move || {
-                        for _ in 0..REPS {
-                            assert_eq!(&handle.evaluate(q, tid).unwrap(), exact);
-                            assert_eq!(handle.evaluate_f64(q, tid).unwrap().to_bits(), bits);
-                        }
-                    });
-                }
-            });
-            let stats = server.shutdown();
-            assert_counts_equal(&stats, &seq_stats, "extensional φ9");
-            coverage.merge(&stats);
-        }
-
-        // The sweep must actually have exercised the mixed routes.
-        assert!(coverage.obdd_plans > 0, "{config_name}: no OBDD route");
-        assert!(
-            coverage.brute_force_plans > 0,
-            "{config_name}: no brute-force route"
-        );
-        assert!(coverage.sample_plans > 0, "{config_name}: no sampled route");
-        assert!(
-            coverage.dd_plans > 0,
-            "{config_name}: never took the d-D route"
-        );
-        if config_name == "extensional" {
-            assert!(
-                coverage.extensional_plans > 0,
-                "extensional config never took lifted inference"
-            );
-            assert!(
-                coverage.extensional_memo_hits > 0,
-                "repeated φ9 evaluations never hit the lattice memo"
-            );
-        }
+        });
+        let stats = server.shutdown();
+        assert_counts_equal(&stats, &seq_stats, &format!("k={k}"));
+        assert_eq!(stats.queries, 2 * fns.len() as u64);
+        coverage.merge(&stats);
     }
+
+    // The sweep must actually have exercised the mixed routes.
+    assert!(coverage.plans(Plan::Obdd) > 0, "no OBDD route");
+    assert!(coverage.plans(Plan::BruteForce) > 0, "no brute-force route");
+    assert!(
+        coverage.plans(Plan::Sample(intext_engine::SamplerKind::KarpLuby)) > 0,
+        "no sampled route"
+    );
+    assert!(
+        coverage.plans(Plan::DdCircuit) > 0,
+        "never took the d-D route"
+    );
 }
 
 /// Batches: a mixed-shape scenario workload served concurrently (one
 /// client exact, one sharded f64) is bit-identical to the engine's own
 /// batch paths — including the lane-kernel call count, because the
-/// server replicates the engine's shard chunk math.
+/// server runs the engine's executor — for a d-D H-query and for a safe
+/// (lifted) and an unsafe (grounded) parsed UCQ.
 #[test]
 fn concurrent_batches_match_the_engines_batch_paths() {
     let config = circuit_config();
@@ -400,16 +315,15 @@ fn concurrent_batches_match_the_engines_batch_paths() {
         scenarios.push(Tid::new(shape_b.database().clone(), probs).unwrap());
     }
     let phi = BoolFn::from_table_u64(3, 0x96); // a zero-Euler d-D function
-    let q = HQuery::new(phi);
+    let voc = Vocabulary::h(2);
+    let queries = [
+        Query::from(HQuery::new(phi)),
+        Query::parse("S1(0,y),T(y)", &voc).unwrap(), // safe: lifted
+        Query::parse("R(x),S1(x,y),T(y)", &voc).unwrap(), // unsafe: grounded
+    ];
     const SHARDS: usize = 3;
 
     let mut seq = PqeEngine::with_config(config);
-    let expected_exact = seq.evaluate_batch(&q, &scenarios).unwrap();
-    let expected_f64 = seq
-        .evaluate_batch_sharded_f64(&q, &scenarios, SHARDS)
-        .unwrap();
-    let seq_stats = seq.stats().clone();
-
     let server = Server::start(ServeConfig {
         engine: config,
         workers: 2,
@@ -417,31 +331,38 @@ fn concurrent_batches_match_the_engines_batch_paths() {
     })
     .unwrap();
     let handle = server.handle();
-    thread::scope(|scope| {
-        let exact_client = {
-            let handle = handle.clone();
-            let (q, scenarios) = (&q, &scenarios);
-            scope.spawn(move || handle.evaluate_batch(q, scenarios).unwrap())
-        };
-        let f64_client = {
-            let handle = handle.clone();
-            let (q, scenarios) = (&q, &scenarios);
-            scope.spawn(move || handle.evaluate_batch_f64(q, scenarios, SHARDS).unwrap())
-        };
-        assert_eq!(exact_client.join().unwrap(), expected_exact);
-        let served_f64 = f64_client.join().unwrap();
-        assert_eq!(served_f64.len(), expected_f64.len());
-        for (i, (a, b)) in served_f64.iter().zip(&expected_f64).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "scenario {i}: sharded f64 bits diverged"
-            );
-        }
-    });
+    for q in &queries {
+        let expected_exact = seq.evaluate_batch_sharded(q, &scenarios, 1).unwrap();
+        let expected_f64 = seq
+            .evaluate_batch_sharded_f64(q, &scenarios, SHARDS)
+            .unwrap();
+        thread::scope(|scope| {
+            let exact_client = {
+                let handle = handle.clone();
+                let scenarios = &scenarios;
+                scope.spawn(move || handle.evaluate_batch(q, scenarios).unwrap())
+            };
+            let f64_client = {
+                let handle = handle.clone();
+                let scenarios = &scenarios;
+                scope.spawn(move || handle.evaluate_batch_f64(q, scenarios, SHARDS).unwrap())
+            };
+            assert_eq!(exact_client.join().unwrap(), expected_exact, "{q}");
+            let served_f64 = f64_client.join().unwrap();
+            assert_eq!(served_f64.len(), expected_f64.len());
+            for (i, (a, b)) in served_f64.iter().zip(&expected_f64).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{q} scenario {i}: sharded f64 bits diverged"
+                );
+            }
+        });
+    }
+    let seq_stats = seq.stats().clone();
     // Empty batches resolve too (to empty answers, zero queries).
     assert_eq!(
-        handle.evaluate_batch(&q, &[]).unwrap(),
+        handle.evaluate_batch(&queries[0], &[]).unwrap(),
         Vec::<BigRational>::new()
     );
     let stats = server.shutdown();
@@ -450,6 +371,46 @@ fn concurrent_batches_match_the_engines_batch_paths() {
         stats.lane_kernel_calls > 0,
         "sharded f64 skipped the lane kernel"
     );
+    assert!(stats.plans(Plan::Lifted) > 0, "no lifted batch");
+    assert!(stats.plans(Plan::GroundCircuit) > 0, "no grounded batch");
+}
+
+/// A served batch that cannot be planned is all-or-nothing, exactly like
+/// the engine's own: the k = 3 scenario would compile (and be answered)
+/// before the k = 2 one fails, if planning were not strictly up front —
+/// so a rejected request must leave no compile, no cached artifact, and
+/// no counted query behind.
+#[test]
+fn failed_served_batches_leave_no_side_effects() {
+    let mut state = common::BASE_SEED ^ 0xBAD;
+    let scenarios = vec![
+        sized_tid(&mut state, 3, 2, TUPLE_CAP),
+        sized_tid(&mut state, 2, 2, TUPLE_CAP),
+    ];
+    let q = HQuery::new(intext_boolfn::phi9());
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = server.handle();
+    for err in [
+        handle.evaluate_batch(&q, &scenarios).unwrap_err(),
+        handle.evaluate_batch_f64(&q, &scenarios, 2).unwrap_err(),
+    ] {
+        assert!(
+            matches!(
+                err,
+                ServeError::Engine(EngineError::VocabularyMismatch { .. })
+            ),
+            "{err}"
+        );
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.queries, 0);
+    assert_eq!(stats.cache_misses, 0);
+    assert_eq!(handle.engine().cache_len(), 0);
+    server.shutdown();
 }
 
 /// Estimates are sample-for-sample reproducible across the server, and

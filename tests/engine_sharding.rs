@@ -1,8 +1,8 @@
 //! Sharded batch evaluation and the bounded artifact cache:
 //!
-//! * `evaluate_batch_sharded` is **bit-identical** to the sequential
-//!   `evaluate_batch` for every Boolean function with `k ≤ 2` on
-//!   randomized TIDs, across shard counts,
+//! * `evaluate_batch_sharded` is **bit-identical** to a sequential
+//!   per-scenario `evaluate` loop for every Boolean function with
+//!   `k ≤ 2` on randomized TIDs, across shard counts,
 //! * per-shard `EngineStats` merged back equal the sequential totals,
 //! * the LRU cache evicts exactly the least-recently-used artifact at
 //!   the gate budget, recompiles on next access, never exceeds the
@@ -13,7 +13,7 @@
 //! the engine's worker threads and the test harness's own parallelism.
 
 use intext::boolfn::{phi9, BoolFn};
-use intext::engine::{EngineConfig, PqeEngine};
+use intext::engine::{EngineConfig, Plan, PqeEngine};
 use intext::numeric::BigRational;
 use intext::query::HQuery;
 use intext::tid::{
@@ -43,17 +43,24 @@ fn reweighted_scenarios(base: &Tid, count: usize, rng: &mut StdRng) -> Vec<Tid> 
 
 /// The counter halves of two `EngineStats` (everything except wall-clock
 /// durations, which legitimately differ between runs).
-fn counters(s: &intext::engine::EngineStats) -> [u64; 8] {
+fn counters(s: &intext::engine::EngineStats) -> [u64; 7] {
     [
         s.queries,
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
-        s.obdd_plans,
-        s.dd_plans,
-        s.extensional_plans,
-        s.brute_force_plans,
+        s.plans(Plan::Obdd),
+        s.plans(Plan::DdCircuit),
+        s.plans(Plan::BruteForce),
     ]
+}
+
+/// The sequential oracle: one `evaluate` per scenario, in order.
+fn evaluate_each(engine: &mut PqeEngine, q: &HQuery, scenarios: &[Tid]) -> Vec<BigRational> {
+    scenarios
+        .iter()
+        .map(|tid| engine.evaluate(q, tid).unwrap())
+        .collect()
 }
 
 /// Sharded ≡ sequential, bit for bit, for **all** 272 Boolean functions
@@ -81,7 +88,7 @@ fn sharded_equals_sequential_for_all_small_phi() {
         for table in 0..(1u64 << (1u32 << n)) {
             let phi = BoolFn::from_table_u64(n, table);
             let q = HQuery::new(phi);
-            let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
+            let expected = evaluate_each(&mut sequential, &q, &scenarios);
             let got = sharded.evaluate_batch_sharded(&q, &scenarios, 3).unwrap();
             assert_eq!(got, expected, "k={k}, table {table:#x}");
         }
@@ -92,10 +99,10 @@ fn sharded_equals_sequential_for_all_small_phi() {
             counters(sharded.stats()),
             "k={k}"
         );
-        assert!(sharded.stats().brute_force_plans > 0, "k={k}");
-        assert!(sharded.stats().obdd_plans > 0, "k={k}");
+        assert!(sharded.stats().plans(Plan::BruteForce) > 0, "k={k}");
+        assert!(sharded.stats().plans(Plan::Obdd) > 0, "k={k}");
         if k >= 2 {
-            assert!(sharded.stats().dd_plans > 0, "k={k}");
+            assert!(sharded.stats().plans(Plan::DdCircuit) > 0, "k={k}");
         }
     }
 }
@@ -109,7 +116,7 @@ fn shard_count_never_changes_the_answer() {
     let scenarios = reweighted_scenarios(&base, 13, &mut rng);
     let q = HQuery::new(phi9());
     let mut sequential = PqeEngine::new();
-    let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
+    let expected = evaluate_each(&mut sequential, &q, &scenarios);
     for shards in [0, 1, 2, 4, 8, 13, 1000] {
         let mut engine = PqeEngine::new();
         let got = engine
@@ -138,7 +145,7 @@ fn merged_shard_stats_equal_sequential_totals() {
     let q = HQuery::new(phi9());
 
     let mut sequential = PqeEngine::new();
-    sequential.evaluate_batch(&q, &scenarios).unwrap();
+    evaluate_each(&mut sequential, &q, &scenarios);
     let mut sharded = PqeEngine::new();
     sharded.evaluate_batch_sharded(&q, &scenarios, 4).unwrap();
 
@@ -249,7 +256,7 @@ fn tight_budget_sharded_batch_is_still_bit_identical() {
     };
 
     let mut sequential = PqeEngine::with_config(config);
-    let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
+    let expected = evaluate_each(&mut sequential, &q, &scenarios);
     let mut sharded = PqeEngine::with_config(config);
     let got = sharded.evaluate_batch_sharded(&q, &scenarios, 3).unwrap();
 

@@ -166,7 +166,7 @@ fn round_trip_identity_all_272_functions_k_le_2() {
             let mut compiler = PqeEngine::new();
             let plan = compiler.plan(&q, &tid).expect("k <= 2 instances are small");
             if !plan.is_cacheable() {
-                // Extensional/brute-force plans produce no artifact;
+                // Brute-force plans produce no artifact;
                 // there is nothing to persist (and nothing the cache
                 // would ever look up).
                 assert!(matches!(plan, Plan::BruteForce));
