@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Golden-fixture drift detector.
 #
-# Regenerates the serialized-artifact fixtures into a scratch directory
-# and byte-compares them with the committed ones under tests/fixtures/.
-# A mismatch means the persistence format (or the compiler's
-# deterministic output) changed without the fixtures — and therefore the
-# format-version policy in DESIGN.md §5 — being updated.
+# Regenerates the byte fixtures into a scratch directory and
+# byte-compares them with the committed ones under tests/fixtures/: the
+# store artifacts and deltas (*.intx), the wire v3 request and reply
+# frames (*.frames), and the write-ahead log (*.wal). A mismatch means a
+# byte format (or the compiler's deterministic output) changed without
+# the fixtures — and therefore the format-version policy in DESIGN.md
+# §5 — being updated.
 #
 # Usage: bash scripts/check-fixtures.sh   (from the repo root; CI runs it)
 set -euo pipefail
@@ -19,7 +21,7 @@ cargo run --quiet --locked --example regen_fixtures -- "$scratch"
 
 status=0
 shopt -s nullglob
-committed=(tests/fixtures/*.intx)
+committed=(tests/fixtures/*)
 if [ "${#committed[@]}" -eq 0 ]; then
   echo "error: no committed fixtures under tests/fixtures/" >&2
   exit 1
@@ -36,7 +38,7 @@ for fixture in "${committed[@]}"; do
     status=1
   fi
 done
-for produced in "$scratch"/*.intx; do
+for produced in "$scratch"/*; do
   name="$(basename "$produced")"
   if [ ! -f "tests/fixtures/$name" ]; then
     echo "DRIFT: regenerator produced $name, which is not committed" >&2

@@ -12,14 +12,20 @@
 //! * malformed input of every flavor returns a typed `StoreError`
 //!   through the public API, and arbitrary byte mutations never panic
 //!   the loader (the byte-level corruption matrix lives with the codec
-//!   in `crates/engine/src/store.rs`).
+//!   in `crates/engine/src/store.rs`),
+//! * the committed wire v3 frames and WAL log decode and re-encode to
+//!   the committed bytes, so the formats that share the store's byte
+//!   codec are pinned too.
 
-use std::sync::OnceLock;
+use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 use intext::boolfn::{phi9, BoolFn};
-use intext::engine::{EngineConfig, Plan, PqeEngine, StoreError, FORMAT_VERSION, MAGIC};
+use intext::engine::fsio::{MemFs, StorageIo};
+use intext::engine::{EngineConfig, Plan, PqeEngine, StoreError, Wal, FORMAT_VERSION, MAGIC};
 use intext::numeric::BigRational;
 use intext::query::HQuery;
+use intext::serve::{net, wire};
 use intext::tid::{complete_database, random_tid, uniform_tid, Database, TupleId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -145,6 +151,89 @@ fn delta_fixtures_apply_to_a_warm_replica() {
         stats.patches_applied, 1,
         "the second delta patched the traced artifact in place"
     );
+}
+
+/// The payloads of a committed frame-stream fixture, in order — read
+/// back through the same frame reader the server uses.
+fn fixture_frames(name: &str) -> Vec<Vec<u8>> {
+    let bytes = fixture_bytes(name);
+    let mut stream = bytes.as_slice();
+    let mut frames = Vec::new();
+    while let Some(frame) = net::read_frame(&mut stream).unwrap() {
+        frames.push(frame);
+    }
+    frames
+}
+
+/// `payloads` as back-to-back length-prefixed frames.
+fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for payload in payloads {
+        net::write_frame(&mut bytes, payload).unwrap();
+    }
+    bytes
+}
+
+/// Golden wire fixtures: every committed request and reply frame
+/// decodes, and re-encoding the decoded value reproduces the committed
+/// bytes — a layout change made the same way in an encoder and its
+/// decoder fails here, where a round trip alone could not see it.
+#[test]
+fn wire_fixtures_decode_and_reencode_byte_identically() {
+    let requests = fixture_frames("wire_requests.frames");
+    let mut reencoded = Vec::new();
+    for frame in &requests {
+        let (id, request) = wire::decode_request(frame).unwrap();
+        reencoded.push(wire::encode_request(id, &request));
+    }
+    assert_eq!(framed(&reencoded), fixture_bytes("wire_requests.frames"));
+    let opcodes: Vec<u8> = requests.iter().map(|frame| frame[0]).collect();
+    assert_eq!(opcodes, (0x01..=0x07).collect::<Vec<u8>>());
+    // Byte 9 (after the opcode and the 8-byte id) is the query tag of
+    // the five query-carrying requests: both tags are pinned.
+    let tags: Vec<u8> = requests[..5].iter().map(|frame| frame[9]).collect();
+    assert_eq!(tags, [0, 1, 0, 1, 0]);
+
+    let replies = fixture_frames("wire_replies.frames");
+    let mut reencoded = Vec::new();
+    for frame in &replies {
+        let (id, reply) = wire::decode_reply(frame).unwrap();
+        reencoded.push(match &reply {
+            Ok(response) => wire::encode_response(id, response),
+            Err(err) => wire::encode_error(id, err),
+        });
+    }
+    assert_eq!(framed(&reencoded), fixture_bytes("wire_replies.frames"));
+    let opcodes: Vec<u8> = replies.iter().map(|frame| frame[0]).collect();
+    let mut expected: Vec<u8> = (0x81..=0x87).collect();
+    expected.extend([0xEE; 9]);
+    assert_eq!(opcodes, expected);
+    let codes: Vec<u8> = replies[7..].iter().map(|frame| frame[9]).collect();
+    assert_eq!(codes, (1..=9).collect::<Vec<u8>>());
+}
+
+/// Golden WAL fixture: the committed log replays cleanly to the two
+/// delta fixtures, and appending those deltas to an empty log writes
+/// the committed bytes back.
+#[test]
+fn wal_fixture_replays_and_reappends_byte_identically() {
+    let log = fixture_bytes("wal_deltas.wal");
+    let replay = Wal::scan(&log);
+    assert_eq!(replay.corruption, None);
+    let payloads: Vec<Vec<u8>> = replay.records.into_iter().map(|r| r.payload).collect();
+    assert_eq!(
+        payloads,
+        [
+            fixture_bytes("delta_remove.intx"),
+            fixture_bytes("delta_insert.intx")
+        ]
+    );
+    let mem = Arc::new(MemFs::new());
+    let wal = Wal::with_io("wal.log", mem.clone() as Arc<dyn StorageIo>);
+    for payload in &payloads {
+        wal.append(payload).unwrap();
+    }
+    assert_eq!(mem.read(Path::new("wal.log")).unwrap(), log);
 }
 
 /// Acceptance criterion: for all 272 functions with `k ≤ 2`, serialize →
