@@ -4,6 +4,7 @@
 //! shared immutably across shard workers and memory stays bounded.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intext_boolfn::BoolFn;
@@ -175,15 +176,22 @@ struct CacheSlot {
     /// reachability count, not a field read, and eviction scans recompute
     /// totals often.
     gates: usize,
-    /// Logical timestamp of the last `get` or `insert` touching this slot.
-    last_used: u64,
+    /// Logical timestamp of the last `get` or `insert` touching this
+    /// slot — atomic, so a lookup through `&self` can refresh it.
+    last_used: AtomicU64,
+}
+
+impl CacheSlot {
+    fn last_used(&self) -> u64 {
+        self.last_used.load(Ordering::Relaxed)
+    }
 }
 
 impl std::fmt::Debug for CacheSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheSlot")
             .field("gates", &self.gates)
-            .field("last_used", &self.last_used)
+            .field("last_used", &self.last_used())
             .finish_non_exhaustive()
     }
 }
@@ -210,13 +218,17 @@ impl std::fmt::Debug for CacheSlot {
 ///   one eviction) and — deliberately — does not evict anything else:
 ///   flushing hot entries for an artifact that cannot fit anyway would
 ///   be pure collateral damage.
+///
+/// Every method that can evict returns its eviction count, which the
+/// engine adds to `EngineStats::cache_evictions`.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     entries: HashMap<CacheKey, CacheSlot>,
     budget: Option<usize>,
     total_gates: usize,
-    clock: u64,
-    evictions: u64,
+    /// The logical clock recency timestamps are drawn from; atomic for
+    /// the same reason as [`CacheSlot::last_used`].
+    clock: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -228,14 +240,21 @@ impl ArtifactCache {
         }
     }
 
-    /// The artifact for `key`, bumping its recency, or `None` on a miss.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Artifact>> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(key).map(|slot| {
-            slot.last_used = clock;
-            Arc::clone(&slot.artifact)
-        })
+    /// The artifact for `key` to *use*, refreshing its recency, or
+    /// `None` on a miss. Takes `&self`: the refresh is an atomic store
+    /// from the atomic clock, so both preparers — the engine's write
+    /// path and the serve layer's read-locked probe
+    /// ([`PqeEngine::prepare_shared`](crate::PqeEngine::prepare_shared))
+    /// — rank a hit exactly as a sequential engine does, and a server
+    /// evicts what that engine would.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Artifact>> {
+        let slot = self.entries.get(key)?;
+        // Relaxed: a timestamp publishes no other data, and eviction
+        // reads the timestamps through `&mut self`, after the lock that
+        // hands it out has ordered every earlier lookup.
+        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        slot.last_used.fetch_max(now, Ordering::Relaxed);
+        Some(Arc::clone(&slot.artifact))
     }
 
     /// `true` iff `key` is cached, *without* bumping recency (used by
@@ -245,19 +264,8 @@ impl ArtifactCache {
     }
 
     /// The artifact for `key` *without* bumping recency — the read
-    /// serializers use, so exporting a snapshot never perturbs the
-    /// eviction order it records.
-    ///
-    /// This is also the probe behind
-    /// [`PqeEngine::prepare_shared`](crate::PqeEngine::prepare_shared),
-    /// which fixes the serve layer's **locking contract**: shared
-    /// (read-locked) probes never reorder the LRU, so recency is driven
-    /// only by exclusive-path traffic ([`get`](Self::get) /
-    /// [`insert`](Self::insert) under `&mut`). Concurrent readers
-    /// therefore agree on eviction order with a sequential engine that
-    /// saw only the exclusive-path accesses — the price is that a
-    /// read-served hit does not refresh its entry, which only matters
-    /// under a budget tight enough to evict between exclusive uses.
+    /// serializers and the patch step use, so exporting a snapshot
+    /// never perturbs the eviction order it records.
     pub fn peek(&self, key: &CacheKey) -> Option<&Arc<Artifact>> {
         self.entries.get(key).map(|slot| &slot.artifact)
     }
@@ -270,7 +278,7 @@ impl ArtifactCache {
     /// logical clock is also what makes snapshot bytes deterministic.
     pub fn entries_lru_order(&self) -> Vec<(&CacheKey, &Arc<Artifact>)> {
         let mut entries: Vec<_> = self.entries.iter().collect();
-        entries.sort_by_key(|(_, slot)| slot.last_used);
+        entries.sort_by_key(|(_, slot)| slot.last_used());
         entries
             .into_iter()
             .map(|(key, slot)| (key, &slot.artifact))
@@ -314,19 +322,19 @@ impl ArtifactCache {
 
     /// [`insert`](Self::insert) for an already-shared artifact.
     fn insert_arc(&mut self, key: CacheKey, artifact: Arc<Artifact>) -> (Arc<Artifact>, u64) {
-        self.clock += 1;
+        let clock = self.clock.get_mut();
+        *clock += 1;
         let gates = artifact.size();
         if self.budget.is_some_and(|budget| gates > budget) {
             // An artifact that can never fit is not retained at all —
             // and must not flush the (still hot) existing entries as
             // collateral on its way through. One eviction: itself.
-            self.evictions += 1;
             return (artifact, 1);
         }
         let slot = CacheSlot {
             artifact: Arc::clone(&artifact),
             gates,
-            last_used: self.clock,
+            last_used: AtomicU64::new(*clock),
         };
         if let Some(old) = self.entries.insert(key, slot) {
             // Same key compiled twice (only possible after an eviction
@@ -350,7 +358,7 @@ impl ArtifactCache {
             let Some(victim) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
+                .min_by_key(|(_, slot)| slot.last_used())
                 .map(|(key, _)| key.clone())
             else {
                 break;
@@ -359,7 +367,6 @@ impl ArtifactCache {
             self.total_gates -= slot.gates;
             evicted += 1;
         }
-        self.evictions += evicted;
         evicted
     }
 
@@ -389,12 +396,6 @@ impl ArtifactCache {
     /// budget.
     pub fn total_gates(&self) -> usize {
         self.total_gates
-    }
-
-    /// Lifetime count of budget evictions (manual [`clear`](Self::clear)
-    /// does not count).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Drops every entry (not counted as evictions).
@@ -473,10 +474,9 @@ mod tests {
         let mut cache = ArtifactCache::new(None);
         for domain in 1..=3 {
             let (key, artifact) = compiled(domain);
-            cache.insert(key, artifact);
+            assert_eq!(cache.insert(key, artifact).1, 0);
         }
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]
@@ -501,7 +501,6 @@ mod tests {
         assert!(!cache.contains(&key_b), "B was LRU and must go first");
         assert!(cache.contains(&key_c));
         assert!(cache.total_gates() <= budget);
-        assert_eq!(cache.evictions(), evicted);
         assert!(cache.get(&key_b).is_none(), "evicted ⟹ next access misses");
     }
 
@@ -544,12 +543,10 @@ mod tests {
         assert_eq!(evicted, 0, "exactly fitting budget evicts nothing");
         assert!(cache.set_budget(Some(total - 1)) >= 1);
         assert!(cache.total_gates() < total);
-        // Clearing empties the cache without counting as eviction.
-        let evictions_before = cache.evictions();
+        // Clearing empties the cache.
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.total_gates(), 0);
-        assert_eq!(cache.evictions(), evictions_before);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use intext_circuits::{EvalScratch, ProbMatrix, LANES};
-use intext_core::{classify, compile_dd, Region};
-use intext_lineage::{compile_degenerate_obdd, DegenerateLineage};
+use intext_core::{classify, Region};
+use intext_lineage::DegenerateLineage;
 use intext_numeric::BigRational;
 use intext_query::{
     dnf_clause_bound, ground_circuit, is_safe_ucq, lifted_probability, lifted_probability_f64,
@@ -24,7 +24,7 @@ use intext_tid::{Database, Relation, Tid, TidError, TupleDesc, TupleId};
 use crate::cache::{Artifact, ArtifactCache, CacheKey};
 use crate::sample::{SampleRun, SamplerArtifact};
 use crate::stats::duration_nanos;
-use crate::store::{self, StoreError, TupleUpdate};
+use crate::store::{self, ArtifactKind, StoreError, TupleUpdate};
 use crate::{
     BatchPlan, EngineStats, Estimate, Explanation, Plan, QueryStats, SamplerKind, SamplingConfig,
 };
@@ -90,75 +90,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// Step-by-step construction of an [`EngineConfig`], ending in a
-/// validated [`EngineConfigBuilder::build`] — the typed-error
-/// counterpart of writing the struct literal and hoping
-/// [`PqeEngine::with_config`] does not panic.
-///
-/// ```
-/// use intext_engine::{EngineConfig, ConfigError};
-///
-/// let config = EngineConfig::builder()
-///     .max_brute_force_tuples(16)
-///     .max_ground_tuples(32)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.max_brute_force_tuples, 16);
-///
-/// let err = EngineConfig::builder().max_brute_force_tuples(64).build().unwrap_err();
-/// assert_eq!(err, ConfigError::BruteForceBudgetTooLarge { requested: 64 });
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Sets [`EngineConfig::max_brute_force_tuples`].
-    pub fn max_brute_force_tuples(mut self, tuples: usize) -> Self {
-        self.config.max_brute_force_tuples = tuples;
-        self
-    }
-
-    /// Sets [`EngineConfig::cache_gate_budget`].
-    pub fn cache_gate_budget(mut self, budget: Option<usize>) -> Self {
-        self.config.cache_gate_budget = budget;
-        self
-    }
-
-    /// Enables sampling with [`EngineConfig::sampling`]`= Some(sampling)`.
-    pub fn sampling(mut self, sampling: SamplingConfig) -> Self {
-        self.config.sampling = Some(sampling);
-        self
-    }
-
-    /// Sets [`EngineConfig::max_ground_tuples`].
-    pub fn max_ground_tuples(mut self, tuples: usize) -> Self {
-        self.config.max_ground_tuples = tuples;
-        self
-    }
-
-    /// Validates and returns the configuration; every invalid knob
-    /// combination is a typed [`ConfigError`], never a panic.
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 impl EngineConfig {
-    /// Starts an [`EngineConfigBuilder`] from the defaults; chain the
-    /// setters and finish with the validating
-    /// [`build`](EngineConfigBuilder::build). The struct-literal style
-    /// (and [`PqeEngine::with_config`] /
-    /// [`PqeEngine::try_with_config`]) keeps working — the builder is
-    /// the path that can never construct an unvalidated config.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::default()
-    }
-
     /// Validates the configuration — the check
-    /// [`PqeEngine::try_with_config`] runs before accepting it.
+    /// [`PqeEngine::try_with_config`] runs before accepting it. Every
+    /// invalid knob is a typed [`ConfigError`], never a panic.
     ///
     /// * `max_brute_force_tuples` must be ≤ 63: brute force enumerates
     ///   worlds as a `u64` bitmask, so 64+ would silently promise worlds
@@ -399,12 +334,12 @@ impl Recipe {
     fn compile(&self, db: &Database) -> Artifact {
         match self {
             Recipe::Obdd(q) => Artifact::Obdd(
-                compile_degenerate_obdd(q.phi(), db)
+                intext_lineage::compile_degenerate_obdd(q.phi(), db)
                     .expect("planner guarantees a degenerate φ on a matching vocabulary"),
             ),
-            Recipe::Dd(q) => {
-                Artifact::Dd(compile_dd(q.phi(), db).expect("planner guarantees e(φ) = 0"))
-            }
+            Recipe::Dd(q) => Artifact::Dd(
+                intext_core::compile_dd(q.phi(), db).expect("planner guarantees e(φ) = 0"),
+            ),
             Recipe::Ground { expr, .. } => {
                 let (manager, root) = ground_circuit(expr, db);
                 // Split 0 and no unroll trace: a ground artifact walks
@@ -1134,57 +1069,41 @@ impl PqeEngine {
                 new_db.remove(TupleId(*id)).map_err(StoreError::BadTuple)?;
             }
         }
-        let region = classify(&phi);
-        // The engine only ever compiles the two cacheable regions; a
-        // delta for any other φ is one no engine could have exported.
-        let kind = match region {
-            Region::DegenerateObdd => store::ArtifactKind::Obdd,
-            Region::ZeroEulerDD => store::ArtifactKind::Dd,
+        // The engine only ever compiles the two cacheable regions, on a
+        // matching vocabulary; a delta for anything else is one no
+        // engine could have exported.
+        let q = Arc::new(HQuery::new(phi));
+        let region = classify(q.phi());
+        let (kind, recipe) = match region {
+            Region::DegenerateObdd => (ArtifactKind::Obdd, Recipe::Obdd(Arc::clone(&q))),
+            Region::ZeroEulerDD => (ArtifactKind::Dd, Recipe::Dd(Arc::clone(&q))),
             _ => {
-                return Err(StoreError::PlanMismatch {
-                    kind: store::ArtifactKind::Obdd,
-                    region,
-                })
+                let kind = ArtifactKind::Obdd;
+                return Err(StoreError::PlanMismatch { kind, region });
             }
         };
-        let old_key = CacheKey::new(&phi, &old_db);
-        let new_key = CacheKey::new(&phi, &new_db);
-        let started = Instant::now();
-        let patched = self
-            .cache
-            .peek(&old_key)
-            .and_then(|artifact| Self::patch_artifact(artifact, &old_db, &new_db));
-        let (handle, evicted) = match patched {
-            Some(artifact) => {
-                let (handle, evicted) = self.cache.patch(&old_key, new_key, Arc::new(artifact));
-                self.stats.patches_applied += 1;
-                self.stats.full_recompiles_avoided += 1;
-                self.stats.patch_nanos += duration_nanos(started.elapsed());
-                (handle, evicted)
-            }
+        if q.k() != new_db.k() {
+            return Err(StoreError::PlanMismatch { kind, region });
+        }
+        let old_key = recipe.cache_key(&old_db);
+        let (handle, evicted) = match self.patch_step(&old_key, &old_db, &new_db) {
+            Some(patched) => patched,
             None => {
                 // Cold replica (or an unpatchable resident): compile the
-                // post-update artifact from scratch by φ's region. The
-                // superseded pre-update artifact — resident but
-                // unpatchable, e.g. deserialized without its unroll
-                // trace — is evicted by the same `patch` rekeying the
-                // incremental path uses: the delta says that shape no
-                // longer exists, so a recovered replica converges to
-                // the same cache contents as the patched source.
-                let artifact = match kind {
-                    store::ArtifactKind::Obdd => Artifact::Obdd(
-                        compile_degenerate_obdd(&phi, &new_db)
-                            .map_err(|_| StoreError::PlanMismatch { kind, region })?,
-                    ),
-                    store::ArtifactKind::Dd => Artifact::Dd(
-                        compile_dd(&phi, &new_db)
-                            .map_err(|_| StoreError::PlanMismatch { kind, region })?,
-                    ),
-                };
-                self.cache.patch(&old_key, new_key, Arc::new(artifact))
+                // post-update artifact from scratch. The superseded
+                // pre-update artifact — resident but unpatchable, e.g.
+                // deserialized without its unroll trace — is evicted by
+                // the same `patch` rekeying the incremental path uses:
+                // the delta says that shape no longer exists, so a
+                // recovered replica converges to the same cache contents
+                // as the patched source.
+                let new_key = recipe.cache_key(&new_db);
+                let compiled = Arc::new(recipe.compile(&new_db));
+                let (handle, evicted) = self.cache.patch(&old_key, new_key, compiled);
+                self.stats.cache_evictions += evicted;
+                (handle, evicted)
             }
         };
-        self.stats.cache_evictions += evicted;
         self.stats.artifact_loads += 1;
         Ok(LoadReport {
             artifacts: 1,
@@ -1203,32 +1122,44 @@ impl PqeEngine {
             && db.iter().zip(key.tuples()).all(|((_, t), &kt)| t == kt)
     }
 
-    /// The incremental patch of one artifact across `old_db → new_db`,
-    /// or `None` when it cannot be patched (no unroll trace, more than
-    /// one slot changed, shape parameters differ).
-    fn patch_artifact(
-        artifact: &Artifact,
+    /// The one patch step: incrementally patches the artifact cached
+    /// under `old_key` across `old_db → new_db` and re-keys it under the
+    /// post-update [`CacheKey`], counting
+    /// [`EngineStats::patches_applied`] / [`EngineStats::patch_nanos`] /
+    /// [`EngineStats::full_recompiles_avoided`] and any evictions.
+    /// Returns the patched artifact and the eviction count, or `None`
+    /// when nothing resident can be patched (no unroll trace, more than
+    /// one slot changed, shape parameters differ) — the cache is then
+    /// untouched.
+    fn patch_step(
+        &mut self,
+        old_key: &CacheKey,
         old_db: &Database,
         new_db: &Database,
-    ) -> Option<Artifact> {
-        match artifact {
-            Artifact::Obdd(lin) => lin.patched(old_db, new_db).map(Artifact::Obdd),
-            Artifact::Dd(dd) => dd.patched(old_db, new_db).map(Artifact::Dd),
-        }
+    ) -> Option<(Arc<Artifact>, u64)> {
+        let started = Instant::now();
+        let patched = match &**self.cache.peek(old_key)? {
+            Artifact::Obdd(lin) => Artifact::Obdd(lin.patched(old_db, new_db)?),
+            Artifact::Dd(dd) => Artifact::Dd(dd.patched(old_db, new_db)?),
+        };
+        let new_key = CacheKey::new(old_key.phi(), new_db);
+        let (handle, evicted) = self.cache.patch(old_key, new_key, Arc::new(patched));
+        self.stats.cache_evictions += evicted;
+        self.stats.patches_applied += 1;
+        self.stats.full_recompiles_avoided += 1;
+        self.stats.patch_nanos += duration_nanos(started.elapsed());
+        Some((handle, evicted))
     }
 
     /// Patches every cached artifact keyed to `old_db`'s shape over to
-    /// `new_db`'s, re-keying it under the post-update [`CacheKey`] and
-    /// counting [`EngineStats::patches_applied`] /
-    /// [`EngineStats::patch_nanos`] /
-    /// [`EngineStats::full_recompiles_avoided`]. Unpatchable artifacts
-    /// stay under their old key: their key still truthfully names the
-    /// shape they were compiled for, so they are merely idle (and age
-    /// out of the LRU), never wrong.
+    /// `new_db`'s through the [`patch_step`](Self::patch_step).
+    /// Unpatchable artifacts stay under their old key: their key still
+    /// truthfully names the shape they were compiled for, so they are
+    /// merely idle (and age out of the LRU), never wrong.
     fn patch_all_artifacts(&mut self, old_db: &Database, new_db: &Database) {
         // Ground artifacts are excluded up front: they carry no unroll
-        // trace (never patchable), and re-keying below derives the new
-        // key from `φ`, which a ground key does not have.
+        // trace (never patchable), and re-keying derives the new key
+        // from `φ`, which a ground key does not have.
         let affected: Vec<CacheKey> = self
             .cache
             .keys()
@@ -1236,20 +1167,7 @@ impl PqeEngine {
             .cloned()
             .collect();
         for old_key in affected {
-            let started = Instant::now();
-            let Some(patched) = self
-                .cache
-                .peek(&old_key)
-                .and_then(|artifact| Self::patch_artifact(artifact, old_db, new_db))
-            else {
-                continue;
-            };
-            let new_key = CacheKey::new(old_key.phi(), new_db);
-            let (_, evicted) = self.cache.patch(&old_key, new_key, Arc::new(patched));
-            self.stats.cache_evictions += evicted;
-            self.stats.patches_applied += 1;
-            self.stats.full_recompiles_avoided += 1;
-            self.stats.patch_nanos += duration_nanos(started.elapsed());
+            self.patch_step(&old_key, old_db, new_db);
         }
     }
 
@@ -1541,16 +1459,17 @@ impl PqeEngine {
         prepared
     }
 
-    /// The read path: prepares planned `run` of `tids` **without
-    /// mutating anything** — artifact plans only
-    /// [`peek`](ArtifactCache::peek) the cache (no compile, no LRU
-    /// bump). `None` when the artifact is cold: escalate to
-    /// [`prepare_run`](Self::prepare_run), which re-probes, so two
-    /// racing readers cost one compile.
+    /// The read path: prepares planned `run` of `tids` through `&self`
+    /// — artifact plans only look the cache up
+    /// ([`get`](ArtifactCache::get): no compile, and a hit refreshes
+    /// its LRU recency exactly as [`prepare_run`](Self::prepare_run)'s
+    /// does). `None` when the artifact is cold: escalate to
+    /// `prepare_run`, which re-probes, so two racing readers cost one
+    /// compile.
     pub fn prepare_shared(&self, run: &PlannedRun, tids: &[Tid]) -> Option<PreparedQuery> {
         PreparedQuery::prepare(run, tids, |recipe, db| {
-            let artifact = self.cache.peek(&recipe.cache_key(db)).ok_or(())?;
-            Ok::<_, ()>((Arc::clone(artifact), None))
+            let artifact = self.cache.get(&recipe.cache_key(db)).ok_or(())?;
+            Ok::<_, ()>((artifact, None))
         })
         .ok()
     }
@@ -2350,11 +2269,11 @@ mod tests {
 
     #[test]
     fn grounding_budget_is_enforced() {
-        let config = EngineConfig::builder()
-            .max_ground_tuples(4)
-            .build()
-            .unwrap();
-        let mut engine = PqeEngine::with_config(config);
+        let config = EngineConfig {
+            max_ground_tuples: 4,
+            ..EngineConfig::default()
+        };
+        let mut engine = PqeEngine::try_with_config(config).unwrap();
         let q = Query::parse("R(x),S1(x,y),T(y)", &Vocabulary::h(1)).unwrap();
         let tid = k1_tid(); // 7 tuples > budget 4
         let expected = EngineError::GroundingTooLarge {
@@ -2413,23 +2332,25 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_every_knob_and_validates() {
-        let cfg = EngineConfig::builder()
-            .max_brute_force_tuples(12)
-            .cache_gate_budget(Some(1000))
-            .max_ground_tuples(10)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.max_brute_force_tuples, 12);
-        assert_eq!(cfg.cache_gate_budget, Some(1000));
-        assert_eq!(cfg.max_ground_tuples, 10);
-        let bad = EngineConfig::builder()
-            .sampling(SamplingConfig {
+    fn config_literals_keep_every_knob_and_validate() {
+        let cfg = EngineConfig {
+            max_brute_force_tuples: 12,
+            cache_gate_budget: Some(1000),
+            max_ground_tuples: 10,
+            ..EngineConfig::default()
+        };
+        let engine = PqeEngine::try_with_config(cfg).unwrap();
+        assert_eq!(engine.config().max_brute_force_tuples, 12);
+        assert_eq!(engine.config().cache_gate_budget, Some(1000));
+        assert_eq!(engine.config().max_ground_tuples, 10);
+        let bad = EngineConfig {
+            sampling: Some(SamplingConfig {
                 eps: 0.0,
                 ..SamplingConfig::default()
-            })
-            .build();
-        assert_eq!(bad.unwrap_err(), ConfigError::InvalidEps { eps: 0.0 });
+            }),
+            ..EngineConfig::default()
+        };
+        assert_eq!(bad.validate(), Err(ConfigError::InvalidEps { eps: 0.0 }));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!    consecutive same-shape scenarios is planned once, before anything
 //!    is fetched or compiled; [`PqeEngine::explain`] narrates a plan.
 //! 2. **Prepare** — each run fetches or builds its shared state once
-//!    ([`PqeEngine::prepare_run`], or the read-only probe
-//!    [`PqeEngine::prepare_shared`]). Compiled artifacts (OBDD or d-D
+//!    ([`PqeEngine::prepare_run`], or the `&self` probe
+//!    [`PqeEngine::prepare_shared`], whose hits refresh LRU recency
+//!    exactly like the write path's). Compiled artifacts (OBDD or d-D
 //!    circuit) are keyed by `(φ's canonical truth table, database
 //!    shape)` and *not* by tuple probabilities, so re-evaluating under
 //!    new probabilities is one linear circuit walk instead of a
@@ -67,8 +68,14 @@
 //! at all, and [`PqeEngine::export_delta`] / [`PqeEngine::apply_delta`]
 //! ship one update to replicas as a versioned [`store`] delta blob —
 //! patched artifacts are bit-identical to fresh compiles, so replicas
-//! can never drift. `DESIGN.md` §9 has the patch algorithm and the
-//! per-artifact soundness argument; E23 measures patch vs recompile.
+//! can never drift. Live updates and deltas share one patch step.
+//! `DESIGN.md` §9 has the patch algorithm and the per-artifact
+//! soundness argument; E23 measures patch vs recompile.
+//!
+//! Every binary format — [`store`] blobs, [`wal`] records, and the
+//! serve crate's wire frames — reads and writes through one
+//! little-endian [`codec`], which owns the tuple encoding, the FNV-1a
+//! checksum and the 64 MiB frame bound (`DESIGN.md` §5).
 //!
 //! `DESIGN.md` (repo root) has the routing diagram, the cache-key
 //! rationale, the concurrency & memory model, the evaluation-kernel
@@ -105,6 +112,7 @@
 #![deny(missing_docs)]
 
 mod cache;
+pub mod codec;
 mod engine;
 pub mod fsio;
 mod plan;
@@ -116,8 +124,8 @@ pub mod wal;
 
 pub use cache::{Artifact, ArtifactCache, CacheKey};
 pub use engine::{
-    ConfigError, EngineConfig, EngineConfigBuilder, EngineError, LaneScratch, LoadReport,
-    PlannedRun, PqeEngine, PreparedBatch, PreparedQuery,
+    ConfigError, EngineConfig, EngineError, LaneScratch, LoadReport, PlannedRun, PqeEngine,
+    PreparedBatch, PreparedQuery,
 };
 pub use intext_query::Query;
 pub use plan::{BatchPlan, Explanation, Plan};

@@ -108,9 +108,9 @@ pub struct EngineStats {
     /// path made countable (`DESIGN.md` §12).
     pub recovery_quarantines: u64,
     /// Poisoned locks the serve layer recovered instead of propagating:
-    /// a worker panicked while holding the engine rw-lock, an admission
-    /// queue mutex, or a response slot, and the next caller took the
-    /// lock anyway (the engine's invariants hold under panic — see
+    /// a worker panicked while holding the engine rw-lock or an
+    /// admission queue mutex, and the next caller took the lock anyway
+    /// (the engine's invariants hold under panic — see
     /// `crates/serve/src/shared.rs`). Zero in a healthy server; the
     /// panic-injection test pins the counter's plumbing.
     pub lock_poisonings_recovered: u64,
@@ -328,30 +328,55 @@ impl EngineStats {
     /// add, and `other`'s most-recent records win when present (callers
     /// merge shards in order, so "most recent" stays the last scenario
     /// of the last shard — the same query a sequential run would report).
+    ///
+    /// `other` is destructured field by field, so a counter added to
+    /// the struct does not compile until it is merged here.
     pub fn merge(&mut self, other: &EngineStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.artifact_loads += other.artifact_loads;
-        self.samples_drawn += other.samples_drawn;
-        self.sample_nanos += other.sample_nanos;
-        self.lane_kernel_calls += other.lane_kernel_calls;
-        self.compile_time += other.compile_time;
-        self.eval_time += other.eval_time;
-        self.walk_nanos += other.walk_nanos;
-        self.patches_applied += other.patches_applied;
-        self.patch_nanos += other.patch_nanos;
-        self.full_recompiles_avoided += other.full_recompiles_avoided;
-        self.wal_records_applied += other.wal_records_applied;
-        self.recovery_quarantines += other.recovery_quarantines;
-        self.lock_poisonings_recovered += other.lock_poisonings_recovered;
-        self.route_latency.merge(&other.route_latency);
-        if other.last.is_some() {
-            self.last = other.last;
+        let EngineStats {
+            queries,
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            artifact_loads,
+            samples_drawn,
+            sample_nanos,
+            lane_kernel_calls,
+            compile_time,
+            eval_time,
+            walk_nanos,
+            patches_applied,
+            patch_nanos,
+            full_recompiles_avoided,
+            wal_records_applied,
+            recovery_quarantines,
+            lock_poisonings_recovered,
+            route_latency,
+            last,
+            last_batch,
+        } = other;
+        self.queries += queries;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.cache_evictions += cache_evictions;
+        self.artifact_loads += artifact_loads;
+        self.samples_drawn += samples_drawn;
+        self.sample_nanos += sample_nanos;
+        self.lane_kernel_calls += lane_kernel_calls;
+        self.compile_time += *compile_time;
+        self.eval_time += *eval_time;
+        self.walk_nanos += walk_nanos;
+        self.patches_applied += patches_applied;
+        self.patch_nanos += patch_nanos;
+        self.full_recompiles_avoided += full_recompiles_avoided;
+        self.wal_records_applied += wal_records_applied;
+        self.recovery_quarantines += recovery_quarantines;
+        self.lock_poisonings_recovered += lock_poisonings_recovered;
+        self.route_latency.merge(route_latency);
+        if last.is_some() {
+            self.last = *last;
         }
-        if other.last_batch.is_some() {
-            self.last_batch = other.last_batch;
+        if last_batch.is_some() {
+            self.last_batch = *last_batch;
         }
     }
 }

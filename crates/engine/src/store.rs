@@ -95,6 +95,7 @@ use intext_lineage::DegenerateLineage;
 use intext_tid::{Database, DatabaseError, TupleDesc};
 
 use crate::cache::{Artifact, CacheKey};
+use crate::codec::{fnv1a, CodecError, Reader, Writer};
 
 /// The 8-byte magic every store file starts with.
 pub const MAGIC: [u8; 8] = *b"INTXSTOR";
@@ -112,15 +113,6 @@ pub enum ArtifactKind {
     Obdd,
     /// Theorem 5.2's deterministic decomposable circuit (zero-Euler `φ`).
     Dd,
-}
-
-impl ArtifactKind {
-    fn tag(self) -> u8 {
-        match self {
-            ArtifactKind::Obdd => KIND_OBDD,
-            ArtifactKind::Dd => KIND_DD,
-        }
-    }
 }
 
 impl fmt::Display for ArtifactKind {
@@ -304,86 +296,46 @@ impl From<CircuitError> for StoreError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — dependency-free corruption detection.
-/// Not cryptographic: the checksum guards against bit rot and truncation,
-/// not against an adversary forging a semantically wrong circuit (no
-/// checksum could; see `DESIGN.md` §5 on the trust model).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => StoreError::Truncated,
+            CodecError::BadTupleTag(tag) => StoreError::BadTupleTag(tag),
+        }
     }
-    h
 }
 
 // ---------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------
 
-struct Writer {
-    bytes: Vec<u8>,
+/// A blob's header: magic, version, kind.
+fn header(kind: u8) -> Writer {
+    let mut w = Writer::default();
+    w.raw(&MAGIC);
+    w.u16(FORMAT_VERSION);
+    w.u8(kind);
+    w
 }
 
-impl Writer {
-    fn with_header(kind: u8) -> Writer {
-        let mut w = Writer { bytes: Vec::new() };
-        w.bytes.extend_from_slice(&MAGIC);
-        w.u16(FORMAT_VERSION);
-        w.u8(kind);
-        w
-    }
+/// Appends the trailing checksum and yields the finished blob.
+fn seal(mut w: Writer) -> Vec<u8> {
+    w.u64(fnv1a(w.as_slice()));
+    w.into_bytes()
+}
 
-    fn u8(&mut self, v: u8) {
-        self.bytes.push(v);
+/// Appends the key section: `φ`, then the database shape.
+fn put_key(w: &mut Writer, key: &CacheKey) {
+    let phi = key.phi();
+    w.u8(phi.num_vars());
+    for &word in phi.words() {
+        w.u64(word);
     }
-
-    fn u16(&mut self, v: u16) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends the trailing checksum and yields the finished blob.
-    fn seal(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.bytes);
-        self.u64(checksum);
-        self.bytes
-    }
-
-    fn key(&mut self, key: &CacheKey) {
-        let phi = key.phi();
-        self.u8(phi.num_vars());
-        for &word in phi.words() {
-            self.u64(word);
-        }
-        self.u8(key.k());
-        self.u32(key.domain_size());
-        self.u32(key.tuples().len() as u32);
-        for &tuple in key.tuples() {
-            match tuple {
-                TupleDesc::R(a) => {
-                    self.u8(0);
-                    self.u32(a);
-                }
-                TupleDesc::S(i, a, b) => {
-                    self.u8(1);
-                    self.u8(i);
-                    self.u32(a);
-                    self.u32(b);
-                }
-                TupleDesc::T(b) => {
-                    self.u8(2);
-                    self.u32(b);
-                }
-            }
-        }
+    w.u8(key.k());
+    w.u32(key.domain_size());
+    w.u32(key.tuples().len() as u32);
+    for &tuple in key.tuples() {
+        w.tuple(tuple);
     }
 }
 
@@ -436,12 +388,11 @@ fn canonical_obdd(manager: &ObddManager, root: NodeRef) -> (Vec<(u32, u32, u32)>
 
 /// Serializes one artifact under its cache key into a standalone blob.
 pub(crate) fn encode_artifact(key: &CacheKey, artifact: &Artifact) -> Vec<u8> {
-    let kind = match artifact {
-        Artifact::Obdd(_) => ArtifactKind::Obdd,
-        Artifact::Dd(_) => ArtifactKind::Dd,
-    };
-    let mut w = Writer::with_header(kind.tag());
-    w.key(key);
+    let mut w = header(match artifact {
+        Artifact::Obdd(_) => KIND_OBDD,
+        Artifact::Dd(_) => KIND_DD,
+    });
+    put_key(&mut w, key);
     match artifact {
         Artifact::Obdd(lin) => {
             w.u8(lin.split);
@@ -486,136 +437,90 @@ pub(crate) fn encode_artifact(key: &CacheKey, artifact: &Artifact) -> Vec<u8> {
             w.u32(dd.root.0);
         }
     }
-    w.seal()
+    seal(w)
 }
 
 /// Serializes a live tuple update against its pre-update key into a
 /// delta blob.
 pub(crate) fn encode_delta(key: &CacheKey, update: &TupleUpdate) -> Vec<u8> {
-    let mut w = Writer::with_header(KIND_DELTA);
-    w.key(key);
+    let mut w = header(KIND_DELTA);
+    put_key(&mut w, key);
     match update {
         TupleUpdate::Insert { desc } => {
             w.u8(0);
-            match *desc {
-                TupleDesc::R(a) => {
-                    w.u8(0);
-                    w.u32(a);
-                }
-                TupleDesc::S(i, a, b) => {
-                    w.u8(1);
-                    w.u8(i);
-                    w.u32(a);
-                    w.u32(b);
-                }
-                TupleDesc::T(b) => {
-                    w.u8(2);
-                    w.u32(b);
-                }
-            }
+            w.tuple(*desc);
         }
         TupleUpdate::Remove { id } => {
             w.u8(1);
             w.u32(*id);
         }
     }
-    w.seal()
+    seal(w)
 }
 
 /// Serializes a cache snapshot (entries already in ascending last-used
 /// order) into a bundle blob.
 pub(crate) fn encode_bundle(entries: &[(&CacheKey, &Arc<Artifact>)]) -> Vec<u8> {
-    let mut w = Writer::with_header(KIND_BUNDLE);
+    let mut w = header(KIND_BUNDLE);
     w.u32(entries.len() as u32);
     for (key, artifact) in entries {
         let blob = encode_artifact(key, artifact);
         w.u64(blob.len() as u64);
-        w.bytes.extend_from_slice(&blob);
+        w.raw(&blob);
     }
-    w.seal()
+    seal(w)
 }
 
 // ---------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------
 
-/// Cursor over the checksummed content of a blob (checksum already
-/// verified and excluded). Every read is bounds-checked and returns
-/// [`StoreError::Truncated`] past the end — the backbone of totality.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self.pos.checked_add(n).ok_or(StoreError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(StoreError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn done(&self) -> Result<(), StoreError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StoreError::TrailingBytes {
-                extra: self.remaining(),
-            })
-        }
+/// The container a kind byte names, as [`StoreError::WrongContainer`]
+/// reports it.
+fn container(kind: u8) -> Result<&'static str, StoreError> {
+    match kind {
+        KIND_OBDD | KIND_DD => Ok("artifact"),
+        KIND_BUNDLE => Ok("cache bundle"),
+        KIND_DELTA => Ok("update delta"),
+        other => Err(StoreError::BadKind(other)),
     }
 }
 
-/// Verifies magic, version and trailing checksum; returns the kind byte
-/// and a reader over the content between the header and the checksum.
-fn open(bytes: &[u8]) -> Result<(u8, Reader<'_>), StoreError> {
+/// Verifies magic, version, trailing checksum and that the kind byte
+/// names the `expected` container; returns the kind byte and a reader
+/// over the content between the header and the checksum.
+fn open<'a>(bytes: &'a [u8], expected: &'static str) -> Result<(u8, Reader<'a>), StoreError> {
     if bytes.len() < MIN_LEN {
         return Err(StoreError::Truncated);
     }
-    if bytes[..8] != MAGIC {
+    let (content, stored) = bytes.split_at(bytes.len() - 8);
+    let mut r = Reader::new(content);
+    if r.take(8)? != MAGIC {
         return Err(StoreError::BadMagic);
     }
-    let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
+    let version = r.u16()?;
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
-    let content = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
+    let stored = Reader::new(stored).u64()?;
     let computed = fnv1a(content);
     if stored != computed {
         return Err(StoreError::ChecksumMismatch { stored, computed });
     }
-    let kind = bytes[10];
-    Ok((
-        kind,
-        Reader {
-            bytes: content,
-            pos: 11,
-        },
-    ))
+    let kind = r.u8()?;
+    let got = container(kind)?;
+    if got != expected {
+        return Err(StoreError::WrongContainer { expected, got });
+    }
+    Ok((kind, r))
+}
+
+/// Rejects bytes left between the end of the body and the checksum.
+fn done(r: &Reader<'_>) -> Result<(), StoreError> {
+    match r.remaining() {
+        0 => Ok(()),
+        extra => Err(StoreError::TrailingBytes { extra }),
+    }
 }
 
 /// Reads and revalidates the cache-key material: the truth table must be
@@ -641,37 +546,29 @@ fn read_key(r: &mut Reader<'_>) -> Result<(BoolFn, Database), StoreError> {
     let mut db = Database::new(k, domain_size);
     let tuple_count = r.u32()?;
     for _ in 0..tuple_count {
-        let tuple = match r.u8()? {
-            0 => TupleDesc::R(r.u32()?),
-            1 => TupleDesc::S(r.u8()?, r.u32()?, r.u32()?),
-            2 => TupleDesc::T(r.u32()?),
-            tag => return Err(StoreError::BadTupleTag(tag)),
-        };
-        db.insert(tuple).map_err(StoreError::BadTuple)?;
+        db.insert(r.tuple()?).map_err(StoreError::BadTuple)?;
     }
     Ok((phi, db))
+}
+
+/// `var`, if it is a tuple id of `db`'s shape.
+fn tuple_var(var: u32, db: &Database) -> Result<u32, StoreError> {
+    let tuples = db.len();
+    if (var as usize) < tuples {
+        Ok(var)
+    } else {
+        Err(StoreError::ForeignVariable { var, tuples })
+    }
 }
 
 /// Decodes and fully validates a standalone artifact blob, yielding the
 /// recomputed cache key and the reconstructed artifact.
 pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<(CacheKey, Artifact), StoreError> {
-    let (kind, mut r) = open(bytes)?;
-    let kind = match kind {
-        KIND_OBDD => ArtifactKind::Obdd,
-        KIND_DD => ArtifactKind::Dd,
-        KIND_BUNDLE => {
-            return Err(StoreError::WrongContainer {
-                expected: "artifact",
-                got: "cache bundle",
-            })
-        }
-        KIND_DELTA => {
-            return Err(StoreError::WrongContainer {
-                expected: "artifact",
-                got: "update delta",
-            })
-        }
-        other => return Err(StoreError::BadKind(other)),
+    let (kind, mut r) = open(bytes, "artifact")?;
+    let kind = if kind == KIND_OBDD {
+        ArtifactKind::Obdd
+    } else {
+        ArtifactKind::Dd
     };
     let (phi, db) = read_key(&mut r)?;
     // Kind-vs-plan revalidation: the engine compiles an OBDD exactly for
@@ -692,14 +589,7 @@ pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<(CacheKey, Artifact), Stor
             let order_len = r.u32()? as usize;
             let mut order = Vec::with_capacity(order_len.min(r.remaining() / 4));
             for _ in 0..order_len {
-                let var = r.u32()?;
-                if var as usize >= db.len() {
-                    return Err(StoreError::ForeignVariable {
-                        var,
-                        tuples: db.len(),
-                    });
-                }
-                order.push(var);
+                order.push(tuple_var(r.u32()?, &db)?);
             }
             let node_count = r.u32()? as usize;
             let mut entries = Vec::with_capacity(node_count.min(r.remaining() / 12));
@@ -734,16 +624,7 @@ pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<(CacheKey, Artifact), Stor
                 let gate = match r.u8()? {
                     0 => Gate::Const(false),
                     1 => Gate::Const(true),
-                    2 => {
-                        let var = r.u32()?;
-                        if var as usize >= db.len() {
-                            return Err(StoreError::ForeignVariable {
-                                var,
-                                tuples: db.len(),
-                            });
-                        }
-                        Gate::Var(var)
-                    }
+                    2 => Gate::Var(tuple_var(r.u32()?, &db)?),
                     tag @ (3 | 4) => {
                         let fanin = r.u32()? as usize;
                         let mut inputs = Vec::with_capacity(fanin.min(r.remaining() / 4));
@@ -782,7 +663,7 @@ pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<(CacheKey, Artifact), Stor
             })
         }
     };
-    r.done()?;
+    done(&r)?;
     let key = CacheKey::new(&phi, &db);
     Ok((key, artifact))
 }
@@ -793,38 +674,14 @@ pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<(CacheKey, Artifact), Stor
 /// shape (duplicate insert, unknown remove id) is checked when it is
 /// applied, because that is a property of the pairing, not of the bytes.
 pub(crate) fn decode_delta(bytes: &[u8]) -> Result<(BoolFn, Database, TupleUpdate), StoreError> {
-    let (kind, mut r) = open(bytes)?;
-    match kind {
-        KIND_DELTA => {}
-        KIND_OBDD | KIND_DD => {
-            return Err(StoreError::WrongContainer {
-                expected: "update delta",
-                got: "artifact",
-            })
-        }
-        KIND_BUNDLE => {
-            return Err(StoreError::WrongContainer {
-                expected: "update delta",
-                got: "cache bundle",
-            })
-        }
-        other => return Err(StoreError::BadKind(other)),
-    }
+    let (_, mut r) = open(bytes, "update delta")?;
     let (phi, db) = read_key(&mut r)?;
     let update = match r.u8()? {
-        0 => {
-            let desc = match r.u8()? {
-                0 => TupleDesc::R(r.u32()?),
-                1 => TupleDesc::S(r.u8()?, r.u32()?, r.u32()?),
-                2 => TupleDesc::T(r.u32()?),
-                tag => return Err(StoreError::BadTupleTag(tag)),
-            };
-            TupleUpdate::Insert { desc }
-        }
+        0 => TupleUpdate::Insert { desc: r.tuple()? },
         1 => TupleUpdate::Remove { id: r.u32()? },
         op => return Err(StoreError::BadDeltaOp(op)),
     };
-    r.done()?;
+    done(&r)?;
     Ok((phi, db, update))
 }
 
@@ -832,23 +689,7 @@ pub(crate) fn decode_delta(bytes: &[u8]) -> Result<(BoolFn, Database, TupleUpdat
 /// last-used) order. All-or-nothing: the first malformed entry rejects
 /// the whole bundle, so a warm start never half-populates the cache.
 pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Vec<(CacheKey, Artifact)>, StoreError> {
-    let (kind, mut r) = open(bytes)?;
-    match kind {
-        KIND_BUNDLE => {}
-        KIND_OBDD | KIND_DD => {
-            return Err(StoreError::WrongContainer {
-                expected: "cache bundle",
-                got: "artifact",
-            })
-        }
-        KIND_DELTA => {
-            return Err(StoreError::WrongContainer {
-                expected: "cache bundle",
-                got: "update delta",
-            })
-        }
-        other => return Err(StoreError::BadKind(other)),
-    }
+    let (_, mut r) = open(bytes, "cache bundle")?;
     let count = r.u32()? as usize;
     let mut artifacts = Vec::with_capacity(count.min(r.remaining() / MIN_LEN));
     for _ in 0..count {
@@ -856,7 +697,7 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Vec<(CacheKey, Artifact)>, S
         let blob = r.take(len)?;
         artifacts.push(decode_artifact(blob)?);
     }
-    r.done()?;
+    done(&r)?;
     Ok(artifacts)
 }
 
@@ -1015,10 +856,10 @@ mod tests {
     /// decoder's structural validation (not the checksum) is what
     /// rejects it.
     fn blob(kind: u8, phi: &BoolFn, db: &Database, body: &[u8]) -> Vec<u8> {
-        let mut w = Writer::with_header(kind);
-        w.key(&CacheKey::new(phi, db));
-        w.bytes.extend_from_slice(body);
-        w.seal()
+        let mut w = header(kind);
+        put_key(&mut w, &CacheKey::new(phi, db));
+        w.raw(body);
+        seal(w)
     }
 
     /// Degenerate φ on a tiny shape (for OBDD-kind bodies).
@@ -1047,20 +888,20 @@ mod tests {
 
         // φ.n = 0 and n > MAX_VARS: invalid truth table.
         for n in [0u8, intext_boolfn::MAX_VARS + 1] {
-            let mut w = Writer::with_header(KIND_DD);
+            let mut w = header(KIND_DD);
             w.u8(n);
-            assert_eq!(decode_artifact(&w.seal()).unwrap_err(), StoreError::BadPhi);
+            assert_eq!(decode_artifact(&seal(w)).unwrap_err(), StoreError::BadPhi);
         }
 
         // k = 0: no H-query vocabulary.
-        let mut w = Writer::with_header(KIND_DD);
+        let mut w = header(KIND_DD);
         w.u8(phi.num_vars());
         for &word in phi.words() {
             w.u64(word);
         }
         w.u8(0); // k
         assert_eq!(
-            decode_artifact(&w.seal()).unwrap_err(),
+            decode_artifact(&seal(w)).unwrap_err(),
             StoreError::ZeroChainLength
         );
 
@@ -1077,7 +918,7 @@ mod tests {
             ),
         ];
         for (tuple_bytes, expected) in bad_shapes {
-            let mut w = Writer::with_header(KIND_DD);
+            let mut w = header(KIND_DD);
             w.u8(phi.num_vars());
             for &word in phi.words() {
                 w.u64(word);
@@ -1085,8 +926,8 @@ mod tests {
             w.u8(3); // k
             w.u32(1); // domain size
             w.u32(1); // one tuple
-            w.bytes.extend_from_slice(tuple_bytes);
-            assert_eq!(decode_artifact(&w.seal()).unwrap_err(), expected);
+            w.raw(tuple_bytes);
+            assert_eq!(decode_artifact(&seal(w)).unwrap_err(), expected);
         }
 
         // Kind contradicts φ's region, both ways (checked before the

@@ -42,16 +42,16 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::fsio::{RealFs, StorageIo};
-use crate::store::fnv1a;
+use crate::codec::{fnv1a, Reader, Writer};
+use crate::fsio::StorageIo;
 
 /// Bytes of the per-record frame header: `len: u32` + `crc: u64`.
 pub const RECORD_HEADER_LEN: usize = 4 + 8;
 
-/// Upper bound on one record's payload — matches the wire protocol's
-/// frame bound: no single update delta comes close, so a larger length
-/// prefix is corruption, not data.
-pub const MAX_RECORD_LEN: u32 = 64 << 20;
+/// Upper bound on one record's payload — the wire protocol's frame
+/// bound: no single update delta comes close, so a larger length prefix
+/// is corruption, not data.
+pub use crate::codec::MAX_FRAME_LEN as MAX_RECORD_LEN;
 
 /// Why replay stopped before the end of the log. Every variant carries
 /// `valid_len`, the byte length of the intact prefix — the quarantine
@@ -181,13 +181,10 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// A WAL at `path` on the real filesystem.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self::with_io(path, Arc::new(RealFs))
-    }
-
-    /// A WAL at `path` over an injected storage backend — the fault
-    /// harness's entry point.
+    /// A WAL at `path` over a storage backend: [`RealFs`] in production,
+    /// an in-memory or fault-injecting one in the tests.
+    ///
+    /// [`RealFs`]: crate::fsio::RealFs
     pub fn with_io(path: impl Into<PathBuf>, io: Arc<dyn StorageIo>) -> Self {
         Wal {
             path: path.into(),
@@ -216,11 +213,11 @@ impl Wal {
                     ),
                 )
             })?;
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.io.append(&self.path, &frame)?;
+        let mut frame = Writer::default();
+        frame.u32(len);
+        frame.u64(fnv1a(payload));
+        frame.raw(payload);
+        self.io.append(&self.path, frame.as_slice())?;
         self.io.sync(&self.path)
     }
 
@@ -246,32 +243,28 @@ impl Wal {
             scanned_len: bytes.len(),
             ..WalReplay::default()
         };
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let rest = &bytes[at..];
-            if rest.len() < RECORD_HEADER_LEN {
+        let mut r = Reader::new(bytes);
+        while r.remaining() > 0 {
+            let at = bytes.len() - r.remaining();
+            let (Ok(len), Ok(stored)) = (r.u32(), r.u64()) else {
                 replay.corruption = Some(WalCorruption::TornHeader {
                     valid_len: at,
-                    bytes: rest.len(),
+                    bytes: bytes.len() - at,
                 });
                 return replay;
-            }
-            let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-            let stored = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
+            };
             if len > MAX_RECORD_LEN {
                 replay.corruption = Some(WalCorruption::RecordTooLarge { valid_len: at, len });
                 return replay;
             }
-            let body = &rest[RECORD_HEADER_LEN..];
-            if body.len() < len as usize {
+            let Ok(payload) = r.take(len as usize) else {
                 replay.corruption = Some(WalCorruption::TornRecord {
                     valid_len: at,
                     expected: len as usize,
-                    got: body.len(),
+                    got: r.remaining(),
                 });
                 return replay;
-            }
-            let payload = &body[..len as usize];
+            };
             let computed = fnv1a(payload);
             if computed != stored {
                 replay.corruption = Some(WalCorruption::ChecksumMismatch {
@@ -285,7 +278,6 @@ impl Wal {
                 offset: at,
                 payload: payload.to_vec(),
             });
-            at += RECORD_HEADER_LEN + len as usize;
         }
         replay
     }
@@ -294,20 +286,6 @@ impl Wal {
     /// logged delta part of the snapshot) and `fsync`s the truncation.
     pub fn reset(&self) -> io::Result<()> {
         self.io.write(&self.path, &[])?;
-        self.io.sync(&self.path)
-    }
-
-    /// Rewrites the log to the first `valid_len` bytes of its current
-    /// content — how recovery discards a corrupt or unappliable tail
-    /// after quarantining the full original.
-    pub fn truncate_to(&self, valid_len: usize) -> io::Result<()> {
-        let bytes = match self.io.read(&self.path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let keep = valid_len.min(bytes.len());
-        self.io.write(&self.path, &bytes[..keep])?;
         self.io.sync(&self.path)
     }
 }
@@ -436,20 +414,16 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_cuts_the_tail_and_oversized_appends_are_rejected() {
+    fn oversized_appends_are_rejected() {
         let (_, wal) = mem_wal();
         wal.append(b"first").unwrap();
-        let keep = wal.replay().unwrap().scanned_len;
-        wal.append(b"second").unwrap();
-        wal.truncate_to(keep).unwrap();
-        let replay = wal.replay().unwrap();
-        assert!(replay.corruption.is_none());
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.records[0].payload, b"first");
         let too_big = vec![0u8; MAX_RECORD_LEN as usize + 1];
         assert_eq!(
             wal.append(&too_big).unwrap_err().kind(),
             io::ErrorKind::InvalidInput
         );
+        let replay = wal.replay().unwrap();
+        assert!(replay.corruption.is_none());
+        assert_eq!(replay.records.len(), 1, "the rejected record left no trace");
     }
 }

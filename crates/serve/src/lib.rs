@@ -14,7 +14,8 @@
 //!   Overload is a *typed* signal ([`ServeError::QueueFull`],
 //!   [`ServeError::DeadlineExceeded`], [`ServeError::BudgetExceeded`]),
 //!   never a wrong answer, a panic, or a hang; every admitted request
-//!   resolves exactly once.
+//!   leaves the queue exactly once and gets exactly one reply, on its
+//!   own `std::sync::mpsc` channel.
 //! * [`Server`] / [`ServeHandle`] — the worker pool and its in-process
 //!   client: single queries, exact batches, lane-kernel sharded f64
 //!   batches, `(ε, δ)` estimates, and cache snapshots for replica warm
@@ -23,7 +24,10 @@
 //!   pins this for all 272 H-queries with `k ≤ 2`).
 //! * [`net`] + [`wire`] — a length-prefixed binary protocol over
 //!   TCP/Unix sockets (std only), with lossless round trips for exact
-//!   rationals, and [`RemoteClient`] as the blocking client.
+//!   rationals, and [`RemoteClient`] as the blocking client. Frames
+//!   are encoded through the engine's byte codec
+//!   ([`intext_engine::codec`]) and read by one frame reader for both
+//!   ends.
 //!
 //! ```
 //! use intext_serve::{Server, ServeConfig};

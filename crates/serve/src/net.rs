@@ -107,86 +107,51 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary (the
-/// peer hung up between requests), `Err` on a torn frame or an
-/// oversized length prefix.
+/// peer hung up between requests), `Err` on a torn frame
+/// (`UnexpectedEof`) or an oversized length prefix (`InvalidData`).
+/// The server side's view of the one frame reader [`RemoteClient`]
+/// uses, with its typed errors mapped to `io::Error`s.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    // Read the first byte by hand to tell clean EOF (0 bytes at a
-    // boundary) from a frame truncated mid-prefix.
-    let mut got = 0;
-    while got < len_bytes.len() {
-        match r.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    read_frame_typed(r).map_err(|e| match e {
+        ClientError::Io(e) => e,
+        ClientError::Wire(e @ WireError::FrameTooLarge(_)) => {
+            io::Error::new(io::ErrorKind::InvalidData, e)
         }
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            wire::WireError::FrameTooLarge(len),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+        ClientError::Wire(e) => io::Error::new(io::ErrorKind::UnexpectedEof, e),
+    })
 }
 
-/// The client-side frame read: like [`read_frame`], but a disconnect
-/// mid-frame (EOF or a reset/abort after some bytes arrived) comes
-/// back as the typed [`WireError::ConnectionLost`] carrying how many
-/// bytes of the frame had landed — the signal [`RemoteClient`] uses to
-/// decide a redial-and-resend is safe.
-fn read_frame_counted<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ClientError> {
-    let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < len_bytes.len() {
-        match r.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: got,
-                }))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_disconnect(&e) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: got,
-                }))
-            }
+/// The one frame reader. `Ok(None)` on a clean EOF at a frame boundary;
+/// a disconnect mid-frame (EOF, or a reset/abort, after some bytes
+/// arrived — or before any, on a connection-level error) comes back as
+/// the typed [`WireError::ConnectionLost`] carrying how many bytes of
+/// the frame had landed: the signal [`RemoteClient`] uses to decide a
+/// redial-and-resend is safe.
+fn read_frame_typed<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ClientError> {
+    let mut prefix = [0u8; 4];
+    let mut payload = Vec::new();
+    // Bytes of this frame received so far, prefix first.
+    let mut read = 0;
+    while read < prefix.len() + payload.len() {
+        let buf = match read.checked_sub(prefix.len()) {
+            None => &mut prefix[read..],
+            Some(at) => &mut payload[at..],
+        };
+        let lost = ClientError::Wire(WireError::ConnectionLost { bytes_read: read });
+        match r.read(buf) {
+            Ok(0) if read == 0 => return Ok(None),
+            Ok(0) => return Err(lost),
+            Ok(n) => read += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if is_disconnect(&e) => return Err(lost),
             Err(e) => return Err(ClientError::Io(e)),
         }
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(ClientError::Wire(WireError::FrameTooLarge(len)));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut read = 0;
-    while read < payload.len() {
-        match r.read(&mut payload[read..]) {
-            Ok(0) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: len_bytes.len() + read,
-                }))
+        if read == prefix.len() {
+            let len = u32::from_le_bytes(prefix);
+            if len > MAX_FRAME_LEN {
+                return Err(ClientError::Wire(WireError::FrameTooLarge(len)));
             }
-            Ok(n) => read += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_disconnect(&e) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: len_bytes.len() + read,
-                }))
-            }
-            Err(e) => return Err(ClientError::Io(e)),
+            payload = vec![0u8; len as usize];
         }
     }
     Ok(Some(payload))
@@ -287,20 +252,12 @@ pub fn listen_tcp(handle: ServeHandle, addr: impl ToSocketAddrs) -> io::Result<L
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = spawn_accept_loop(Arc::clone(&stop), move |stop| {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                // The accept socket is non-blocking; connections are
-                // served blocking on their own threads.
-                let _ = stream.set_nonblocking(false);
-                let handle = handle.clone();
-                thread::spawn(move || {
-                    let _ = serve_connection(&handle, &mut stream);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => stop.store(true, Ordering::Relaxed),
-        }
+    let accept_thread = spawn_accept_loop(handle, Arc::clone(&stop), move || {
+        // The accept socket is non-blocking; connections are served
+        // blocking on their own threads.
+        let (stream, _peer) = listener.accept()?;
+        let _ = stream.set_nonblocking(false);
+        Ok(stream)
     });
     Ok(ListenerHandle {
         stop,
@@ -317,16 +274,10 @@ pub fn listen_unix(handle: ServeHandle, path: impl AsRef<Path>) -> io::Result<Li
     let listener = UnixListener::bind(&path)?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = spawn_accept_loop(Arc::clone(&stop), move |stop| match listener.accept() {
-        Ok((mut stream, _peer)) => {
-            let _ = stream.set_nonblocking(false);
-            let handle = handle.clone();
-            thread::spawn(move || {
-                let _ = serve_connection(&handle, &mut stream);
-            });
-        }
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-        Err(_) => stop.store(true, Ordering::Relaxed),
+    let accept_thread = spawn_accept_loop(handle, Arc::clone(&stop), move || {
+        let (stream, _peer) = listener.accept()?;
+        let _ = stream.set_nonblocking(false);
+        Ok(stream)
     });
     Ok(ListenerHandle {
         stop,
@@ -335,15 +286,28 @@ pub fn listen_unix(handle: ServeHandle, path: impl AsRef<Path>) -> io::Result<Li
     })
 }
 
-fn spawn_accept_loop(
+/// The accept loop of both transports, on its own thread until `stop`:
+/// each accepted connection is served on a thread of its own, an idle
+/// poll sleeps, and any other accept error stops the loop.
+fn spawn_accept_loop<S: Read + Write + Send + 'static>(
+    handle: ServeHandle,
     stop: Arc<AtomicBool>,
-    mut step: impl FnMut(&AtomicBool) + Send + 'static,
+    mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
 ) -> JoinHandle<()> {
     thread::Builder::new()
         .name("intext-serve-accept".into())
         .spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                step(&stop);
+                match accept() {
+                    Ok(mut stream) => {
+                        let handle = handle.clone();
+                        thread::spawn(move || {
+                            let _ = serve_connection(&handle, &mut stream);
+                        });
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
+                    Err(_) => stop.store(true, Ordering::Relaxed),
+                }
             }
         })
         .expect("spawning the accept thread")
@@ -504,7 +468,7 @@ impl<S: Read + Write> RemoteClient<S> {
         // A server that hangs up between our request and its reply is
         // a lost connection too (zero reply bytes arrived), not a
         // clean end-of-session: the request is still unresolved.
-        let payload = read_frame_counted(&mut self.stream)?.ok_or(ClientError::Wire(
+        let payload = read_frame_typed(&mut self.stream)?.ok_or(ClientError::Wire(
             WireError::ConnectionLost { bytes_read: 0 },
         ))?;
         let (reply_id, reply) = wire::decode_reply(&payload).map_err(ClientError::Wire)?;

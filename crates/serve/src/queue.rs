@@ -7,7 +7,7 @@
 //!   which is what makes overload a *typed* signal rather than latency.
 //! * **Exactly-once resolution**: every admitted entry leaves the queue
 //!   exactly once, through [`pop`](AdmissionQueue::pop) (a worker takes
-//!   it — possibly flagged expired) or
+//!   it — possibly flagged late) or
 //!   [`cancel`](AdmissionQueue::cancel) (the submitter takes it back).
 //!   Nothing is ever silently dropped: even after
 //!   [`close`](AdmissionQueue::close), `pop` drains what was admitted
@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Identifies one admitted request, unique over the queue's lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -43,11 +43,12 @@ pub struct Job<T> {
     pub id: JobId,
     /// The submitted payload.
     pub payload: T,
-    /// The entry's deadline passed while it queued: the worker must
-    /// resolve it with a deadline rejection instead of evaluating —
-    /// returning it (rather than dropping it inside the queue) is what
-    /// keeps resolution exactly-once.
-    pub expired: bool,
+    /// `Some(late_by)` when the entry's deadline passed while it queued
+    /// (`late_by > 0`): the worker must resolve it with a deadline
+    /// rejection instead of evaluating — returning it (rather than
+    /// dropping it inside the queue) is what keeps resolution
+    /// exactly-once.
+    pub late_by: Option<Duration>,
 }
 
 struct Entry<T> {
@@ -122,8 +123,8 @@ impl<T> AdmissionQueue<T> {
 
     /// Admits `payload`, or rejects it immediately — never blocks, never
     /// grows past the bound. An entry whose `deadline` passes while it
-    /// queues is still popped (flagged [`Job::expired`]) so the worker
-    /// resolves it; the queue itself drops nothing.
+    /// queues is still popped (flagged by [`Job::late_by`]) so the
+    /// worker resolves it; the queue itself drops nothing.
     pub fn submit(&self, payload: T, deadline: Option<Instant>) -> Result<JobId, SubmitError> {
         let mut state = self.lock();
         if state.closed {
@@ -164,11 +165,14 @@ impl<T> AdmissionQueue<T> {
         let mut state = self.lock();
         loop {
             if let Some(entry) = state.queue.pop_front() {
-                let expired = entry.deadline.is_some_and(|d| Instant::now() > d);
+                let late_by = entry.deadline.and_then(|d| {
+                    let now = Instant::now();
+                    (now > d).then(|| now - d)
+                });
                 return Some(Job {
                     id: entry.id,
                     payload: entry.payload,
-                    expired,
+                    late_by,
                 });
             }
             if state.closed {
@@ -208,7 +212,6 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn bounded_fifo_with_rejection() {
@@ -222,7 +225,7 @@ mod tests {
         );
         assert_eq!(q.depth(), 2);
         let first = q.pop().unwrap();
-        assert_eq!((first.id, first.payload, first.expired), (a, 'a', false));
+        assert_eq!((first.id, first.payload, first.late_by), (a, 'a', None));
         // Rejection freed no slot (the reject never entered), popping did.
         q.submit('d', None).unwrap();
         assert_eq!(q.high_water(), 2);
@@ -248,10 +251,10 @@ mod tests {
         q.submit("fresh", Some(Instant::now() + Duration::from_secs(600)))
             .unwrap();
         let first = q.pop().unwrap();
-        assert!(first.expired);
+        assert!(first.late_by.is_some_and(|late| late > Duration::ZERO));
         assert_eq!(first.payload, "late");
         let second = q.pop().unwrap();
-        assert!(!second.expired);
+        assert_eq!(second.late_by, None);
     }
 
     #[test]

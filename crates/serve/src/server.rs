@@ -27,7 +27,8 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -157,74 +158,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// Single-assignment response cell a submitter blocks on.
-///
-/// Resolution is first-writer-wins: the worker and a racing
-/// [`PendingResponse::cancel`] can both call [`resolve`](Slot::resolve),
-/// and exactly one succeeds — the exactly-once half of the serve
-/// contract (the bounded-queue half lives in [`AdmissionQueue`]).
-struct Slot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
+/// One request's answer or typed rejection.
+type Reply = Result<Response, ServeError>;
 
-enum SlotState {
-    Pending,
-    Ready(Result<Response, ServeError>),
-    Taken,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotState::Pending),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// First resolution wins; later ones are dropped (returns whether
-    /// this call was the winner).
-    fn resolve(&self, result: Result<Response, ServeError>) -> bool {
-        let mut state = self.lock();
-        if matches!(*state, SlotState::Pending) {
-            *state = SlotState::Ready(result);
-            drop(state);
-            self.ready.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn wait(&self) -> Result<Response, ServeError> {
-        let mut state = self.lock();
-        loop {
-            match std::mem::replace(&mut *state, SlotState::Taken) {
-                SlotState::Ready(result) => return result,
-                taken_or_pending => {
-                    // Not ready yet: put the marker back and block.
-                    *state = taken_or_pending;
-                    state = self
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// What travels through the admission queue.
+/// What travels through the admission queue: the request and the one
+/// channel its reply goes back on. The job leaves the queue exactly
+/// once — through a worker's `pop` or a winning
+/// [`PendingResponse::cancel`] — so whoever holds it sends the one
+/// reply: the exactly-once half of the serve contract (the
+/// bounded-queue half lives in [`AdmissionQueue`]).
 struct QueuedJob {
     request: Request,
-    slot: Arc<Slot>,
-    /// Duplicates the queue entry's deadline so the worker can compute
-    /// `late_by` for the typed rejection.
-    deadline: Option<Instant>,
+    reply: SyncSender<Reply>,
 }
 
 /// Everything the workers, handles, and transports share.
@@ -352,16 +297,11 @@ impl Server {
     /// contained here: the request resolves as
     /// [`ServeError::WorkerPanicked`] and the worker loop continues.
     fn work_one(shared: &ServerShared, job: Job<QueuedJob>) {
-        let QueuedJob {
-            request,
-            slot,
-            deadline,
-        } = job.payload;
-        if job.expired {
-            let late_by = deadline
-                .map(|d| Instant::now().saturating_duration_since(d))
-                .unwrap_or_default();
-            slot.resolve(Err(ServeError::DeadlineExceeded { late_by }));
+        let QueuedJob { request, reply } = job.payload;
+        // A send fails only if the client dropped its `PendingResponse`:
+        // nobody is waiting for the answer.
+        if let Some(late_by) = job.late_by {
+            let _ = reply.send(Err(ServeError::DeadlineExceeded { late_by }));
             return;
         }
         let mut local = EngineStats::default();
@@ -375,7 +315,7 @@ impl Server {
         if result.is_ok() {
             shared.served().merge(&local);
         }
-        slot.resolve(result);
+        let _ = reply.send(result);
     }
 
     fn execute(
@@ -446,16 +386,12 @@ impl ServeHandle {
                 return Err(ServeError::BudgetExceeded { scenarios, budget });
             }
         }
-        let slot = Arc::new(Slot::new());
+        let (reply, receiver) = mpsc::sync_channel(1);
+        let job = QueuedJob { request, reply };
         let deadline = self.deadline.map(|d| Instant::now() + d);
-        let job = QueuedJob {
-            request,
-            slot: Arc::clone(&slot),
-            deadline,
-        };
         match self.shared.queue.submit(job, deadline) {
             Ok(id) => Ok(PendingResponse {
-                slot,
+                receiver,
                 id,
                 shared: Arc::clone(&self.shared),
             }),
@@ -599,7 +535,7 @@ impl ServeHandle {
 /// A submitted, admitted request: block on [`wait`](Self::wait), or
 /// take it back with [`cancel`](Self::cancel).
 pub struct PendingResponse {
-    slot: Arc<Slot>,
+    receiver: Receiver<Reply>,
     id: JobId,
     shared: Arc<ServerShared>,
 }
@@ -617,7 +553,11 @@ impl PendingResponse {
     /// — after a [`cancel`](Self::cancel) won the race —
     /// [`ServeError::Cancelled`]).
     pub fn wait(self) -> Result<Response, ServeError> {
-        self.slot.wait()
+        // The sender is dropped unsent only if its holder died outside
+        // the worker's `catch_unwind`.
+        self.receiver
+            .recv()
+            .unwrap_or(Err(ServeError::WorkerPanicked))
     }
 
     /// Tries to take the request back before a worker reaches it.
@@ -626,10 +566,11 @@ impl PendingResponse {
     /// if a worker already popped it (its real resolution stands —
     /// never both).
     pub fn cancel(&self) -> bool {
-        match self.shared.queue.cancel(self.id) {
-            Some(job) => job.slot.resolve(Err(ServeError::Cancelled)),
-            None => false,
-        }
+        let Some(job) = self.shared.queue.cancel(self.id) else {
+            return false;
+        };
+        let _ = job.reply.send(Err(ServeError::Cancelled));
+        true
     }
 }
 

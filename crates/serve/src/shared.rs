@@ -3,8 +3,9 @@
 //! The locking contract (`DESIGN.md` §10): the hot path — planning a
 //! query's runs ([`PqeEngine::plan_runs`]) and probing the artifact
 //! cache — takes the **read** lock ([`PqeEngine::prepare_shared`],
-//! which never mutates, never bumps LRU recency), and the returned
-//! [`PreparedQuery`] / [`PreparedBatch`] is evaluated entirely
+//! which compiles nothing and refreshes a hit's LRU recency through an
+//! atomic, exactly as a sequential engine's lookup would), and the
+//! returned [`PreparedQuery`] / [`PreparedBatch`] is evaluated entirely
 //! **outside** any lock, as a pure walk over `Arc`-shared state. Only
 //! cold keys (first compile of a shape), live-tuple updates, and
 //! snapshot loads take the write lock. The cold path is

@@ -17,10 +17,11 @@ use std::time::Duration;
 
 use intext_boolfn::BoolFn;
 use intext_core::Region;
+use intext_engine::codec::{CodecError, Reader, Writer};
 use intext_engine::{EngineError, Estimate, SamplerKind};
 use intext_numeric::{BigInt, BigRational, BigUint, Sign};
 use intext_query::{HQuery, Query};
-use intext_tid::{Database, Tid, TupleDesc, Vocabulary};
+use intext_tid::{Database, Tid, Vocabulary};
 
 use crate::error::ServeError;
 use crate::server::{Request, Response};
@@ -47,10 +48,9 @@ use crate::server::{Request, Response};
 /// frames as malformed instead of misreading the id bytes as a body.
 pub const PROTOCOL_VERSION: u8 = 3;
 
-/// Largest accepted frame payload (64 MiB): big enough for any
-/// realistic snapshot, small enough that a hostile length prefix
-/// cannot OOM the server.
-pub const MAX_FRAME_LEN: u32 = 64 << 20;
+/// Largest accepted frame payload: the codec's one frame bound, shared
+/// with the WAL.
+pub use intext_engine::codec::MAX_FRAME_LEN;
 
 /// Why a frame failed to decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,6 +99,15 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => WireError::Truncated,
+            CodecError::BadTupleTag(_) => WireError::BadValue("tuple tag"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------- opcodes
 
 const OP_EVALUATE: u8 = 0x01;
@@ -120,110 +129,53 @@ const OP_RESP_ERROR: u8 = 0xEE;
 
 // ------------------------------------------------------------ primitives
 
-/// Growing payload writer; all integers little-endian.
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
+/// A frame payload header: opcode, then the v3 request id.
+fn frame(op: u8, id: u64) -> Writer {
+    let mut w = Writer::default();
+    w.u8(op);
+    w.u64(id);
+    w
 }
 
-impl Writer {
-    /// A frame payload header: opcode, then the v3 request id.
-    fn with_opcode(op: u8, id: u64) -> Self {
-        let mut w = Writer { buf: vec![op] };
-        w.u64(id);
-        w
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("payload fits a frame"));
-        self.buf.extend_from_slice(v);
+/// Rejects bytes after the last field.
+fn finish(r: &Reader<'_>) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        _ => Err(WireError::TrailingBytes),
     }
 }
 
-/// Bounds-checked payload reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A list: a `u32` count, then each item through `put`.
+fn put_list<T>(w: &mut Writer, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
+    w.u32(u32::try_from(items.len()).expect("list fits a frame"));
+    for item in items {
+        put(w, item);
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+/// Reads a [`put_list`] list whose items take at least
+/// `min_item_bytes` each (a hostile count fails before allocating).
+fn get_list<'a, T>(
+    r: &mut Reader<'a>,
+    min_item_bytes: usize,
+    mut get: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let count = r.count(min_item_bytes)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(get(r)?);
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-    /// A length prefix for `count` items of at least `min_item_bytes`
-    /// each — rejects hostile counts before any allocation.
-    fn count(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(min_item_bytes) > self.buf.len() - self.pos {
-            return Err(WireError::Truncated);
-        }
-        Ok(count)
-    }
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
+    Ok(items)
 }
 
 // ------------------------------------------------------------ value codecs
 
 fn put_biguint(w: &mut Writer, v: &BigUint) {
-    let limbs = v.limbs();
-    w.u32(u32::try_from(limbs.len()).expect("limb count fits u32"));
-    for &limb in limbs {
-        w.u32(limb);
-    }
+    put_list(w, v.limbs(), |w, &limb| w.u32(limb));
 }
 
 fn get_biguint(r: &mut Reader) -> Result<BigUint, WireError> {
-    let count = r.count(4)?;
-    let mut limbs = Vec::with_capacity(count);
-    for _ in 0..count {
-        limbs.push(r.u32()?);
-    }
+    let limbs = get_list(r, 4, |r| Ok(r.u32()?))?;
     if limbs.last() == Some(&0) {
         // from_limbs would normalize, but a non-canonical encoding is a
         // protocol violation worth surfacing (it breaks byte-level
@@ -273,20 +225,12 @@ fn get_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, WireError> {
 fn put_h_query(w: &mut Writer, q: &HQuery) {
     let phi = q.phi();
     w.u8(phi.num_vars());
-    let words = phi.words();
-    w.u32(u32::try_from(words.len()).expect("word count fits u32"));
-    for &word in words {
-        w.u64(word);
-    }
+    put_list(w, phi.words(), |w, &word| w.u64(word));
 }
 
 fn get_h_query(r: &mut Reader) -> Result<HQuery, WireError> {
     let num_vars = r.u8()?;
-    let count = r.count(8)?;
-    let mut words = Vec::with_capacity(count);
-    for _ in 0..count {
-        words.push(r.u64()?);
-    }
+    let words = get_list(r, 8, |r| Ok(r.u64()?))?;
     let phi = BoolFn::from_words(num_vars, words).ok_or(WireError::BadValue("truth table"))?;
     Ok(HQuery::new(phi))
 }
@@ -344,22 +288,7 @@ fn put_tid(w: &mut Writer, tid: &Tid) {
     w.u32(db.domain_size());
     w.u32(u32::try_from(db.len()).expect("tuple count fits u32"));
     for (id, desc) in db.iter() {
-        match desc {
-            TupleDesc::R(a) => {
-                w.u8(0);
-                w.u32(a);
-            }
-            TupleDesc::S(i, a, b) => {
-                w.u8(1);
-                w.u8(i);
-                w.u32(a);
-                w.u32(b);
-            }
-            TupleDesc::T(b) => {
-                w.u8(2);
-                w.u32(b);
-            }
-        }
+        w.tuple(desc);
         put_rational(w, tid.prob(id));
     }
 }
@@ -374,13 +303,8 @@ fn get_tid(r: &mut Reader) -> Result<Tid, WireError> {
     let count = r.count(6)?;
     let mut probs = Vec::with_capacity(count);
     for _ in 0..count {
-        let desc = match r.u8()? {
-            0 => TupleDesc::R(r.u32()?),
-            1 => TupleDesc::S(r.u8()?, r.u32()?, r.u32()?),
-            2 => TupleDesc::T(r.u32()?),
-            _ => return Err(WireError::BadValue("tuple tag")),
-        };
-        db.insert(desc).map_err(|_| WireError::BadValue("tuple"))?;
+        db.insert(r.tuple()?)
+            .map_err(|_| WireError::BadValue("tuple"))?;
         probs.push(get_rational(r)?);
     }
     Tid::new(db, probs).map_err(|_| WireError::BadValue("tuple probability"))
@@ -464,41 +388,35 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
     let mut w;
     match req {
         Request::Evaluate { q, tid } => {
-            w = Writer::with_opcode(OP_EVALUATE, id);
+            w = frame(OP_EVALUATE, id);
             put_query(&mut w, q);
             put_tid(&mut w, tid);
         }
         Request::EvaluateF64 { q, tid } => {
-            w = Writer::with_opcode(OP_EVALUATE_F64, id);
+            w = frame(OP_EVALUATE_F64, id);
             put_query(&mut w, q);
             put_tid(&mut w, tid);
         }
         Request::Estimate { q, tid } => {
-            w = Writer::with_opcode(OP_ESTIMATE, id);
+            w = frame(OP_ESTIMATE, id);
             put_query(&mut w, q);
             put_tid(&mut w, tid);
         }
         Request::Batch { q, tids } => {
-            w = Writer::with_opcode(OP_BATCH, id);
+            w = frame(OP_BATCH, id);
             put_query(&mut w, q);
-            w.u32(u32::try_from(tids.len()).expect("batch fits u32"));
-            for tid in tids {
-                put_tid(&mut w, tid);
-            }
+            put_list(&mut w, tids, put_tid);
         }
         Request::BatchF64 { q, tids, shards } => {
-            w = Writer::with_opcode(OP_BATCH_F64, id);
+            w = frame(OP_BATCH_F64, id);
             put_query(&mut w, q);
             put_usize(&mut w, *shards);
-            w.u32(u32::try_from(tids.len()).expect("batch fits u32"));
-            for tid in tids {
-                put_tid(&mut w, tid);
-            }
+            put_list(&mut w, tids, put_tid);
         }
-        Request::Snapshot => w = Writer::with_opcode(OP_SNAPSHOT, id),
-        Request::Ping => w = Writer::with_opcode(OP_PING, id),
+        Request::Snapshot => w = frame(OP_SNAPSHOT, id),
+        Request::Ping => w = frame(OP_PING, id),
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// Decodes one frame payload into its request id and request (total:
@@ -520,30 +438,20 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
             q: get_query(&mut r)?,
             tid: get_tid(&mut r)?,
         },
-        OP_BATCH => {
-            let q = get_query(&mut r)?;
-            let count = r.count(1)?;
-            let mut tids = Vec::with_capacity(count);
-            for _ in 0..count {
-                tids.push(get_tid(&mut r)?);
-            }
-            Request::Batch { q, tids }
-        }
-        OP_BATCH_F64 => {
-            let q = get_query(&mut r)?;
-            let shards = get_usize(&mut r)?;
-            let count = r.count(1)?;
-            let mut tids = Vec::with_capacity(count);
-            for _ in 0..count {
-                tids.push(get_tid(&mut r)?);
-            }
-            Request::BatchF64 { q, tids, shards }
-        }
+        OP_BATCH => Request::Batch {
+            q: get_query(&mut r)?,
+            tids: get_list(&mut r, 1, get_tid)?,
+        },
+        OP_BATCH_F64 => Request::BatchF64 {
+            q: get_query(&mut r)?,
+            shards: get_usize(&mut r)?,
+            tids: get_list(&mut r, 1, get_tid)?,
+        },
         OP_SNAPSHOT => Request::Snapshot,
         OP_PING => Request::Ping,
         other => return Err(WireError::BadOpcode(other)),
     };
-    r.finish()?;
+    finish(&r)?;
     Ok((id, req))
 }
 
@@ -553,44 +461,38 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
     let mut w;
     match resp {
         Response::Exact(p) => {
-            w = Writer::with_opcode(OP_RESP_EXACT, id);
+            w = frame(OP_RESP_EXACT, id);
             put_rational(&mut w, p);
         }
         Response::F64(v) => {
-            w = Writer::with_opcode(OP_RESP_F64, id);
+            w = frame(OP_RESP_F64, id);
             w.f64(*v);
         }
         Response::Estimate(e) => {
-            w = Writer::with_opcode(OP_RESP_ESTIMATE, id);
+            w = frame(OP_RESP_ESTIMATE, id);
             put_estimate(&mut w, e);
         }
         Response::Batch(ps) => {
-            w = Writer::with_opcode(OP_RESP_BATCH, id);
-            w.u32(u32::try_from(ps.len()).expect("batch fits u32"));
-            for p in ps {
-                put_rational(&mut w, p);
-            }
+            w = frame(OP_RESP_BATCH, id);
+            put_list(&mut w, ps, put_rational);
         }
         Response::BatchF64(vs) => {
-            w = Writer::with_opcode(OP_RESP_BATCH_F64, id);
-            w.u32(u32::try_from(vs.len()).expect("batch fits u32"));
-            for &v in vs {
-                w.f64(v);
-            }
+            w = frame(OP_RESP_BATCH_F64, id);
+            put_list(&mut w, vs, |w, &v| w.f64(v));
         }
         Response::Snapshot(bytes) => {
-            w = Writer::with_opcode(OP_RESP_SNAPSHOT, id);
+            w = frame(OP_RESP_SNAPSHOT, id);
             w.bytes(bytes);
         }
-        Response::Pong => w = Writer::with_opcode(OP_RESP_PONG, id),
+        Response::Pong => w = frame(OP_RESP_PONG, id),
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// Encodes a typed rejection into one frame payload, echoing the
 /// request's id.
 pub fn encode_error(id: u64, err: &ServeError) -> Vec<u8> {
-    let mut w = Writer::with_opcode(OP_RESP_ERROR, id);
+    let mut w = frame(OP_RESP_ERROR, id);
     match err {
         ServeError::QueueFull { capacity } => {
             w.u8(1);
@@ -632,7 +534,7 @@ pub fn encode_error(id: u64, err: &ServeError) -> Vec<u8> {
             put_usize(&mut w, *budget);
         }
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// Decodes one frame payload into its echoed request id and a
@@ -645,22 +547,8 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Result<Response, ServeError>
         OP_RESP_EXACT => Ok(Response::Exact(get_rational(&mut r)?)),
         OP_RESP_F64 => Ok(Response::F64(r.f64()?)),
         OP_RESP_ESTIMATE => Ok(Response::Estimate(get_estimate(&mut r)?)),
-        OP_RESP_BATCH => {
-            let count = r.count(1)?;
-            let mut ps = Vec::with_capacity(count);
-            for _ in 0..count {
-                ps.push(get_rational(&mut r)?);
-            }
-            Ok(Response::Batch(ps))
-        }
-        OP_RESP_BATCH_F64 => {
-            let count = r.count(8)?;
-            let mut vs = Vec::with_capacity(count);
-            for _ in 0..count {
-                vs.push(r.f64()?);
-            }
-            Ok(Response::BatchF64(vs))
-        }
+        OP_RESP_BATCH => Ok(Response::Batch(get_list(&mut r, 1, get_rational)?)),
+        OP_RESP_BATCH_F64 => Ok(Response::BatchF64(get_list(&mut r, 8, |r| Ok(r.f64()?))?)),
         OP_RESP_SNAPSHOT => Ok(Response::Snapshot(r.bytes()?.to_vec())),
         OP_RESP_PONG => Ok(Response::Pong),
         OP_RESP_ERROR => Err(match r.u8()? {
@@ -694,7 +582,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Result<Response, ServeError>
         }),
         other => return Err(WireError::BadOpcode(other)),
     };
-    r.finish()?;
+    finish(&r)?;
     Ok((id, reply))
 }
 
@@ -792,7 +680,7 @@ mod tests {
             WireError::BadValue("query tag")
         );
         // Corrupting the text bytes funnels through the parser.
-        let mut w = Writer::with_opcode(OP_EVALUATE, 0);
+        let mut w = frame(OP_EVALUATE, 0);
         w.u8(1); // general tag
         w.u8(2);
         put_str(&mut w, "R");
@@ -801,11 +689,11 @@ mod tests {
         put_str(&mut w, "S1");
         put_str(&mut w, "R(x,"); // torn query text
         assert_eq!(
-            decode_request(&w.buf).unwrap_err(),
+            decode_request(&w.into_bytes()).unwrap_err(),
             WireError::BadValue("query text")
         );
         // A vocabulary with duplicate names is rejected before parsing.
-        let mut w = Writer::with_opcode(OP_EVALUATE, 0);
+        let mut w = frame(OP_EVALUATE, 0);
         w.u8(1);
         w.u8(2);
         put_str(&mut w, "R");
@@ -814,16 +702,16 @@ mod tests {
         put_str(&mut w, "S1");
         put_str(&mut w, "R(x)");
         assert_eq!(
-            decode_request(&w.buf).unwrap_err(),
+            decode_request(&w.into_bytes()).unwrap_err(),
             WireError::BadValue("vocabulary")
         );
         // Non-UTF-8 name bytes are a typed error, not a panic.
-        let mut w = Writer::with_opcode(OP_EVALUATE, 0);
+        let mut w = frame(OP_EVALUATE, 0);
         w.u8(1);
         w.u8(2);
         w.bytes(&[0xFF, 0xFE]);
         assert_eq!(
-            decode_request(&w.buf).unwrap_err(),
+            decode_request(&w.into_bytes()).unwrap_err(),
             WireError::BadValue("utf-8 string")
         );
     }
@@ -833,8 +721,8 @@ mod tests {
         for region in [Region::SafeLifted, Region::GroundCircuit] {
             let mut w = Writer::default();
             put_region(&mut w, region);
-            let mut r = Reader::new(&w.buf);
-            assert_eq!(get_region(&mut r).unwrap(), region);
+            let bytes = w.into_bytes();
+            assert_eq!(get_region(&mut Reader::new(&bytes)).unwrap(), region);
         }
         let err = ServeError::Engine(EngineError::GroundingTooLarge {
             tuples: 4096,
@@ -963,13 +851,13 @@ mod tests {
         bad.extend_from_slice(&u32::MAX.to_le_bytes()); // "4 billion tuples"
         assert_eq!(decode_request(&bad).unwrap_err(), WireError::Truncated);
         // Zero denominators are rejected, not a divide-by-zero panic.
-        let mut w = Writer::with_opcode(OP_RESP_EXACT, 0);
+        let mut w = frame(OP_RESP_EXACT, 0);
         w.u8(0);
         w.u32(1);
         w.u32(5); // numerator 5
         w.u32(0); // denominator: zero limbs = 0
         assert_eq!(
-            decode_reply(&w.buf).unwrap_err(),
+            decode_reply(&w.into_bytes()).unwrap_err(),
             WireError::BadValue("zero denominator")
         );
     }

@@ -92,7 +92,7 @@ proptest! {
                         let (payload, expired) = model.pop_front().unwrap();
                         let job = queue.pop().expect("model says non-empty");
                         prop_assert_eq!(job.payload, payload, "FIFO order violated");
-                        prop_assert_eq!(job.expired, expired, "expiry flag wrong");
+                        prop_assert_eq!(job.late_by.is_some(), expired, "expiry flag wrong");
                         prop_assert!(popped.insert(payload));
                     } else if closed {
                         prop_assert!(queue.pop().is_none(), "pop after close+drain");
@@ -136,7 +136,7 @@ proptest! {
         while let Some((payload, expired)) = model.pop_front() {
             let job = queue.pop().expect("backlog must survive close");
             prop_assert_eq!(job.payload, payload);
-            prop_assert_eq!(job.expired, expired);
+            prop_assert_eq!(job.late_by.is_some(), expired);
             prop_assert!(popped.insert(payload));
         }
         prop_assert!(queue.pop().is_none(), "drained queue must end");

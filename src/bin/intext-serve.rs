@@ -27,7 +27,9 @@
 //! many earlier incarnations were killed mid-write. `--recover` does
 //! the recover + verify part alone and exits (exit 1 on any mismatch).
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use intext::boolfn::{phi9, BoolFn};
@@ -66,40 +68,16 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
-            "--tcp" => args.tcp = Some(value("--tcp")?),
-            "--unix" => args.unix = Some(value("--unix")?),
-            "--workers" => {
-                args.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
-            "--queue" => {
-                args.queue = Some(
-                    value("--queue")?
-                        .parse()
-                        .map_err(|e| format!("--queue: {e}"))?,
-                )
-            }
-            "--batch-budget" => {
-                args.batch_budget = Some(
-                    value("--batch-budget")?
-                        .parse()
-                        .map_err(|e| format!("--batch-budget: {e}"))?,
-                )
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
+            "--tcp" => args.tcp = Some(value()?),
+            "--unix" => args.unix = Some(value()?),
+            "--workers" => args.workers = Some(number(&flag, value()?)?),
+            "--queue" => args.queue = Some(number(&flag, value()?)?),
+            "--batch-budget" => args.batch_budget = Some(number(&flag, value()?)?),
+            "--deadline-ms" => args.deadline_ms = Some(number(&flag, value()?)?),
             "--demo" => args.demo = true,
-            "--wal" => args.wal = Some(value("--wal")?),
+            "--wal" => args.wal = Some(value()?),
             "--recover" => args.recover = true,
             "--help" | "-h" => {
                 println!(
@@ -119,6 +97,14 @@ fn parse_args() -> Result<Args, String> {
         return Err("nothing to do: pass --demo, --recover, --tcp ADDR, or --unix PATH".into());
     }
     Ok(args)
+}
+
+/// Parses a numeric flag's value, naming the flag in the error.
+fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn serve_config(args: &Args) -> ServeConfig {
@@ -270,6 +256,21 @@ enum WalOp {
     Reweight(TupleId, BigRational),
 }
 
+impl WalOp {
+    /// Applies this update to `tid`, which the stream guarantees legal.
+    fn apply(&self, tid: &mut Tid) {
+        match self {
+            WalOp::Insert(desc, p) => {
+                tid.insert(*desc, p.clone()).expect("absent tuple");
+            }
+            WalOp::Remove(id) => {
+                tid.remove(*id).expect("present tuple");
+            }
+            WalOp::Reweight(id, p) => tid.set_prob(*id, p.clone()).expect("present tuple"),
+        }
+    }
+}
+
 /// The whole deterministic workload: the initial instance and the full
 /// update stream, derived from [`WAL_SEED`] alone.
 fn wal_workload() -> (Tid, Vec<WalOp>) {
@@ -306,17 +307,7 @@ fn wal_workload() -> (Tid, Vec<WalOp>) {
             let id = present[(mix(&mut state) as usize) % present.len()];
             WalOp::Reweight(id, wal_rational(&mut state))
         };
-        match &op {
-            WalOp::Insert(desc, p) => {
-                tid.insert(*desc, p.clone()).expect("absent tuple");
-            }
-            WalOp::Remove(id) => {
-                tid.remove(*id).expect("present tuple");
-            }
-            WalOp::Reweight(id, p) => {
-                tid.set_prob(*id, p.clone()).expect("present tuple");
-            }
-        }
+        op.apply(&mut tid);
         ops.push(op);
     }
     (initial, ops)
@@ -344,17 +335,7 @@ fn wal_probes() -> (Vec<BoolFn>, Vec<Database>) {
     let mut shapes = vec![initial.database().clone()];
     let mut tid = initial;
     for op in &ops {
-        match op {
-            WalOp::Insert(desc, p) => {
-                tid.insert(*desc, p.clone()).expect("absent tuple");
-            }
-            WalOp::Remove(id) => {
-                tid.remove(*id).expect("present tuple");
-            }
-            WalOp::Reweight(id, p) => {
-                tid.set_prob(*id, p.clone()).expect("present tuple");
-            }
-        }
+        op.apply(&mut tid);
         shapes.push(tid.database().clone());
     }
     (durable, shapes)

@@ -48,14 +48,14 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use intext_boolfn::BoolFn;
+use intext_boolfn::{phi9, BoolFn};
 use intext_engine::{
     EngineConfig, EngineError, EngineStats, Plan, PqeEngine, RouteLatency, SamplingConfig,
 };
 use intext_numeric::BigRational;
 use intext_query::{HQuery, Query};
 use intext_serve::{listen_tcp, RemoteClient, Request, Response, ServeConfig, ServeError, Server};
-use intext_tid::{Database, Tid, TupleDesc, Vocabulary};
+use intext_tid::{complete_database, uniform_tid, Database, Tid, TupleDesc, Vocabulary};
 
 /// Instance-size cap shared with `tests/engine_incremental.rs`: at most
 /// `2^7` possible worlds keeps full-corpus sweeps fast in debug builds.
@@ -665,6 +665,49 @@ fn racing_bursts_never_lose_or_corrupt_a_request() {
     );
     assert!(answered > 0, "the hammer never landed a request");
     assert!(handle.queue_high_water() <= 4);
+}
+
+/// Served cache hits refresh LRU recency exactly as the engine's own
+/// lookups do. φ9 on the complete `k = 3` instances of domain 1, 2 and
+/// 3, under a gate budget one short of all three circuits, requested
+/// d = 1, 2, 1, 3, 1 one at a time: the second d = 1 hit makes d = 2
+/// the least recently used, so admitting d = 3 evicts d = 2 and the
+/// last d = 1 still hits — 3 misses and 1 eviction, on the engine and
+/// on a one-worker server alike.
+#[test]
+fn served_hits_refresh_lru_recency_like_the_engine() {
+    let q = HQuery::new(phi9());
+    let tids: Vec<Tid> = (1..=3)
+        .map(|d| uniform_tid(complete_database(3, d), BigRational::from_ratio(1, 2)))
+        .collect();
+    let gates: usize = tids
+        .iter()
+        .map(|tid| {
+            let prepared = PqeEngine::new().prepare(&q, tid).unwrap();
+            prepared.circuit_size().unwrap()
+        })
+        .sum();
+    let config = EngineConfig {
+        cache_gate_budget: Some(gates - 1),
+        ..EngineConfig::default()
+    };
+    let mut seq = PqeEngine::with_config(config);
+    let server = Server::start(ServeConfig {
+        engine: config,
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = server.handle();
+    for d in [1, 2, 1, 3, 1] {
+        let tid = &tids[d - 1];
+        let expected = seq.evaluate(&q, tid).unwrap();
+        assert_eq!(handle.evaluate(&q, tid).unwrap(), expected, "domain {d}");
+    }
+    let served = server.shutdown();
+    assert_eq!(seq.stats().cache_misses, 3);
+    assert_eq!(seq.stats().cache_evictions, 1);
+    assert_counts_equal(&served, seq.stats(), "LRU recency");
 }
 
 /// Satellite (b): live tuple updates race evaluations through the
