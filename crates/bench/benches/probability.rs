@@ -14,7 +14,7 @@ fn bench_probability(c: &mut Criterion) {
     for domain in DOMAIN_SWEEP {
         let tid = bench_tid(3, domain, 47);
         let dd = compile_dd(&phi9(), tid.database()).unwrap();
-        g.throughput(Throughput::Elements(dd.stats().gates as u64));
+        g.throughput(Throughput::Elements(dd.size() as u64));
         g.bench_with_input(BenchmarkId::new("f64", domain), &tid, |b, tid| {
             b.iter(|| black_box(dd.probability_f64(tid)));
         });

@@ -29,46 +29,6 @@ pub enum Gate {
     Not(GateId),
 }
 
-/// Why a serialized gate arena was rejected by [`Circuit::from_gates`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CircuitError {
-    /// More gates than [`GateId`]'s `u32` encoding can address.
-    TooManyGates(usize),
-    /// A gate's input points at this gate or a later one: the arena is
-    /// not topologically ordered (or the index is simply dangling).
-    DanglingInput {
-        /// Arena index of the gate.
-        gate: u32,
-        /// The offending input reference.
-        input: u32,
-    },
-    /// Two arena slots hold structurally identical gates, violating the
-    /// hash-consing invariant every in-process construction maintains.
-    DuplicateGate {
-        /// Arena index of the second occurrence.
-        gate: u32,
-    },
-}
-
-impl fmt::Display for CircuitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CircuitError::TooManyGates(n) => write!(f, "{n} gates exceed the u32 encoding"),
-            CircuitError::DanglingInput { gate, input } => {
-                write!(f, "gate {gate} references nonexistent/later gate {input}")
-            }
-            CircuitError::DuplicateGate { gate } => {
-                write!(
-                    f,
-                    "gate {gate} duplicates an earlier gate (hash-consing violated)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CircuitError {}
-
 /// Size and shape statistics of a circuit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CircuitStats {
@@ -168,54 +128,6 @@ impl Circuit {
     /// The gate stored at `id`.
     pub fn gate(&self, id: GateId) -> &Gate {
         &self.gates[id.0 as usize]
-    }
-
-    /// The whole arena in index order — the stable encoding serializers
-    /// write. Inputs always precede their users (`add` appends), so
-    /// replaying the slice through [`from_gates`](Self::from_gates)
-    /// reproduces the arena exactly: same [`GateId`]s, bit-identical
-    /// walks.
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
-    }
-
-    /// Rebuilds a circuit from a gate arena, as produced by
-    /// [`gates`](Self::gates).
-    ///
-    /// This is the **total** deserialization path: where [`add`](Self::add)
-    /// panics on trusted in-process misuse, every violation a corrupted
-    /// byte stream could carry — dangling or forward input references,
-    /// duplicate gates breaking hash-consing — comes back as a typed
-    /// [`CircuitError`]. A successful return satisfies the same
-    /// invariants construction guarantees (topological order,
-    /// hash-consed uniqueness), so all `&self` walks behave exactly as
-    /// on a freshly built circuit.
-    pub fn from_gates(gates: Vec<Gate>) -> Result<Circuit, CircuitError> {
-        if u32::try_from(gates.len()).is_err() {
-            return Err(CircuitError::TooManyGates(gates.len()));
-        }
-        let mut dedup = HashMap::with_capacity(gates.len());
-        for (i, gate) in gates.iter().enumerate() {
-            let check = |id: &GateId| {
-                if (id.0 as usize) < i {
-                    Ok(())
-                } else {
-                    Err(CircuitError::DanglingInput {
-                        gate: i as u32,
-                        input: id.0,
-                    })
-                }
-            };
-            match gate {
-                Gate::And(xs) | Gate::Or(xs) => xs.iter().try_for_each(check)?,
-                Gate::Not(x) => check(x)?,
-                Gate::Const(_) | Gate::Var(_) => {}
-            }
-            if dedup.insert(gate.clone(), GateId(i as u32)).is_some() {
-                return Err(CircuitError::DuplicateGate { gate: i as u32 });
-            }
-        }
-        Ok(Circuit { gates, dedup })
     }
 
     /// Number of gates.
@@ -326,18 +238,17 @@ impl Circuit {
         scratch: &mut EvalScratch,
     ) -> [f64; LANES] {
         scratch.ensure_lanes(self.gates.len());
-        let values = &mut scratch.lanes[..self.gates.len() * LANES];
+        let values = &mut scratch.lanes[..self.gates.len()];
         for (i, g) in self.gates.iter().enumerate() {
-            let (done, rest) = values.split_at_mut(i * LANES);
-            let out = &mut rest[..LANES];
+            let (done, rest) = values.split_at_mut(i);
+            let out = &mut rest[0];
             match g {
                 Gate::Const(b) => out.fill(f64::from(u8::from(*b))),
-                Gate::Var(v) => out.copy_from_slice(probs.block(*v)),
+                Gate::Var(v) => *out = *probs.block(*v),
                 Gate::And(xs) => {
                     out.fill(1.0);
                     for x in xs {
-                        let input = &done[x.0 as usize * LANES..][..LANES];
-                        for (o, v) in out.iter_mut().zip(input) {
+                        for (o, v) in out.iter_mut().zip(&done[x.0 as usize]) {
                             *o *= v;
                         }
                     }
@@ -345,23 +256,19 @@ impl Circuit {
                 Gate::Or(xs) => {
                     out.fill(0.0);
                     for x in xs {
-                        let input = &done[x.0 as usize * LANES..][..LANES];
-                        for (o, v) in out.iter_mut().zip(input) {
+                        for (o, v) in out.iter_mut().zip(&done[x.0 as usize]) {
                             *o += v;
                         }
                     }
                 }
                 Gate::Not(x) => {
-                    let input = &done[x.0 as usize * LANES..][..LANES];
-                    for (o, v) in out.iter_mut().zip(input) {
+                    for (o, v) in out.iter_mut().zip(&done[x.0 as usize]) {
                         *o = 1.0 - v;
                     }
                 }
             }
         }
-        values[root.0 as usize * LANES..][..LANES]
-            .try_into()
-            .expect("lane block is exactly LANES wide")
+        values[root.0 as usize]
     }
 
     /// Exact-rational variant of [`Self::probability_f64`].
@@ -562,53 +469,6 @@ mod tests {
     fn dangling_input_rejected() {
         let mut c = Circuit::new();
         c.add(Gate::Not(GateId(5)));
-    }
-
-    #[test]
-    fn from_gates_replays_an_arena_exactly() {
-        let (c, root) = sample();
-        let rebuilt = Circuit::from_gates(c.gates().to_vec()).unwrap();
-        assert_eq!(rebuilt.gates(), c.gates(), "same gates, same ids");
-        for bits in 0..8u32 {
-            assert_eq!(
-                rebuilt.eval(root, &|v| (bits >> v) & 1 == 1),
-                c.eval(root, &|v| (bits >> v) & 1 == 1)
-            );
-        }
-        assert_eq!(rebuilt.stats(), c.stats());
-        // Hash-consing is live again: adding an existing gate dedups.
-        let mut rebuilt = rebuilt;
-        let x0 = rebuilt.var(0);
-        assert_eq!(x0, GateId(0));
-        assert_eq!(rebuilt.len(), c.len());
-    }
-
-    #[test]
-    fn from_gates_rejects_each_structural_violation() {
-        // Forward (non-topological) input.
-        assert_eq!(
-            Circuit::from_gates(vec![Gate::Not(GateId(1)), Gate::Var(0)]).unwrap_err(),
-            CircuitError::DanglingInput { gate: 0, input: 1 }
-        );
-        // Dangling input past the arena.
-        assert_eq!(
-            Circuit::from_gates(vec![Gate::Var(0), Gate::And(vec![GateId(0), GateId(9)])])
-                .unwrap_err(),
-            CircuitError::DanglingInput { gate: 1, input: 9 }
-        );
-        // Self-reference.
-        assert_eq!(
-            Circuit::from_gates(vec![Gate::Or(vec![GateId(0)])]).unwrap_err(),
-            CircuitError::DanglingInput { gate: 0, input: 0 }
-        );
-        // Duplicate structural gate (hash-consing violated).
-        assert_eq!(
-            Circuit::from_gates(vec![Gate::Var(3), Gate::Var(3)]).unwrap_err(),
-            CircuitError::DuplicateGate { gate: 1 }
-        );
-        assert!(CircuitError::DuplicateGate { gate: 1 }
-            .to_string()
-            .contains("hash-consing"));
     }
 
     #[test]

@@ -107,46 +107,29 @@ impl ProbMatrix {
 /// steady-state batch evaluation performs **zero heap allocations per
 /// scenario**.
 ///
-/// All buffers grow to the largest artifact walked through them and are
-/// then reused verbatim: value lanes are overwritten by the forward
-/// pass, the OBDD reachability marks are un-set via the visit list
-/// (never a full clear), and the work stacks keep their capacity across
-/// calls (`Vec::clear` does not release storage). One scratch serves
-/// both artifact kinds; shard workers each own one so walks stay free of
-/// shared mutable state.
+/// One buffer of value lanes (`LANES` running `f64`s per gate or OBDD
+/// node), grown to the largest artifact walked through it and then
+/// reused verbatim: a circuit pass overwrites its slots, an OBDD pass
+/// clears and refills it (`Vec::clear` keeps the capacity). One scratch
+/// serves both artifact kinds; shard workers each own one so walks stay
+/// free of shared mutable state.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    /// Gate- (or node-) major value lanes: `LANES` running `f64`s per
-    /// arena slot.
-    pub(crate) lanes: Vec<f64>,
-    /// OBDD reachability marks, indexed by node index; always all-false
-    /// between walks.
-    pub(crate) visited: Vec<bool>,
-    /// DFS work stack for the OBDD reachability pass.
-    pub(crate) stack: Vec<u32>,
-    /// Reachable node indices in ascending (= topological) order.
-    pub(crate) topo: Vec<u32>,
+    /// Gate- (or node-) major value lanes.
+    pub(crate) lanes: Vec<[f64; LANES]>,
 }
 
 impl EvalScratch {
-    /// A fresh scratch; buffers are allocated lazily on first use.
+    /// A fresh scratch; the buffer is allocated lazily on first use.
     pub fn new() -> Self {
         EvalScratch::default()
     }
 
-    /// Grows the value-lane buffer to at least `slots * LANES` (growth
+    /// Grows the value-lane buffer to at least `slots` blocks (growth
     /// only — steady-state calls are allocation-free).
     pub(crate) fn ensure_lanes(&mut self, slots: usize) {
-        let need = slots * LANES;
-        if self.lanes.len() < need {
-            self.lanes.resize(need, 0.0);
-        }
-    }
-
-    /// Grows the reachability marks to cover `nodes` arena slots.
-    pub(crate) fn ensure_visited(&mut self, nodes: usize) {
-        if self.visited.len() < nodes {
-            self.visited.resize(nodes, false);
+        if self.lanes.len() < slots {
+            self.lanes.resize(slots, [0.0; LANES]);
         }
     }
 }
@@ -202,14 +185,11 @@ mod tests {
     fn scratch_buffers_grow_once_and_stay() {
         let mut s = EvalScratch::new();
         s.ensure_lanes(4);
-        assert_eq!(s.lanes.len(), 4 * LANES);
-        s.lanes[0] = 1.0;
+        assert_eq!(s.lanes.len(), 4);
+        s.lanes[0][0] = 1.0;
         // A smaller request reuses the same storage.
         s.ensure_lanes(2);
-        assert_eq!(s.lanes.len(), 4 * LANES);
-        assert_eq!(s.lanes[0], 1.0);
-        s.ensure_visited(5);
-        assert_eq!(s.visited.len(), 5);
-        assert!(s.stack.is_empty() && s.topo.is_empty());
+        assert_eq!(s.lanes.len(), 4);
+        assert_eq!(s.lanes[0][0], 1.0);
     }
 }

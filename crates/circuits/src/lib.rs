@@ -18,14 +18,16 @@
 //! the standard `apply`/negate algorithms, exact and floating probability
 //! computation, model counting, and conversion into d-D circuits.
 //!
-//! Probability walks exploit that linearity aggressively: the scalar
-//! walks are iterative dense passes (no recursion, no hash-memo), and
-//! the [`eval`] module provides the **lane-batched kernel** —
-//! [`Circuit::probability_f64_many`] / [`ObddManager::probability_f64_many`]
-//! evaluate up to [`LANES`] probability scenarios in one pass over the
-//! same immutable artifact, bit-identical per lane to the scalar walk,
-//! with zero steady-state heap allocations thanks to [`EvalScratch`]
-//! reuse (`DESIGN.md` §6).
+//! Probability walks exploit that linearity aggressively. Every OBDD
+//! walk is one ascending pass over the arena up to the root
+//! ([`ObddManager::fold`]) — no reachability search, no recursion, no
+//! hash-memo — and [`ObddManager::compact`] makes that pass visit
+//! exactly the root's reachable nodes. The [`eval`] module provides the
+//! **lane-batched kernel**: [`Circuit::probability_f64_many`] /
+//! [`ObddManager::probability_f64_many`] evaluate up to [`LANES`]
+//! probability scenarios in one pass over the same immutable artifact,
+//! bit-identical per lane to the scalar walk, with zero steady-state
+//! heap allocations thanks to [`EvalScratch`] reuse (`DESIGN.md` §6).
 
 mod circuit;
 pub mod eval;
@@ -33,6 +35,6 @@ mod models;
 mod obdd;
 pub mod verify;
 
-pub use circuit::{Circuit, CircuitError, CircuitStats, Gate, GateId};
+pub use circuit::{Circuit, CircuitStats, Gate, GateId};
 pub use eval::{EvalScratch, ProbMatrix, LANES};
 pub use obdd::{NodeRef, ObddError, ObddManager};

@@ -156,6 +156,10 @@ pub struct ObddManager {
     order: Vec<u32>,
     level_of: HashMap<u32, u32>,
     nodes: Vec<Node>,
+    /// `(level, lo, hi)` → node, for every node — or empty after
+    /// [`compact`](Self::compact), which skips it because compacted
+    /// arenas are walked and copied from, not built on; `mk` rebuilds it
+    /// on first use.
     unique: HashMap<(u32, NodeRef, NodeRef), NodeRef>,
 }
 
@@ -314,6 +318,14 @@ impl ObddManager {
         if lo == hi {
             return lo;
         }
+        if self.unique.len() != self.nodes.len() {
+            self.unique = (0..self.nodes.len())
+                .map(|i| {
+                    let n = self.nodes[i];
+                    ((n.level, n.lo, n.hi), NodeRef::from_index(i))
+                })
+                .collect();
+        }
         if let Some(&r) = self.unique.get(&(level, lo, hi)) {
             return r;
         }
@@ -463,17 +475,30 @@ impl ObddManager {
         r == NodeRef::TRUE
     }
 
-    /// The distinct variables tested by the nodes reachable from `r`,
-    /// sorted ascending — exactly the probability entries any walk from
-    /// `r` reads (reduction-skipped variables marginalize out and are
-    /// absent). Batch evaluators fill their [`ProbMatrix`] for these
-    /// variables only; a lineage OBDD often touches a fraction of a
-    /// large database's tuples.
+    /// The arena nodes an ascending walk from `r` visits: every node up
+    /// to and including `r` (none for a terminal). On an arena compacted
+    /// by [`compact`](Self::compact) with `r` first among its roots these
+    /// are exactly the nodes reachable from `r`, so this is
+    /// [`size`](Self::size) in O(1).
+    pub fn prefix_len(&self, r: NodeRef) -> usize {
+        if r.is_terminal() {
+            0
+        } else {
+            r.index() + 1
+        }
+    }
+
+    /// The distinct variables tested by the nodes of `r`'s walk prefix
+    /// ([`prefix_len`](Self::prefix_len)), sorted ascending — exactly the
+    /// probability entries any walk from `r` reads. On a compacted arena
+    /// that is the support of `r` (reduction-skipped variables
+    /// marginalize out and are absent). Batch evaluators fill their
+    /// [`ProbMatrix`] for these variables only; a lineage OBDD often
+    /// touches a fraction of a large database's tuples.
     pub fn support_vars(&self, r: NodeRef) -> Vec<u32> {
-        let topo = self.reachable_topo(r);
-        let mut vars: Vec<u32> = topo
+        let mut vars: Vec<u32> = self.nodes[..self.prefix_len(r)]
             .iter()
-            .map(|&i| self.order[self.nodes[i as usize].level as usize])
+            .map(|n| self.order[n.level as usize])
             .collect();
         vars.sort_unstable();
         vars.dedup();
@@ -495,129 +520,74 @@ impl ObddManager {
         seen.len()
     }
 
-    /// The indices of the nodes reachable from `r`, ascending — which is
-    /// a topological order (children strictly precede parents in the
-    /// arena), so a single forward pass over the list can compute any
-    /// bottom-up quantity. Marks are made and un-made through the
-    /// provided buffers (`visited` must come in all-false and is
-    /// restored to all-false), so a caller reusing the buffers performs
-    /// no bookkeeping allocation once they have grown.
-    fn reachable_topo_into(
+    /// The one OBDD walk: a single ascending pass over `r`'s walk prefix
+    /// ([`prefix_len`](Self::prefix_len)), where every node combines its
+    /// children's values as `node(var, lo, hi)` and the terminals read
+    /// `terminals[0]` (false) and `terminals[1]` (true). Ascending arena
+    /// index is a topological order (children precede parents), so the
+    /// pass is correct on any arena; on a compacted one it visits exactly
+    /// the reachable nodes, with no reachability search and no recursion
+    /// (arbitrarily deep OBDDs cannot overflow the stack).
+    ///
+    /// `values` holds one value per visited node; it is cleared first and
+    /// keeps its capacity, so a caller reusing it allocates nothing once
+    /// it has grown to the largest prefix walked.
+    pub fn fold<T: Clone>(
         &self,
         r: NodeRef,
-        visited: &mut [bool],
-        stack: &mut Vec<u32>,
-        topo: &mut Vec<u32>,
-    ) {
+        terminals: &[T; 2],
+        values: &mut Vec<T>,
+        mut node: impl FnMut(u32, &T, &T) -> T,
+    ) -> T {
         if r.is_terminal() {
-            return;
+            return terminals[r.0 as usize].clone();
         }
-        stack.push(r.index() as u32);
-        while let Some(i) = stack.pop() {
-            let i = i as usize;
-            if visited[i] {
-                continue;
-            }
-            visited[i] = true;
-            topo.push(i as u32);
-            let n = self.nodes[i];
-            for child in [n.lo, n.hi] {
-                if !child.is_terminal() && !visited[child.index()] {
-                    stack.push(child.index() as u32);
-                }
-            }
+        let prefix = &self.nodes[..self.prefix_len(r)];
+        values.clear();
+        values.reserve(prefix.len());
+        for n in prefix {
+            let value = {
+                let fetch = |child: NodeRef| match child {
+                    NodeRef::FALSE | NodeRef::TRUE => &terminals[child.0 as usize],
+                    _ => &values[child.index()],
+                };
+                node(self.order[n.level as usize], fetch(n.lo), fetch(n.hi))
+            };
+            values.push(value);
         }
-        // `sort_unstable` is in-place (no allocation), keeping the
-        // steady-state walk allocation-free.
-        topo.sort_unstable();
-        for &i in topo.iter() {
-            visited[i as usize] = false;
-        }
-    }
-
-    /// [`reachable_topo_into`](Self::reachable_topo_into) with one-shot
-    /// local buffers, for the scalar walks.
-    fn reachable_topo(&self, r: NodeRef) -> Vec<u32> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = Vec::new();
-        let mut topo = Vec::new();
-        self.reachable_topo_into(r, &mut visited, &mut stack, &mut topo);
-        topo
+        values.pop().expect("the pass ends at the root")
     }
 
     /// Probability of the function under independent per-variable
     /// probabilities (linear in the OBDD size; reduction-skipped
     /// variables marginalize out automatically).
     ///
-    /// The walk is **iterative** — one dense forward pass over the
-    /// reachable nodes in arena order, no recursion (so arbitrarily deep
-    /// OBDDs cannot overflow the stack) and no hash-memo. Each node
-    /// computes `p·hi + (1 - p)·lo`, the same expression in the same
-    /// order as every other walk, keeping results bit-identical across
-    /// the scalar and lane-batched paths.
+    /// One [`fold`](Self::fold) pass. Each node computes
+    /// `p·hi + (1 - p)·lo`, the same expression in the same order as
+    /// every other walk, keeping results bit-identical across the scalar
+    /// and lane-batched paths.
     pub fn probability_f64(&self, r: NodeRef, prob: &impl Fn(u32) -> f64) -> f64 {
-        match r {
-            NodeRef::FALSE => return 0.0,
-            NodeRef::TRUE => return 1.0,
-            _ => {}
-        }
-        let topo = self.reachable_topo(r);
-        let mut values = vec![0f64; r.index() + 1];
-        let fetch = |values: &[f64], child: NodeRef| match child {
-            NodeRef::FALSE => 0.0,
-            NodeRef::TRUE => 1.0,
-            _ => values[child.index()],
-        };
-        for &i in &topo {
-            let n = self.nodes[i as usize];
-            let pv = prob(self.order[n.level as usize]);
-            let hi = fetch(&values, n.hi);
-            let lo = fetch(&values, n.lo);
-            values[i as usize] = pv * hi + (1.0 - pv) * lo;
-        }
-        values[r.index()]
+        self.fold(r, &[0.0, 1.0], &mut Vec::new(), |var, &lo, &hi| {
+            let p = prob(var);
+            p * hi + (1.0 - p) * lo
+        })
     }
 
-    /// Exact-rational variant of [`Self::probability_f64`] — the same
-    /// iterative dense-index walk (recursion-free, no hash-memo), with
-    /// values stored per reachable node only so the rationals of
-    /// unreachable arena nodes are never touched.
+    /// Exact-rational variant of [`Self::probability_f64`], reading
+    /// `prob` and its complement at every node.
     pub fn probability_exact(&self, r: NodeRef, prob: &impl Fn(u32) -> BigRational) -> BigRational {
-        match r {
-            NodeRef::FALSE => return BigRational::zero(),
-            NodeRef::TRUE => return BigRational::one(),
-            _ => {}
-        }
-        let topo = self.reachable_topo(r);
-        // Dense node-index → topo-position map: the reachable set can be
-        // a sliver of a shared arena, and `BigRational` slots are too
-        // expensive to place (or even zero-initialize) per arena node.
-        let mut pos = vec![u32::MAX; r.index() + 1];
-        for (p, &i) in topo.iter().enumerate() {
-            pos[i as usize] = p as u32;
-        }
-        let zero = BigRational::zero();
-        let one = BigRational::one();
-        let mut values: Vec<BigRational> = Vec::with_capacity(topo.len());
-        for &i in &topo {
-            let n = self.nodes[i as usize];
-            let pv = prob(self.order[n.level as usize]);
-            let fetch = |child: NodeRef| match child {
-                NodeRef::FALSE => &zero,
-                NodeRef::TRUE => &one,
-                _ => &values[pos[child.index()] as usize],
-            };
-            let p = &(&pv * fetch(n.hi)) + &(&pv.complement() * fetch(n.lo));
-            values.push(p);
-        }
-        values[pos[r.index()] as usize].clone()
+        let terminals = [BigRational::zero(), BigRational::one()];
+        self.fold(r, &terminals, &mut Vec::new(), |var, lo, hi| {
+            let p = prob(var);
+            &(&p * hi) + &(&p.complement() * lo)
+        })
     }
 
-    /// Lane-batched variant of [`Self::probability_f64`]: one iterative
-    /// pass over the reachable nodes computes up to [`LANES`] scenarios
-    /// at once, reading per-variable probabilities from `probs` and
-    /// keeping all state in `scratch` (zero heap allocations once the
-    /// scratch has grown to this arena's size).
+    /// Lane-batched variant of [`Self::probability_f64`]: one
+    /// [`fold`](Self::fold) pass computes up to [`LANES`] scenarios at
+    /// once, reading per-variable probabilities from `probs` and keeping
+    /// the node values in `scratch` (zero heap allocations once the
+    /// scratch has grown to this prefix's size).
     ///
     /// Same bit-identity contract as
     /// [`Circuit::probability_f64_many`](crate::Circuit::probability_f64_many):
@@ -629,46 +599,61 @@ impl ObddManager {
         probs: &ProbMatrix,
         scratch: &mut EvalScratch,
     ) -> [f64; LANES] {
-        match r {
-            NodeRef::FALSE => return [0.0; LANES],
-            NodeRef::TRUE => return [1.0; LANES],
-            _ => {}
-        }
-        scratch.ensure_visited(self.nodes.len());
-        scratch.ensure_lanes(r.index() + 1);
-        let EvalScratch {
-            lanes,
-            visited,
-            stack,
-            topo,
-        } = scratch;
-        stack.clear();
-        topo.clear();
-        self.reachable_topo_into(r, visited, stack, topo);
-        let values = &mut lanes[..(r.index() + 1) * LANES];
-        for &i in topo.iter() {
-            let n = self.nodes[i as usize];
-            let pv = probs.block(self.order[n.level as usize]);
-            let (done, rest) = values.split_at_mut(i as usize * LANES);
-            let out = &mut rest[..LANES];
-            let fetch = |done: &[f64], child: NodeRef| -> [f64; LANES] {
-                match child {
-                    NodeRef::FALSE => [0.0; LANES],
-                    NodeRef::TRUE => [1.0; LANES],
-                    _ => done[child.index() * LANES..][..LANES]
-                        .try_into()
-                        .expect("lane block is exactly LANES wide"),
+        let terminals = [[0.0; LANES], [1.0; LANES]];
+        self.fold(r, &terminals, &mut scratch.lanes, |var, lo, hi| {
+            let p = probs.block(var);
+            std::array::from_fn(|l| p[l] * hi[l] + (1.0 - p[l]) * lo[l])
+        })
+    }
+
+    /// Rebuilds the arena keeping only the nodes reachable from `roots`,
+    /// and returns the new manager with the images of `roots`.
+    ///
+    /// Nodes are renumbered in *canonical postorder* from each root in
+    /// turn: the lo subtree, then the hi subtree, then the node. The
+    /// nodes of `roots[0]` therefore come first and end at its image, so
+    /// an ascending walk from it ([`fold`](Self::fold)) visits exactly
+    /// its reachable nodes; nodes only later roots reach follow. The
+    /// prefix is a pure function of the reduced DAG below `roots[0]`,
+    /// never of the arena history that built it — which is what makes a
+    /// patched lineage byte-identical to a fresh compile once both are
+    /// compacted.
+    pub fn compact(&self, roots: &[NodeRef]) -> (ObddManager, Vec<NodeRef>) {
+        let mut nodes = Vec::new();
+        // Arena index -> image; `FALSE` marks "not yet copied" (a
+        // decision node never maps to a terminal).
+        let mut map = vec![NodeRef::FALSE; self.nodes.len()];
+        let image = |map: &[NodeRef], r: NodeRef| if r.is_terminal() { r } else { map[r.index()] };
+        let mut stack = Vec::new();
+        for &root in roots {
+            stack.push((root, false));
+            while let Some((r, expanded)) = stack.pop() {
+                if r.is_terminal() || map[r.index()] != NodeRef::FALSE {
+                    continue;
                 }
-            };
-            let hi = fetch(done, n.hi);
-            let lo = fetch(done, n.lo);
-            for (l, o) in out.iter_mut().enumerate() {
-                *o = pv[l] * hi[l] + (1.0 - pv[l]) * lo[l];
+                let n = self.nodes[r.index()];
+                if expanded {
+                    // Distinct reduced nodes stay distinct under an
+                    // injective renumbering: no unique-table lookup.
+                    map[r.index()] = NodeRef::from_index(nodes.len());
+                    nodes.push(Node {
+                        level: n.level,
+                        lo: image(&map, n.lo),
+                        hi: image(&map, n.hi),
+                    });
+                } else {
+                    stack.extend([(r, true), (n.hi, false), (n.lo, false)]);
+                }
             }
         }
-        values[r.index() * LANES..][..LANES]
-            .try_into()
-            .expect("lane block is exactly LANES wide")
+        let images = roots.iter().map(|&r| image(&map, r)).collect();
+        let out = ObddManager {
+            order: self.order.clone(),
+            level_of: self.level_of.clone(),
+            nodes,
+            unique: HashMap::new(),
+        };
+        (out, images)
     }
 
     /// Copies the functions rooted at `refs` into `target`, rewriting
@@ -1224,6 +1209,65 @@ mod tests {
         let again = m.copy_remapped(&mut target, &|l| l, &[f]);
         assert_eq!(again[0], mapped[0]);
         assert_eq!(target.arena_size(), before);
+    }
+
+    #[test]
+    fn compact_puts_the_first_roots_nodes_first_in_canonical_postorder() {
+        // The same function built through two different arena histories,
+        // each with dead intermediates left behind.
+        let mut a = ObddManager::new(vec![0, 1, 2, 3]);
+        let x: Vec<NodeRef> = (0..4).map(|v| a.literal(v, true)).collect();
+        let t = a.and(x[0], x[1]);
+        let f = a.xor(t, x[2]);
+        let extra = a.or(x[3], t);
+        let mut b = ObddManager::new(vec![0, 1, 2, 3]);
+        let y: Vec<NodeRef> = (0..4).rev().map(|v| b.literal(v, true)).collect();
+        let _ = b.or(y[0], y[1]);
+        let u = b.and(y[2], y[3]);
+        let g = b.xor(y[1], u);
+
+        let (ca, ra) = a.compact(&[f, extra]);
+        let (cb, rb) = b.compact(&[g]);
+        assert_eq!(ca.prefix_len(ra[0]), a.size(f), "the prefix is f's nodes");
+        assert_eq!(
+            ra[0],
+            NodeRef::from_raw(a.size(f) as u32 + 1),
+            "ending at f"
+        );
+        assert_eq!(cb.arena_size(), b.size(g), "dead nodes are dropped");
+        assert_eq!(cb.prefix_len(rb[0]), cb.arena_size());
+        assert_eq!(
+            ca.node_entries()
+                .take(ca.prefix_len(ra[0]))
+                .collect::<Vec<_>>(),
+            cb.node_entries().collect::<Vec<_>>(),
+            "the prefix depends on the function, not on the history"
+        );
+        // Later roots keep their own nodes after the prefix.
+        assert!(ca.arena_size() > ca.prefix_len(ra[0]));
+        for bits in 0..16u32 {
+            assert_eq!(
+                ca.eval(ra[1], &assignment(bits)),
+                a.eval(extra, &assignment(bits))
+            );
+        }
+        let p = |v: u32| 0.15 + 0.2 * f64::from(v);
+        assert_eq!(
+            ca.probability_f64(ra[0], &p).to_bits(),
+            a.probability_f64(f, &p).to_bits(),
+            "bit-identical walks after compaction"
+        );
+        assert_eq!(ca.support_vars(ra[0]), vec![0, 1, 2]);
+        // Building on a compacted arena still dedups against its nodes.
+        let mut ca = ca;
+        let (level, lo, hi) = ca.node_entries().next().unwrap();
+        let before = ca.arena_size();
+        assert_eq!(ca.mk(level, lo, hi), NodeRef::from_raw(2));
+        assert_eq!(ca.arena_size(), before);
+        // Terminals map to themselves and have empty prefixes.
+        let (_, terms) = a.compact(&[NodeRef::TRUE]);
+        assert_eq!(terms, vec![NodeRef::TRUE]);
+        assert_eq!(a.prefix_len(NodeRef::FALSE), 0);
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //!    template is deterministic by construction.
 //! 3. **Compilation** ([`pipeline`]) — compile each degenerate leaf into
 //!    an OBDD by the grouped-order automaton of `intext-lineage`
-//!    (Proposition 3.7), convert to circuit gates, and plug into the
-//!    template (Proposition 4.4). The result is a d-D for
-//!    `Lin(Q_φ, D)`, built in time polynomial in `|D|`, on which the
-//!    probability is one bottom-up pass.
+//!    (Proposition 3.7), compacted to its reachable nodes. Plugged into
+//!    the template's holes the OBDDs form a d-D for `Lin(Q_φ, D)`
+//!    (Proposition 4.4), built in time polynomial in `|D|`. The artifact
+//!    keeps the template and the leaves apart: every template `∨` is
+//!    deterministic (a sum) and `¬` is `1 − x`, so the probability is
+//!    one linear pass per leaf combined through the template, and the
+//!    plugged circuit is only built on demand
+//!    ([`CompiledLineage::to_circuit`]).
 //!
 //! Since every safe `H⁺`-query has `e(φ) = 0` (Corollary 3.9), this
 //! proves Corollary 5.3: **all safe `H⁺`-queries are in d-D(PTIME)** —
@@ -43,7 +47,7 @@ pub mod transform;
 pub use classify::{classify, hardness_witness, Region};
 pub use negfree::{negation_free_fragmentation, removal_only_steps};
 pub use pipeline::{compile_dd, CompileError, CompiledLineage};
-pub use template::{Fragmentation, Template};
+pub use template::{Fold, Fragmentation, Template};
 pub use transfer::{pqe_via_transfer, transfer_circuit};
 pub use transform::{
     apply_steps, fetch_path, invert_steps, is_canonical, steps_between, steps_to_bottom,

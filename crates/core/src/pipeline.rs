@@ -2,22 +2,28 @@
 //! Proposition 4.4): `e(φ) = 0  ⟹  Q_φ ∈ d-D(PTIME)`.
 //!
 //! Fragmentation produces a `¬`-`∨`-template over degenerate
-//! pair-functions; each leaf is compiled to an OBDD by `intext-lineage`
-//! (Proposition 3.7), embedded as circuit gates, and the template is
-//! replayed on top. Determinism of the template's `∨` gates holds by
-//! construction: the lineage map `α ↦ Lin(Q_α, D)` is a homomorphism
-//! from Boolean functions over `V` to Boolean functions over tuples, so
-//! disjointness at the `φ` level transfers to the lineage level.
+//! pair-functions, and each leaf is compiled to an OBDD by
+//! `intext-lineage` (Proposition 3.7). Plugging the OBDDs into the
+//! template's holes gives the d-D of Proposition 4.4. Determinism of the
+//! template's `∨` gates holds by construction: the lineage map
+//! `α ↦ Lin(Q_α, D)` is a homomorphism from Boolean functions over `V`
+//! to Boolean functions over tuples, so disjointness at the `φ` level
+//! transfers to the lineage level.
+//!
+//! A deterministic `∨` is a sum and `¬` is `1 − x`, so the d-D's
+//! probability is a function of its leaves' probabilities: the compiled
+//! artifact ([`CompiledLineage`]) keeps the template and the leaf OBDDs
+//! apart and never builds the plugged circuit to evaluate it.
 
 use std::fmt;
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{Circuit, CircuitStats, GateId};
+use intext_circuits::{Circuit, EvalScratch, GateId, ProbMatrix, LANES};
 use intext_lineage::{compile_degenerate_obdd, DegenerateLineage, LineageError};
 use intext_numeric::BigRational;
 use intext_tid::{Database, Tid, TupleId};
 
-use crate::template::{Fragmentation, Template};
+use crate::template::{Fold, Fragmentation, Template};
 use crate::transform::TransformError;
 
 /// Errors from the pipeline.
@@ -61,138 +67,228 @@ impl From<TransformError> for CompileError {
     }
 }
 
-/// A compiled lineage: a deterministic decomposable circuit for
-/// `Lin(Q_φ, D)`, plus the fragmentation it was built from.
+/// A compiled lineage: the `¬`-`∨`-template of `Lin(Q_φ, D)` over one
+/// leaf OBDD per hole — Theorem 5.2's d-D with its Proposition 3.7
+/// OBDDs not yet plugged in. A Proposition 3.7 OBDD or a grounded
+/// lineage is the one-leaf case, `Hole(0)` ([`From<DegenerateLineage>`]).
+///
+/// Every walk is one linear pass per leaf (the leaves are compacted to
+/// their reachable nodes) combined through the template: a `∨` adds its
+/// inputs, left first, and a `¬` computes `1 − x`. Those are the
+/// operations, in that order, the plugged circuit
+/// ([`to_circuit`](Self::to_circuit)) performs, so both walks give the
+/// same `f64` bits.
 #[derive(Debug)]
 pub struct CompiledLineage {
-    /// The circuit arena.
-    pub circuit: Circuit,
-    /// Root gate of the lineage function.
-    pub root: GateId,
-    /// The fragmentation witness (template + degenerate leaves).
-    pub fragmentation: Fragmentation,
-    /// The per-leaf OBDD lineages the circuit was plugged from, aligned
-    /// with `fragmentation.leaves`. Kept so single-tuple updates can
-    /// re-plug only the leaves via [`patched`](Self::patched); empty for
-    /// circuits rebuilt from serialized bytes (which recompile on shape
-    /// changes instead).
-    pub leaf_lineages: Vec<DegenerateLineage>,
+    template: Template,
+    /// `leaves[i]` fills `Hole(i)`.
+    leaves: Vec<DegenerateLineage>,
+    /// The variables the leaf walks read, ascending.
+    support: Vec<u32>,
+    /// Leaf OBDD nodes, summed over the leaves.
+    size: usize,
+}
+
+impl From<DegenerateLineage> for CompiledLineage {
+    fn from(leaf: DegenerateLineage) -> Self {
+        CompiledLineage::new(Template::Hole(0), vec![leaf])
+    }
 }
 
 impl CompiledLineage {
-    /// Exact probability under the TID's tuple probabilities — one
-    /// bottom-up pass over the d-D.
+    /// Assembles an artifact from a template and one leaf lineage per
+    /// hole (`leaves[i]` fills `Hole(i)`).
+    pub fn new(template: Template, leaves: Vec<DegenerateLineage>) -> Self {
+        let mut support: Vec<u32> = leaves
+            .iter()
+            .flat_map(|leaf| leaf.manager.support_vars(leaf.root))
+            .collect();
+        support.sort_unstable();
+        support.dedup();
+        let size = leaves.iter().map(DegenerateLineage::size).sum();
+        CompiledLineage {
+            template,
+            leaves,
+            support,
+            size,
+        }
+    }
+
+    /// The `¬`-`∨`-template.
+    pub fn template(&self) -> &Template {
+        &self.template
+    }
+
+    /// The leaf lineages; `leaves()[i]` fills `Hole(i)`.
+    pub fn leaves(&self) -> &[DegenerateLineage] {
+        &self.leaves
+    }
+
+    /// Size of the compiled representation: leaf OBDD nodes, summed over
+    /// the leaves (the unit the engine's cache budget counts).
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// The variables ([`TupleId`] raw values) the walks read, ascending.
+    /// Batch evaluators fill their probability matrix for these entries
+    /// only.
+    pub fn support_vars(&self) -> &[u32] {
+        &self.support
+    }
+
+    /// One past the largest support variable: the length of a dense
+    /// per-variable table.
+    fn var_bound(&self) -> usize {
+        self.support.last().map_or(0, |&v| v as usize + 1)
+    }
+
+    /// Exact probability under the TID's tuple probabilities. Each
+    /// support variable's `1 − p` is computed once; `p` is read in place.
     pub fn probability_exact(&self, tid: &Tid) -> BigRational {
-        self.circuit
-            .probability_exact(self.root, &|v| tid.prob(TupleId(v)).clone())
+        let mut complement: Vec<Option<BigRational>> = vec![None; self.var_bound()];
+        for &v in &self.support {
+            complement[v as usize] = Some(tid.prob(TupleId(v)).complement());
+        }
+        let terminals = [BigRational::zero(), BigRational::one()];
+        let mut values = Vec::new();
+        self.template
+            .fold(&mut |step: Fold<BigRational>| match step {
+                Fold::Hole(i) => {
+                    let leaf = &self.leaves[i];
+                    leaf.manager
+                        .fold(leaf.root, &terminals, &mut values, |v, lo, hi| {
+                            let p = tid.prob(TupleId(v));
+                            let q = complement[v as usize].as_ref().expect("support variable");
+                            // `p·hi + (1 − p)·lo`; a zero term is skipped, as
+                            // every operation renormalizes its big operands.
+                            match (lo.is_zero(), hi.is_zero()) {
+                                (true, _) => p * hi,
+                                (false, true) => q * lo,
+                                (false, false) => &(p * hi) + &(q * lo),
+                            }
+                        })
+                }
+                Fold::Or(a, b) => &a + &b,
+                Fold::Not(a) => a.complement(),
+            })
     }
 
-    /// Floating-point probability.
+    /// Floating-point probability. Each support variable's probability
+    /// is converted once.
     pub fn probability_f64(&self, tid: &Tid) -> f64 {
-        self.circuit
-            .probability_f64(self.root, &|v| tid.prob_f64(TupleId(v)))
+        let mut p = vec![0.0; self.var_bound()];
+        for &v in &self.support {
+            p[v as usize] = tid.prob_f64(TupleId(v));
+        }
+        self.template.fold(&mut |step| match step {
+            Fold::Hole(i) => {
+                let leaf = &self.leaves[i];
+                leaf.manager.probability_f64(leaf.root, &|v| p[v as usize])
+            }
+            Fold::Or(a, b) => a + b,
+            Fold::Not(a) => 1.0 - a,
+        })
     }
 
-    /// Circuit statistics (size of the compiled representation).
-    pub fn stats(&self) -> CircuitStats {
-        self.circuit.stats()
+    /// Lane-batched floating-point probabilities: up to [`LANES`]
+    /// scenarios from `probs` at once, reusing `scratch` (zero heap
+    /// allocations once it has grown to the largest leaf). Lane `l` is
+    /// bit-identical to [`probability_f64`](Self::probability_f64) under
+    /// lane `l`'s probabilities (`DESIGN.md` §6).
+    pub fn probability_f64_many(
+        &self,
+        probs: &ProbMatrix,
+        scratch: &mut EvalScratch,
+    ) -> [f64; LANES] {
+        self.template
+            .fold(&mut |step: Fold<[f64; LANES]>| match step {
+                Fold::Hole(i) => {
+                    let leaf = &self.leaves[i];
+                    leaf.manager.probability_f64_many(leaf.root, probs, scratch)
+                }
+                Fold::Or(a, b) => std::array::from_fn(|l| a[l] + b[l]),
+                Fold::Not(a) => a.map(|x| 1.0 - x),
+            })
     }
 
     /// Evaluates the lineage on a concrete world (tuple-presence mask).
     pub fn eval_world(&self, world: u64) -> bool {
-        self.circuit.eval(self.root, &|v| (world >> v) & 1 == 1)
+        self.template.fold(&mut |step| match step {
+            Fold::Hole(i) => {
+                let leaf = &self.leaves[i];
+                leaf.manager.eval(leaf.root, &|v| (world >> v) & 1 == 1)
+            }
+            Fold::Or(a, b) => a || b,
+            Fold::Not(a) => !a,
+        })
     }
 
-    /// Whether [`patched`](Self::patched) can succeed: the per-leaf
-    /// lineages (with their unroll traces) are still attached.
+    /// The plugged d-D (Proposition 4.4): every leaf OBDD embedded as
+    /// circuit gates and the template replayed on top, hash-consed into
+    /// one circuit. Built on demand — for [`verify::check_dd`], circuit
+    /// statistics and examples; no walk needs it.
+    ///
+    /// [`verify::check_dd`]: intext_circuits::verify::check_dd
+    pub fn to_circuit(&self) -> (Circuit, GateId) {
+        let mut c = Circuit::new();
+        let root = self.template.fold(&mut |step| match step {
+            Fold::Hole(i) => {
+                let leaf = &self.leaves[i];
+                leaf.manager.copy_into_circuit(leaf.root, &mut c)
+            }
+            Fold::Or(a, b) => c.or(vec![a, b]),
+            Fold::Not(a) => c.not(a),
+        });
+        (c, root)
+    }
+
+    /// Whether [`patched`](Self::patched) can succeed: every leaf still
+    /// carries its unroll trace.
     pub fn is_patchable(&self) -> bool {
-        self.leaf_lineages.len() == self.fragmentation.num_leaves()
-            && self.leaf_lineages.iter().all(|l| l.is_patchable())
+        self.leaves.iter().all(DegenerateLineage::is_patchable)
     }
 
-    /// Incrementally recompiles this d-D for `new_db`, given it was
+    /// Incrementally recompiles this lineage for `new_db`, given it was
     /// compiled against `old_db` (differing by at most one tuple) — the
     /// Theorem 5.2 patch path.
     ///
-    /// Each degenerate leaf is patched through
-    /// [`DegenerateLineage::patched`] (leaves whose split puts the
-    /// changed tuple outside their `Π_L · Π_R` stream take the cheap
-    /// remap-only path), and the `¬`-`∨`-template is re-plugged over the
-    /// patched leaves. The template itself depends only on `φ`, so it is
-    /// reused as-is. Because patched leaf OBDDs are canonically equal to
-    /// freshly compiled ones and the gate instantiation order is a pure
-    /// function of the leaf DAGs and the template, the resulting circuit
-    /// answers every probability query **bit-identically** to a fresh
-    /// `compile_dd(phi, new_db)`.
+    /// Each leaf is patched through [`DegenerateLineage::patched`]
+    /// (leaves whose split puts the changed tuple outside their
+    /// `Π_L · Π_R` stream take the cheap remap-only path), and the
+    /// template, which depends only on `φ`, is reused. Patched leaves are
+    /// compacted to the same canonical arenas as freshly compiled ones,
+    /// so the result answers every probability query **bit-identically**
+    /// to a fresh `compile_dd(phi, new_db)` and serializes to the same
+    /// bytes.
     ///
-    /// Returns `None` when any leaf refuses (deserialized circuit, more
+    /// Returns `None` when any leaf refuses (deserialized leaf, more
     /// than one slot changed, shape mismatch) — callers fall back to
     /// full recompilation.
     pub fn patched(&self, old_db: &Database, new_db: &Database) -> Option<CompiledLineage> {
-        if self.leaf_lineages.len() != self.fragmentation.num_leaves() {
-            return None;
-        }
-        let mut circuit = Circuit::new();
-        let mut leaf_gates = Vec::with_capacity(self.leaf_lineages.len());
-        let mut leaves = Vec::with_capacity(self.leaf_lineages.len());
-        for lin in &self.leaf_lineages {
-            let patched = lin.patched(old_db, new_db)?;
-            leaf_gates.push(
-                patched
-                    .manager
-                    .copy_into_circuit(patched.root, &mut circuit),
-            );
-            leaves.push(patched);
-        }
-        let root = instantiate(&self.fragmentation.template, &leaf_gates, &mut circuit);
-        Some(CompiledLineage {
-            circuit,
-            root,
-            fragmentation: self.fragmentation.clone(),
-            leaf_lineages: leaves,
-        })
+        let leaves = self
+            .leaves
+            .iter()
+            .map(|leaf| leaf.patched(old_db, new_db))
+            .collect::<Option<Vec<_>>>()?;
+        Some(CompiledLineage::new(self.template.clone(), leaves))
     }
 }
 
 /// Theorem 5.2: compiles `Lin(Q_φ, D)` into a d-D in polynomial time,
 /// for any `φ` with `e(φ) = 0` (in particular every safe `H⁺`-query,
-/// Corollary 5.3).
+/// Corollary 5.3): the fragmentation's template over one compiled leaf
+/// OBDD per degenerate leaf function. The leaves keep their unroll
+/// traces, which is what lets [`CompiledLineage::patched`] follow a
+/// tuple update instead of recompiling.
 pub fn compile_dd(phi: &BoolFn, db: &Database) -> Result<CompiledLineage, CompileError> {
     let frag = Fragmentation::of(phi)?;
-    let mut circuit = Circuit::new();
-    // Compile every degenerate leaf to an OBDD, then into shared gates.
-    // The leaf lineages are kept on the result: their unroll traces are
-    // what lets `CompiledLineage::patched` re-plug the template after a
-    // tuple update instead of recompiling.
-    let mut leaf_gates = Vec::with_capacity(frag.leaves.len());
-    let mut leaf_lineages = Vec::with_capacity(frag.leaves.len());
-    for leaf in &frag.leaves {
-        let lin = compile_degenerate_obdd(leaf, db)?;
-        leaf_gates.push(lin.manager.copy_into_circuit(lin.root, &mut circuit));
-        leaf_lineages.push(lin);
-    }
-    let root = instantiate(&frag.template, &leaf_gates, &mut circuit);
-    Ok(CompiledLineage {
-        circuit,
-        root,
-        fragmentation: frag,
-        leaf_lineages,
-    })
-}
-
-fn instantiate(t: &Template, leaf_gates: &[GateId], c: &mut Circuit) -> GateId {
-    match t {
-        Template::Hole(i) => leaf_gates[*i],
-        Template::Or(a, b) => {
-            let ga = instantiate(a, leaf_gates, c);
-            let gb = instantiate(b, leaf_gates, c);
-            c.or(vec![ga, gb])
-        }
-        Template::Not(a) => {
-            let ga = instantiate(a, leaf_gates, c);
-            c.not(ga)
-        }
-    }
+    let leaves = frag
+        .leaves
+        .iter()
+        .map(|leaf| compile_degenerate_obdd(leaf, db))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(CompiledLineage::new(frag.template, leaves))
 }
 
 #[cfg(test)]
@@ -210,7 +306,8 @@ mod tests {
     fn phi9_compiles_to_a_valid_dd() {
         let db = complete_database(3, 1); // small enough for exhaustive d-D check
         let compiled = compile_dd(&phi9(), &db).unwrap();
-        verify::check_dd(&compiled.circuit, compiled.root).expect("valid d-D");
+        let (circuit, root) = compiled.to_circuit();
+        verify::check_dd(&circuit, root).expect("valid d-D");
         // Lineage semantics on every world.
         let q = HQuery::new(phi9());
         for world in 0..(1u64 << db.len()) {
@@ -303,7 +400,12 @@ mod tests {
             .iter()
             .map(|&n| {
                 let db = complete_database(3, n);
-                compile_dd(&phi9(), &db).unwrap().stats().gates
+                compile_dd(&phi9(), &db)
+                    .unwrap()
+                    .to_circuit()
+                    .0
+                    .stats()
+                    .gates
             })
             .collect();
         // Tuple count grows 4x per doubling (S relations dominate); the
@@ -341,12 +443,14 @@ mod tests {
                 assert_eq!(patched.eval_world(world), fresh.eval_world(world));
             }
             let p = |v: u32| 0.1 + 0.08 * f64::from(v);
+            let (patched_c, patched_root) = patched.to_circuit();
+            let (fresh_c, fresh_root) = fresh.to_circuit();
             assert_eq!(
-                patched.circuit.probability_f64(patched.root, &p).to_bits(),
-                fresh.circuit.probability_f64(fresh.root, &p).to_bits(),
+                patched_c.probability_f64(patched_root, &p).to_bits(),
+                fresh_c.probability_f64(fresh_root, &p).to_bits(),
                 "bit-identical d-D walks (insert)"
             );
-            verify::check_dd(&patched.circuit, patched.root).expect("still a valid d-D");
+            verify::check_dd(&patched_c, patched_root).expect("still a valid d-D");
 
             // Remove direction, starting from the full instance.
             let mut removed = full.clone();
@@ -356,10 +460,12 @@ mod tests {
                 .patched(&full, &removed)
                 .expect("one tuple removed");
             let fresh = compile_dd(&phi9(), &removed).unwrap();
-            let pexact = patched.circuit.probability_f64(patched.root, &p);
+            let (patched_c, patched_root) = patched.to_circuit();
+            let (fresh_c, fresh_root) = fresh.to_circuit();
+            let pexact = patched_c.probability_f64(patched_root, &p);
             assert_eq!(
                 pexact.to_bits(),
-                fresh.circuit.probability_f64(fresh.root, &p).to_bits(),
+                fresh_c.probability_f64(fresh_root, &p).to_bits(),
                 "bit-identical d-D walks (remove)"
             );
             assert!(patched.is_patchable(), "patches stay patchable");

@@ -25,7 +25,39 @@ pub enum Template {
     Not(Box<Template>),
 }
 
+/// One step of [`Template::fold`]: a hole, or a gate applied to the
+/// values its inputs folded to.
+#[derive(Debug)]
+pub enum Fold<T> {
+    /// The value of leaf `i`, filling `Hole(i)`.
+    Hole(usize),
+    /// A disjunction of its left and right input values.
+    Or(T, T),
+    /// A negation of its input value.
+    Not(T),
+}
+
 impl Template {
+    /// Evaluates the template bottom-up, left input before right:
+    /// `step` maps each hole to a value and each gate's input values to
+    /// the gate's value. Every evaluation of a filled template — its
+    /// truth table, its probability, the circuit it plugs into — is one
+    /// fold.
+    pub fn fold<T>(&self, step: &mut impl FnMut(Fold<T>) -> T) -> T {
+        match self {
+            Template::Hole(i) => step(Fold::Hole(*i)),
+            Template::Or(a, b) => {
+                let a = a.fold(step);
+                let b = b.fold(step);
+                step(Fold::Or(a, b))
+            }
+            Template::Not(a) => {
+                let a = a.fold(step);
+                step(Fold::Not(a))
+            }
+        }
+    }
+
     /// Number of gates (internal nodes) in the template.
     pub fn gate_count(&self) -> usize {
         match self {
@@ -93,15 +125,11 @@ impl Fragmentation {
     /// Evaluates the filled template back into a truth table
     /// (for verification: must equal the fragmented function).
     pub fn to_boolfn(&self) -> BoolFn {
-        self.eval_node(&self.template)
-    }
-
-    fn eval_node(&self, t: &Template) -> BoolFn {
-        match t {
-            Template::Hole(i) => self.leaves[*i].clone(),
-            Template::Or(a, b) => &self.eval_node(a) | &self.eval_node(b),
-            Template::Not(a) => !&self.eval_node(a),
-        }
+        self.template.fold(&mut |step| match step {
+            Fold::Hole(i) => self.leaves[i].clone(),
+            Fold::Or(a, b) => &a | &b,
+            Fold::Not(a) => !&a,
+        })
     }
 
     /// Checks that every `∨` of the filled template is deterministic

@@ -1,6 +1,6 @@
 //! The compiled-lineage cache: artifacts keyed by `(φ truth table,
 //! database shape)`, deliberately excluding tuple probabilities — stored
-//! as `Arc<Artifact>` behind a gate-budgeted LRU so circuits can be
+//! as `Arc<Artifact>` behind a node-budgeted LRU so artifacts can be
 //! shared immutably across shard workers and memory stays bounded.
 
 use std::collections::HashMap;
@@ -8,11 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{EvalScratch, ProbMatrix};
-use intext_core::CompiledLineage;
-use intext_lineage::DegenerateLineage;
-use intext_numeric::BigRational;
-use intext_tid::{Database, Tid, TupleDesc};
+use intext_tid::{Database, TupleDesc};
 
 /// Semantic identity of a compiled lineage.
 ///
@@ -101,81 +97,14 @@ impl CacheKey {
 }
 
 /// A compiled lineage artifact, ready for linear-time probability walks
-/// under any tuple probabilities.
-#[derive(Debug)]
-pub enum Artifact {
-    /// Proposition 3.7's reduced OBDD (degenerate `φ`).
-    Obdd(DegenerateLineage),
-    /// Theorem 5.2's deterministic decomposable circuit (zero-Euler `φ`).
-    Dd(CompiledLineage),
-}
-
-impl Artifact {
-    /// Exact probability under `tid` — one bottom-up pass, no
-    /// recompilation.
-    pub fn probability_exact(&self, tid: &Tid) -> BigRational {
-        match self {
-            Artifact::Obdd(lin) => lin.probability_exact(tid),
-            Artifact::Dd(dd) => dd.probability_exact(tid),
-        }
-    }
-
-    /// Floating-point probability under `tid`.
-    pub fn probability_f64(&self, tid: &Tid) -> f64 {
-        match self {
-            Artifact::Obdd(lin) => lin.probability_f64(tid),
-            Artifact::Dd(dd) => dd.probability_f64(tid),
-        }
-    }
-
-    /// Lane-batched floating-point probabilities: one pass over the
-    /// compiled representation evaluates up to
-    /// [`LANES`](intext_circuits::LANES) probability scenarios from
-    /// `probs` at once, reusing `scratch` (zero steady-state heap
-    /// allocations). Lane `l` is bit-identical to
-    /// [`probability_f64`](Self::probability_f64) under lane `l`'s
-    /// probabilities — the kernel's fixed-op-order contract
-    /// (`DESIGN.md` §6).
-    pub fn probability_f64_many(
-        &self,
-        probs: &ProbMatrix,
-        scratch: &mut EvalScratch,
-    ) -> [f64; intext_circuits::LANES] {
-        match self {
-            Artifact::Obdd(lin) => lin.manager.probability_f64_many(lin.root, probs, scratch),
-            Artifact::Dd(dd) => dd.circuit.probability_f64_many(dd.root, probs, scratch),
-        }
-    }
-
-    /// The distinct variables ([`TupleId`](intext_tid::TupleId) raw
-    /// values) this artifact's walks read, sorted ascending. Batch
-    /// evaluators fill the probability matrix for these entries only —
-    /// one `support_vars` call per same-shape run amortizes to nothing,
-    /// while a lineage OBDD touching a sliver of a large database skips
-    /// the conversion cost of every untouched tuple.
-    pub fn support_vars(&self) -> Vec<u32> {
-        match self {
-            Artifact::Obdd(lin) => lin.manager.support_vars(lin.root),
-            Artifact::Dd(dd) => dd.circuit.support_vars(),
-        }
-    }
-
-    /// Size of the compiled representation: OBDD node count or d-D gate
-    /// count. This is the unit the cache budget is measured in.
-    pub fn size(&self) -> usize {
-        match self {
-            Artifact::Obdd(lin) => lin.size(),
-            Artifact::Dd(dd) => dd.stats().gates,
-        }
-    }
-}
+/// under any tuple probabilities: a `¬`-`∨`-template over compacted leaf
+/// OBDDs. Every cacheable plan produces this one shape — Theorem 5.2's
+/// d-D has one leaf per fragment, Proposition 3.7's OBDD and a grounded
+/// lineage are the one-leaf template `Hole(0)`.
+pub type Artifact = intext_core::CompiledLineage;
 
 struct CacheSlot {
     artifact: Arc<Artifact>,
-    /// `artifact.size()`, memoized: the size of an OBDD artifact is a
-    /// reachability count, not a field read, and eviction scans recompute
-    /// totals often.
-    gates: usize,
     /// Logical timestamp of the last `get` or `insert` touching this
     /// slot — atomic, so a lookup through `&self` can refresh it.
     last_used: AtomicU64,
@@ -190,7 +119,7 @@ impl CacheSlot {
 impl std::fmt::Debug for CacheSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheSlot")
-            .field("gates", &self.gates)
+            .field("nodes", &self.artifact.size())
             .field("last_used", &self.last_used())
             .finish_non_exhaustive()
     }
@@ -202,15 +131,15 @@ impl std::fmt::Debug for CacheSlot {
 /// "Concurrency & memory model"):
 ///
 /// * **Entries are `Arc<Artifact>`.** Artifacts are immutable once
-///   compiled — every walk takes `&self` — so one circuit can be walked
+///   compiled — every walk takes `&self` — so one artifact can be walked
 ///   concurrently by many shard workers without copies or locks, and an
 ///   eviction never invalidates a walk in flight: workers holding the
 ///   `Arc` keep the artifact alive, the cache merely stops retaining it.
-/// * **The budget is measured in gates**, not entries:
-///   [`Artifact::size`] summed over the cache. Artifact sizes vary by
-///   orders of magnitude with the domain size, so an entry-count bound
-///   would not bound memory. `None` means unbounded (the pre-eviction
-///   behaviour).
+/// * **The budget is measured in leaf OBDD nodes**, not entries:
+///   [`Artifact::size`] summed over the cache (the historical "gates"
+///   names stay). Artifact sizes vary by orders of magnitude with the
+///   domain size, so an entry-count bound would not bound memory. `None`
+///   means unbounded (the pre-eviction behaviour).
 /// * **Eviction is strict LRU at insert time.** After an insert pushes
 ///   the total over budget, least-recently-used entries are dropped
 ///   until the total fits. An artifact larger than the whole budget is
@@ -232,7 +161,7 @@ pub struct ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// An empty cache with the given gate budget (`None` = unbounded).
+    /// An empty cache with the given node budget (`None` = unbounded).
     pub fn new(budget: Option<usize>) -> Self {
         ArtifactCache {
             budget,
@@ -294,7 +223,7 @@ impl ArtifactCache {
     }
 
     /// Inserts a freshly compiled artifact, evicting least-recently-used
-    /// entries until the gate budget holds again. Returns the shared
+    /// entries until the node budget holds again. Returns the shared
     /// handle plus the number of entries evicted.
     pub fn insert(&mut self, key: CacheKey, artifact: Artifact) -> (Arc<Artifact>, u64) {
         self.insert_arc(key, Arc::new(artifact))
@@ -305,7 +234,7 @@ impl ArtifactCache {
     /// **LRU-refreshed** (a patch is a use: the artifact was just brought
     /// up to date because somebody is maintaining it) and its budget
     /// accounting uses the artifact's *new* size — patches that grow an
-    /// entry past the gate budget trigger the same eviction path as
+    /// entry past the node budget trigger the same eviction path as
     /// inserts, including the oversized-never-retained rule. Returns the
     /// shared handle plus the number of entries evicted.
     pub fn patch(
@@ -315,7 +244,7 @@ impl ArtifactCache {
         artifact: Arc<Artifact>,
     ) -> (Arc<Artifact>, u64) {
         if let Some(old) = self.entries.remove(old_key) {
-            self.total_gates -= old.gates;
+            self.total_gates -= old.artifact.size();
         }
         self.insert_arc(new_key, artifact)
     }
@@ -333,14 +262,13 @@ impl ArtifactCache {
         }
         let slot = CacheSlot {
             artifact: Arc::clone(&artifact),
-            gates,
             last_used: AtomicU64::new(*clock),
         };
         if let Some(old) = self.entries.insert(key, slot) {
             // Same key compiled twice (only possible after an eviction
             // raced a re-insert through the caller); replace, don't leak
             // the old size.
-            self.total_gates -= old.gates;
+            self.total_gates -= old.artifact.size();
         }
         self.total_gates += gates;
         let evicted = self.enforce_budget();
@@ -364,20 +292,20 @@ impl ArtifactCache {
                 break;
             };
             let slot = self.entries.remove(&victim).expect("victim key exists");
-            self.total_gates -= slot.gates;
+            self.total_gates -= slot.artifact.size();
             evicted += 1;
         }
         evicted
     }
 
-    /// Replaces the gate budget, evicting immediately if the cache no
+    /// Replaces the node budget, evicting immediately if the cache no
     /// longer fits; returns how many entries were dropped.
     pub fn set_budget(&mut self, budget: Option<usize>) -> u64 {
         self.budget = budget;
         self.enforce_budget()
     }
 
-    /// The current gate budget (`None` = unbounded).
+    /// The current node budget (`None` = unbounded).
     pub fn budget(&self) -> Option<usize> {
         self.budget
     }
@@ -392,7 +320,7 @@ impl ArtifactCache {
         self.entries.is_empty()
     }
 
-    /// Total gates currently retained — by construction never above the
+    /// Total leaf nodes currently retained — by construction never above the
     /// budget.
     pub fn total_gates(&self) -> usize {
         self.total_gates
@@ -458,14 +386,13 @@ mod tests {
     }
 
     /// A distinct key per `domain` plus a compiled artifact for it; the
-    /// artifact's gate count grows with the domain, which the LRU tests
+    /// artifact's node count grows with the domain, which the LRU tests
     /// below rely on only as "nonzero and known via `size()`".
     fn compiled(domain: u32) -> (CacheKey, Artifact) {
         let phi = phi9();
         let db = complete_database(3, domain);
-        let artifact = Artifact::Dd(
-            intext_core::compile_dd(&phi, &db).expect("φ9 has zero Euler characteristic"),
-        );
+        let artifact =
+            intext_core::compile_dd(&phi, &db).expect("φ9 has zero Euler characteristic");
         (CacheKey::new(&phi, &db), artifact)
     }
 

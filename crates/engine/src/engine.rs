@@ -42,10 +42,11 @@ pub struct LoadReport {
     /// Artifacts decoded, validated and offered to the cache (each also
     /// counted in [`EngineStats::artifact_loads`]).
     pub artifacts: usize,
-    /// Total gates (OBDD nodes + d-D gates) across the loaded artifacts.
+    /// Total leaf OBDD nodes across the loaded artifacts (the unit of
+    /// the cache budget; the field keeps its historical name).
     pub gates: usize,
     /// Entries the LRU evicted while admitting them — nonzero only when
-    /// the snapshot does not fit the configured gate budget (an
+    /// the snapshot does not fit the configured node budget (an
     /// oversized artifact also counts itself, exactly as on the compile
     /// path).
     pub evictions: u64,
@@ -58,8 +59,10 @@ pub struct EngineConfig {
     /// (`2^tuples` possible worlds); larger instances return
     /// [`EngineError::Intractable`]. Capped at 63 by the world bitmask.
     pub max_brute_force_tuples: usize,
-    /// Gate budget of the artifact cache (total OBDD nodes + d-D gates
-    /// retained); `None` keeps every artifact forever. When the budget
+    /// Budget of the artifact cache, in leaf OBDD nodes retained (the
+    /// root-reachable nodes of every cached artifact's leaves; the name
+    /// dates from when d-D artifacts were gate circuits); `None` keeps
+    /// every artifact forever. When the budget
     /// overflows, least-recently-used artifacts are evicted and counted
     /// in [`EngineStats::cache_evictions`]. Can be changed later with
     /// [`PqeEngine::set_cache_budget`].
@@ -333,20 +336,19 @@ impl Recipe {
     /// Euler characteristic, grounding budget), so this cannot fail.
     fn compile(&self, db: &Database) -> Artifact {
         match self {
-            Recipe::Obdd(q) => Artifact::Obdd(
-                intext_lineage::compile_degenerate_obdd(q.phi(), db)
-                    .expect("planner guarantees a degenerate φ on a matching vocabulary"),
-            ),
-            Recipe::Dd(q) => Artifact::Dd(
-                intext_core::compile_dd(q.phi(), db).expect("planner guarantees e(φ) = 0"),
-            ),
+            Recipe::Obdd(q) => intext_lineage::compile_degenerate_obdd(q.phi(), db)
+                .expect("planner guarantees a degenerate φ on a matching vocabulary")
+                .into(),
+            Recipe::Dd(q) => {
+                intext_core::compile_dd(q.phi(), db).expect("planner guarantees e(φ) = 0")
+            }
             Recipe::Ground { expr, .. } => {
                 let (manager, root) = ground_circuit(expr, db);
                 // Split 0 and no unroll trace: a ground artifact walks
                 // and lane-batches like any degenerate OBDD but is never
                 // structurally patched (the trace is what patching
                 // replays), so live updates simply leave it to recompile.
-                Artifact::Obdd(DegenerateLineage::new(manager, root, 0))
+                DegenerateLineage::new(manager, root, 0).into()
             }
         }
     }
@@ -361,12 +363,8 @@ pub struct PlannedRun {
 
 /// The shared state of one prepared run, one variant per backend.
 enum Backend {
-    /// A cached or just compiled circuit; `size` is counted once per
-    /// fetch (an OBDD's size is a reachability count).
-    Artifact {
-        artifact: Arc<Artifact>,
-        size: usize,
-    },
+    /// A cached or just compiled artifact.
+    Artifact(Arc<Artifact>),
     /// Possible-worlds enumeration.
     BruteForce(Arc<HQuery>),
     /// Lifted inference over a safe UCQ.
@@ -478,9 +476,8 @@ impl PreparedQuery {
         let (backend, cache_hit, compile_time) = match &run.route {
             Route::Artifact(recipe) => {
                 let (artifact, compiled) = fetch(recipe, tid.database())?;
-                let size = artifact.size();
                 (
-                    Backend::Artifact { artifact, size },
+                    Backend::Artifact(artifact),
                     compiled.is_none(),
                     compiled.unwrap_or_default(),
                 )
@@ -517,10 +514,11 @@ impl PreparedQuery {
         self.cache_hit
     }
 
-    /// Size of the compiled circuit, when the plan is cacheable.
+    /// Size of the compiled artifact in leaf OBDD nodes, when the plan
+    /// is cacheable.
     pub fn circuit_size(&self) -> Option<usize> {
-        match self.backend {
-            Backend::Artifact { size, .. } => Some(size),
+        match &self.backend {
+            Backend::Artifact(artifact) => Some(artifact.size()),
             _ => None,
         }
     }
@@ -606,7 +604,7 @@ impl PreparedQuery {
     ) -> (N, Option<Estimate>) {
         let started = Instant::now();
         let (p, sampled): (N, Option<SampleRun>) = match &self.backend {
-            Backend::Artifact { artifact, .. } => (N::walk(artifact, tid), None),
+            Backend::Artifact(artifact) => (N::walk(artifact, tid), None),
             Backend::BruteForce(q) => (N::brute_force(q, tid), None),
             Backend::Lifted(ucq) => (N::lifted(ucq, tid), None),
             Backend::Sampler(sampler) => {
@@ -637,7 +635,7 @@ impl PreparedQuery {
         out: &mut Vec<N>,
         stats: &mut EngineStats,
     ) {
-        let (Backend::Artifact { artifact, .. }, Some(lanes), Some(kernel)) =
+        let (Backend::Artifact(artifact), Some(lanes), Some(kernel)) =
             (&self.backend, lanes, N::KERNEL)
         else {
             for (i, tid) in tids.iter().enumerate() {
@@ -648,11 +646,10 @@ impl PreparedQuery {
             }
             return;
         };
-        let support = artifact.support_vars();
         for (block_idx, block) in tids.chunks(LANES).enumerate() {
             lanes.probs.reset(block[0].len());
             for (lane, tid) in block.iter().enumerate() {
-                for &v in &support {
+                for &v in artifact.support_vars() {
                     lanes.probs.set(v, lane, tid.prob_f64(TupleId(v)));
                 }
             }
@@ -795,7 +792,7 @@ impl PreparedBatch {
         let runs = self.runs.iter().map(|run| {
             let (len, compiled) = (run.scenarios.len(), usize::from(!run.cache_hit));
             match run.backend {
-                Backend::Artifact { .. } => (compiled, len - compiled, 0),
+                Backend::Artifact(_) => (compiled, len - compiled, 0),
                 Backend::Sampler(_) => (0, 0, len),
                 Backend::BruteForce(_) | Backend::Lifted(_) => (0, 0, 0),
             }
@@ -864,18 +861,18 @@ impl PqeEngine {
         self.cache.len()
     }
 
-    /// Total gates (OBDD nodes + d-D gates) currently retained by the
+    /// Total leaf OBDD nodes currently retained by the
     /// cache; never exceeds the budget.
     pub fn cache_gates(&self) -> usize {
         self.cache.total_gates()
     }
 
-    /// The cache's gate budget (`None` = unbounded).
+    /// The cache's node budget (`None` = unbounded).
     pub fn cache_budget(&self) -> Option<usize> {
         self.cache.budget()
     }
 
-    /// Replaces the cache's gate budget, evicting immediately if the
+    /// Replaces the cache's node budget, evicting immediately if the
     /// retained artifacts no longer fit.
     pub fn set_cache_budget(&mut self, budget: Option<usize>) {
         self.config.cache_gate_budget = budget;
@@ -893,9 +890,9 @@ impl PqeEngine {
     /// [`load_cache`](Self::load_cache) replays the LRU recency ranking
     /// — and the bytes are deterministic, which is what lets CI pin
     /// golden fixtures. Probabilities are never serialized, for the same
-    /// reason they are not in the cache key: one stored circuit serves
+    /// reason they are not in the cache key: one stored artifact serves
     /// every re-weighting. Grounded general-query artifacts are skipped:
-    /// the store format addresses artifacts by `φ`, and a ground circuit
+    /// the store format addresses artifacts by `φ`, and a ground OBDD
     /// is cheap to rebuild from its query text on first use.
     pub fn save_cache(&self) -> Vec<u8> {
         let entries: Vec<_> = self
@@ -1138,10 +1135,7 @@ impl PqeEngine {
         new_db: &Database,
     ) -> Option<(Arc<Artifact>, u64)> {
         let started = Instant::now();
-        let patched = match &**self.cache.peek(old_key)? {
-            Artifact::Obdd(lin) => Artifact::Obdd(lin.patched(old_db, new_db)?),
-            Artifact::Dd(dd) => Artifact::Dd(dd.patched(old_db, new_db)?),
-        };
+        let patched = self.cache.peek(old_key)?.patched(old_db, new_db)?;
         let new_key = CacheKey::new(old_key.phi(), new_db);
         let (handle, evicted) = self.cache.patch(old_key, new_key, Arc::new(patched));
         self.stats.cache_evictions += evicted;

@@ -25,14 +25,17 @@
 //! 2. **Prepare** — each run fetches or builds its shared state once
 //!    ([`PqeEngine::prepare_run`], or the `&self` probe
 //!    [`PqeEngine::prepare_shared`], whose hits refresh LRU recency
-//!    exactly like the write path's). Compiled artifacts (OBDD or d-D
-//!    circuit) are keyed by `(φ's canonical truth table, database
-//!    shape)` and *not* by tuple probabilities, so re-evaluating under
-//!    new probabilities is one linear circuit walk instead of a
-//!    recompilation. Artifacts live in a gate-budgeted LRU
-//!    [`ArtifactCache`] as `Arc<Artifact>`, so memory is bounded
-//!    ([`EngineConfig::cache_gate_budget`]) and circuits are shared
-//!    immutably across threads.
+//!    exactly like the write path's). Every cacheable plan compiles one
+//!    artifact shape, [`Artifact`]: a `¬`-`∨`-template over leaf OBDDs
+//!    compacted to their reachable nodes (a d-D has one leaf per
+//!    fragment, a Proposition 3.7 or grounded OBDD is the one-leaf
+//!    template). Artifacts are keyed by `(φ's canonical truth table,
+//!    database shape)` and *not* by tuple probabilities, so
+//!    re-evaluating under new probabilities is one linear pass per leaf
+//!    instead of a recompilation. They live in an LRU [`ArtifactCache`]
+//!    as `Arc<Artifact>`, budgeted in leaf OBDD nodes
+//!    ([`EngineConfig::cache_gate_budget`]) so memory is bounded, and
+//!    shared immutably across threads.
 //! 3. **Execute** — a [`PreparedQuery`] evaluates one scenario; a
 //!    [`PreparedBatch`] fans a workload across `std::thread::scope`
 //!    workers ([`PqeEngine::evaluate_batch_sharded`],
@@ -44,7 +47,7 @@
 //!    RNG streams `(seed, global scenario index)`, so sharded sampling
 //!    is bit-identical to sequential.
 //! 4. **Observe** — every evaluation records [`QueryStats`] (plan, cache
-//!    hit/miss, circuit size, wall time) into aggregate
+//!    hit/miss, artifact size, wall time) into aggregate
 //!    [`EngineStats`]; per-shard stats fold back into one report via
 //!    [`EngineStats::merge`], and each batch leaves its [`BatchPlan`]
 //!    in `EngineStats::last_batch`. Timing splits into
@@ -97,12 +100,12 @@
 //! let mut tid = uniform_tid(complete_database(3, 1), BigRational::from_ratio(1, 2));
 //!
 //! // φ9 is safe and nondegenerate with e(φ9) = 0: the planner picks the
-//! // d-D pipeline, compiles once, and caches the circuit.
+//! // d-D pipeline, compiles once, and caches the artifact.
 //! assert_eq!(engine.plan(&q, &tid), Ok(Plan::DdCircuit));
 //! let cold = engine.evaluate(&q, &tid).unwrap();
 //! assert_eq!(engine.stats().cache_misses, 1);
 //!
-//! // Re-weight a tuple and evaluate again: same circuit, no recompile.
+//! // Re-weight a tuple and evaluate again: same artifact, no recompile.
 //! tid.set_prob(TupleId(0), BigRational::from_ratio(1, 3)).unwrap();
 //! let reweighted = engine.evaluate(&q, &tid).unwrap();
 //! assert_eq!(engine.stats().cache_hits, 1);

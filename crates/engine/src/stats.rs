@@ -20,7 +20,7 @@ pub struct QueryStats {
     /// Whether the compiled artifact came from the cache (always `false`
     /// for non-cacheable plans).
     pub cache_hit: bool,
-    /// Size of the compiled circuit (OBDD nodes or d-D gates), when the
+    /// Size of the compiled artifact in leaf OBDD nodes, when the
     /// plan is cacheable.
     pub circuit_size: Option<usize>,
     /// Wall time spent compiling (zero on cache hits and on plans that
@@ -44,7 +44,7 @@ pub struct EngineStats {
     /// key). `queries - cache_hits - cache_misses` is the number of
     /// evaluations on non-cacheable plans.
     pub cache_misses: u64,
-    /// Artifacts dropped by the LRU cache to satisfy its gate budget.
+    /// Artifacts dropped by the LRU cache to satisfy its node budget.
     /// Every eviction that is accessed again costs one extra
     /// `cache_misses` (the recompile), which is how the two counters
     /// reconcile: `cache_misses = distinct cold keys + re-compiles after
@@ -55,7 +55,7 @@ pub struct EngineStats {
     /// [`PqeEngine::import_artifact`](crate::PqeEngine::import_artifact)
     /// instead of being compiled. A warm-started replica replaying the
     /// saved workload shows `artifact_loads == distinct shapes` and
-    /// `cache_misses == 0`: every evaluation re-walks a loaded circuit.
+    /// `cache_misses == 0`: every evaluation re-walks a loaded artifact.
     pub artifact_loads: u64,
     /// Total Monte-Carlo samples drawn across all sampled queries.
     pub samples_drawn: u64,

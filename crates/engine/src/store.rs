@@ -1,26 +1,26 @@
-//! The persistent circuit store: a versioned binary format for compiled
+//! The persistent artifact store: a versioned binary format for compiled
 //! lineage artifacts.
 //!
-//! PR 2's cache made probability re-weighting a linear circuit walk —
-//! but only within one process lifetime. This module makes the compiled
-//! OBDD and d-D artifacts *durable*: [`PqeEngine::save_cache`] snapshots
-//! the whole LRU into one byte stream, [`PqeEngine::load_cache`]
-//! warm-starts a replica from it with zero compiles, and
+//! The cache makes probability re-weighting a linear walk — but only
+//! within one process lifetime. This module makes the compiled OBDD and
+//! d-D artifacts *durable*: [`PqeEngine::save_cache`] snapshots the
+//! whole LRU into one byte stream, [`PqeEngine::load_cache`] warm-starts
+//! a replica from it with zero compiles, and
 //! [`PqeEngine::export_artifact`] / [`PqeEngine::import_artifact`] ship
-//! individual circuits. The format is sound to persist because the
+//! individual artifacts. The format is sound to persist because the
 //! artifacts are canonical, *query-determined* objects: they encode the
 //! lineage of `(φ, database shape)` and never the tuple probabilities,
-//! so one stored circuit serves every re-weighting forever — exactly the
-//! cache-key rationale, now applied across process boundaries.
+//! so one stored artifact serves every re-weighting forever — exactly
+//! the cache-key rationale, now applied across process boundaries.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! All integers are little-endian. One artifact blob:
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `b"INTXSTOR"` |
-//! | version | 2 | format version (`u16`, currently 1) |
+//! | version | 2 | format version (`u16`, currently 2) |
 //! | kind | 1 | 0 = OBDD, 1 = d-D (2 = cache bundle, bundle files only) |
 //! | `φ.n` | 1 | variable count of the truth table |
 //! | `φ` words | 8·⌈2ⁿ/64⌉ | the canonical truth table |
@@ -28,19 +28,21 @@
 //! | domain | 4 | domain size (`u32`) |
 //! | #tuples | 4 | tuple count (`u32`) |
 //! | tuples | var | per tuple: tag (0=`R`,1=`S`,2=`T`) + constants |
-//! | body | var | kind-specific node/gate tables (below) |
+//! | body | var | the leaf OBDDs (below) |
 //! | checksum | 8 | FNV-1a 64 over every preceding byte |
 //!
-//! OBDD body: split variable (1), order length (4), order entries
+//! Both artifact kinds share one body: a leaf count (4), then per leaf
+//! its OBDD — split variable (1), order length (4), order entries
 //! (4 each), node count (4), nodes as `(level, lo, hi)` raw-`u32`
 //! triples (12 each, terminals 0/1, node *i* encodes as *i* + 2), root
-//! reference (4). The node table is written in *canonical postorder*
-//! from the root (lo subtree before hi, children before parents) and
-//! contains only reachable nodes — bytes are a pure function of the
-//! reduced DAG, never of the arena history that built it (see
-//! `canonical_obdd`). d-D body: gate count (4), gates as tag + payload
-//! (0/1 = const ⊥/⊤, 2 = var + id, 3/4 = ∧/∨ + fan-in + inputs,
-//! 5 = ¬ + input), root gate (4).
+//! reference (4). Each node table is the leaf's walk prefix as compiled:
+//! the root's reachable nodes in *canonical postorder* (lo subtree
+//! before hi, children before parents), ending at the root — bytes are a
+//! pure function of the reduced DAG, never of the arena history that
+//! built it (`ObddManager::compact`). The `¬`-`∨`-template is not
+//! stored: it is a function of `φ` alone, so the decoder recomputes it —
+//! `Hole(0)` for an OBDD, the fragmentation's template for a d-D — and
+//! rejects a leaf count that differs from its hole count.
 //!
 //! A cache bundle is: magic, version, kind = 2, artifact count (4),
 //! then per artifact a `u64` length followed by a complete single
@@ -69,13 +71,14 @@
 //!
 //! Deserialization is a **total function**: every malformed input —
 //! truncated, wrong magic, unknown version, checksum mismatch, invalid
-//! truth table or database shape, dangling or non-topological node and
-//! gate references, order violations, unreduced or duplicate nodes,
-//! out-of-range roots, foreign variables, a kind that contradicts where
-//! `φ` sits on the Figure 1 map — returns a typed [`StoreError`], never
-//! a panic. A decoded artifact is revalidated against its recomputed
-//! [`CacheKey`] material before it enters the LRU, so the gate-budget
-//! invariant and bit-identical evaluation survive the round trip.
+//! truth table or database shape, a leaf count that differs from the
+//! template's, dangling or non-topological node references, order
+//! violations, unreduced or duplicate nodes, out-of-range roots, foreign
+//! variables, a kind that contradicts where `φ` sits on the Figure 1
+//! map — returns a typed [`StoreError`], never a panic. A decoded
+//! artifact is revalidated against its recomputed [`CacheKey`] material
+//! before it enters the LRU, so the node-budget invariant and
+//! bit-identical evaluation survive the round trip.
 //! `DESIGN.md` §5 states the byte-level contract and the evolution
 //! policy.
 //!
@@ -89,8 +92,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{Circuit, CircuitError, Gate, GateId, NodeRef, ObddError, ObddManager};
-use intext_core::{classify, Fragmentation, Region};
+use intext_circuits::{NodeRef, ObddError, ObddManager};
+use intext_core::{classify, Fragmentation, Region, Template};
 use intext_lineage::DegenerateLineage;
 use intext_tid::{Database, DatabaseError, TupleDesc};
 
@@ -104,14 +107,15 @@ pub const MAGIC: [u8; 8] = *b"INTXSTOR";
 /// Evolution policy (`DESIGN.md` §5): bump on any layout change; readers
 /// reject unknown versions with [`StoreError::UnsupportedVersion`]
 /// rather than guessing.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Kind tag of a serialized artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArtifactKind {
     /// Proposition 3.7's reduced OBDD (degenerate `φ`).
     Obdd,
-    /// Theorem 5.2's deterministic decomposable circuit (zero-Euler `φ`).
+    /// Theorem 5.2's deterministic decomposable circuit (zero-Euler `φ`):
+    /// its fragmentation's template over one OBDD per leaf.
     Dd,
 }
 
@@ -189,18 +193,22 @@ pub enum StoreError {
     ZeroChainLength,
     /// A tuple tag byte is none of `R`/`S`/`T`.
     BadTupleTag(u8),
-    /// A gate tag byte is none of the six gate encodings.
-    BadGateTag(u8),
     /// A delta op byte is neither insert nor remove.
     BadDeltaOp(u8),
     /// A tuple was rejected while rebuilding the database shape
     /// (bad relation index, out-of-domain constant, duplicate).
     BadTuple(DatabaseError),
-    /// The OBDD node table violates a structural invariant.
+    /// The number of leaf OBDDs differs from the number of holes of the
+    /// template `φ` determines.
+    LeafCount {
+        /// Holes of the template recomputed from `φ`.
+        expected: usize,
+        /// Leaves the body declares.
+        got: u32,
+    },
+    /// An OBDD node table violates a structural invariant.
     Obdd(ObddError),
-    /// The gate table violates a structural invariant.
-    Circuit(CircuitError),
-    /// The root reference points outside the node/gate table.
+    /// The root reference points outside the node table.
     RootOutOfRange {
         /// The raw root reference.
         root: u32,
@@ -214,7 +222,7 @@ pub enum StoreError {
         /// The shape's `k`.
         k: u8,
     },
-    /// A circuit/OBDD variable is not a tuple id of the stored shape.
+    /// An OBDD variable is not a tuple id of the stored shape.
     ForeignVariable {
         /// The offending variable.
         var: u32,
@@ -257,11 +265,12 @@ impl fmt::Display for StoreError {
             StoreError::BadPhi => write!(f, "invalid truth table"),
             StoreError::ZeroChainLength => write!(f, "shape declares k = 0"),
             StoreError::BadTupleTag(t) => write!(f, "unknown tuple tag {t}"),
-            StoreError::BadGateTag(t) => write!(f, "unknown gate tag {t}"),
             StoreError::BadDeltaOp(op) => write!(f, "unknown delta op {op}"),
             StoreError::BadTuple(e) => write!(f, "invalid shape tuple: {e}"),
+            StoreError::LeafCount { expected, got } => {
+                write!(f, "{got} leaf OBDDs for a template with {expected} holes")
+            }
             StoreError::Obdd(e) => write!(f, "invalid OBDD table: {e}"),
-            StoreError::Circuit(e) => write!(f, "invalid gate table: {e}"),
             StoreError::RootOutOfRange { root, len } => {
                 write!(f, "root {root} outside a table of {len}")
             }
@@ -287,12 +296,6 @@ impl std::error::Error for StoreError {}
 impl From<ObddError> for StoreError {
     fn from(e: ObddError) -> Self {
         StoreError::Obdd(e)
-    }
-}
-
-impl From<CircuitError> for StoreError {
-    fn from(e: CircuitError) -> Self {
-        StoreError::Circuit(e)
     }
 }
 
@@ -339,103 +342,32 @@ fn put_key(w: &mut Writer, key: &CacheKey) {
     }
 }
 
-/// The sub-arena reachable from `root`, renumbered into canonical
-/// postorder (lo subtree before hi, children before parents), as the
-/// `(level, lo_raw, hi_raw)` triples the OBDD body serializes plus the
-/// renumbered root reference.
-///
-/// Serialized bytes must be a pure function of the *reduced DAG*, not
-/// of the arena history that built it: a fresh compile leaves
-/// backward-unroll intermediates in its arena, while an incremental
-/// patch leaves transplanted suffix checkpoints — two histories, one
-/// canonical OBDD. The byte-identity guarantee (a patched artifact
-/// serializes exactly like a fresh compile, `DESIGN.md` §9) hinges on
-/// writing only that DAG in a history-free order; dropping dead nodes
-/// also keeps blobs minimal.
-fn canonical_obdd(manager: &ObddManager, root: NodeRef) -> (Vec<(u32, u32, u32)>, u32) {
-    let arena: Vec<(u32, NodeRef, NodeRef)> = manager.node_entries().collect();
-    // Arena index -> canonical raw id; `u32::MAX` marks "not visited".
-    let mut map: Vec<u32> = vec![u32::MAX; arena.len()];
-    let renum = |map: &[u32], r: NodeRef| {
-        if r.is_terminal() {
-            r.to_raw()
-        } else {
-            map[(r.to_raw() - 2) as usize]
-        }
-    };
-    let mut out = Vec::new();
-    let mut stack = vec![(root, false)];
-    while let Some((node, expanded)) = stack.pop() {
-        if node.is_terminal() {
-            continue;
-        }
-        let idx = (node.to_raw() - 2) as usize;
-        if map[idx] != u32::MAX {
-            continue;
-        }
-        let (level, lo, hi) = arena[idx];
-        if expanded {
-            map[idx] = out.len() as u32 + 2;
-            out.push((level, renum(&map, lo), renum(&map, hi)));
-        } else {
-            stack.push((node, true));
-            stack.push((hi, false));
-            stack.push((lo, false));
-        }
-    }
-    (out, renum(&map, root))
-}
-
 /// Serializes one artifact under its cache key into a standalone blob.
 pub(crate) fn encode_artifact(key: &CacheKey, artifact: &Artifact) -> Vec<u8> {
-    let mut w = header(match artifact {
-        Artifact::Obdd(_) => KIND_OBDD,
-        Artifact::Dd(_) => KIND_DD,
+    // Proposition 3.7 artifacts are the one-leaf template; a d-D's
+    // fragmentation always has at least one step on top of `Hole(0)`.
+    let mut w = header(if *artifact.template() == Template::Hole(0) {
+        KIND_OBDD
+    } else {
+        KIND_DD
     });
     put_key(&mut w, key);
-    match artifact {
-        Artifact::Obdd(lin) => {
-            w.u8(lin.split);
-            let order = lin.manager.order();
-            w.u32(order.len() as u32);
-            for &v in order {
-                w.u32(v);
-            }
-            let (entries, root) = canonical_obdd(&lin.manager, lin.root);
-            w.u32(entries.len() as u32);
-            for (level, lo, hi) in entries {
-                w.u32(level);
-                w.u32(lo);
-                w.u32(hi);
-            }
-            w.u32(root);
+    w.u32(artifact.leaves().len() as u32);
+    for leaf in artifact.leaves() {
+        w.u8(leaf.split);
+        let order = leaf.manager.order();
+        w.u32(order.len() as u32);
+        for &v in order {
+            w.u32(v);
         }
-        Artifact::Dd(dd) => {
-            let gates = dd.circuit.gates();
-            w.u32(gates.len() as u32);
-            for gate in gates {
-                match gate {
-                    Gate::Const(false) => w.u8(0),
-                    Gate::Const(true) => w.u8(1),
-                    Gate::Var(v) => {
-                        w.u8(2);
-                        w.u32(*v);
-                    }
-                    Gate::And(xs) | Gate::Or(xs) => {
-                        w.u8(if matches!(gate, Gate::And(_)) { 3 } else { 4 });
-                        w.u32(xs.len() as u32);
-                        for x in xs {
-                            w.u32(x.0);
-                        }
-                    }
-                    Gate::Not(x) => {
-                        w.u8(5);
-                        w.u32(x.0);
-                    }
-                }
-            }
-            w.u32(dd.root.0);
+        let nodes = leaf.manager.prefix_len(leaf.root);
+        w.u32(nodes as u32);
+        for (level, lo, hi) in leaf.manager.node_entries().take(nodes) {
+            w.u32(level);
+            w.u32(lo.to_raw());
+            w.u32(hi.to_raw());
         }
+        w.u32(leaf.root.to_raw());
     }
     seal(w)
 }
@@ -576,96 +508,70 @@ pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<(CacheKey, Artifact), Stor
     // artifact whose kind contradicts φ's region is one this engine
     // could never have written, so it never enters the cache.
     let region = classify(&phi);
-    match (kind, region) {
-        (ArtifactKind::Obdd, Region::DegenerateObdd) | (ArtifactKind::Dd, Region::ZeroEulerDD) => {}
-        _ => return Err(StoreError::PlanMismatch { kind, region }),
-    }
-    let artifact = match kind {
-        ArtifactKind::Obdd => {
-            let split = r.u8()?;
-            if split > db.k() {
-                return Err(StoreError::SplitOutOfRange { split, k: db.k() });
-            }
-            let order_len = r.u32()? as usize;
-            let mut order = Vec::with_capacity(order_len.min(r.remaining() / 4));
-            for _ in 0..order_len {
-                order.push(tuple_var(r.u32()?, &db)?);
-            }
-            let node_count = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(node_count.min(r.remaining() / 12));
-            for _ in 0..node_count {
-                let level = r.u32()?;
-                let lo = NodeRef::from_raw(r.u32()?);
-                let hi = NodeRef::from_raw(r.u32()?);
-                entries.push((level, lo, hi));
-            }
-            let manager = ObddManager::from_parts(order, &entries)?;
-            let root = r.u32()?;
-            if root as usize >= entries.len() + 2 {
-                return Err(StoreError::RootOutOfRange {
-                    root,
-                    len: entries.len(),
-                });
-            }
-            // `new` builds a trace-less lineage: a deserialized OBDD can
-            // be walked and shipped but not incrementally patched — the
-            // unroll trace is a compile-time object and is not persisted
-            // (`DESIGN.md` §9).
-            Artifact::Obdd(DegenerateLineage::new(
-                manager,
-                NodeRef::from_raw(root),
-                split,
-            ))
-        }
-        ArtifactKind::Dd => {
-            let gate_count = r.u32()? as usize;
-            let mut gates = Vec::with_capacity(gate_count.min(r.remaining()));
-            for _ in 0..gate_count {
-                let gate = match r.u8()? {
-                    0 => Gate::Const(false),
-                    1 => Gate::Const(true),
-                    2 => Gate::Var(tuple_var(r.u32()?, &db)?),
-                    tag @ (3 | 4) => {
-                        let fanin = r.u32()? as usize;
-                        let mut inputs = Vec::with_capacity(fanin.min(r.remaining() / 4));
-                        for _ in 0..fanin {
-                            inputs.push(GateId(r.u32()?));
-                        }
-                        if tag == 3 {
-                            Gate::And(inputs)
-                        } else {
-                            Gate::Or(inputs)
-                        }
-                    }
-                    5 => Gate::Not(GateId(r.u32()?)),
-                    tag => return Err(StoreError::BadGateTag(tag)),
-                };
-                gates.push(gate);
-            }
-            let len = gates.len();
-            let circuit = Circuit::from_gates(gates)?;
-            let root = r.u32()?;
-            if root as usize >= len {
-                return Err(StoreError::RootOutOfRange { root, len });
-            }
-            // φ classified ZeroEulerDD above, so the fragmentation the
-            // compiler would have produced exists and is recomputed
-            // deterministically from the truth table alone.
-            let fragmentation =
+    let (template, holes) = match (kind, region) {
+        (ArtifactKind::Obdd, Region::DegenerateObdd) => (Template::Hole(0), 1),
+        // φ classified ZeroEulerDD, so the fragmentation the compiler
+        // would have produced exists and is recomputed deterministically
+        // from the truth table alone.
+        (ArtifactKind::Dd, Region::ZeroEulerDD) => {
+            let frag =
                 Fragmentation::of(&phi).expect("zero-Euler φ always fragments (Proposition 5.1)");
-            Artifact::Dd(intext_core::CompiledLineage {
-                circuit,
-                root: GateId(root),
-                fragmentation,
-                // No per-leaf OBDDs survive serialization: a loaded d-D
-                // is walkable but not patchable (`DESIGN.md` §9).
-                leaf_lineages: Vec::new(),
-            })
+            let holes = frag.num_leaves();
+            (frag.template, holes)
         }
+        _ => return Err(StoreError::PlanMismatch { kind, region }),
     };
+    let got = r.u32()?;
+    if got as usize != holes {
+        return Err(StoreError::LeafCount {
+            expected: holes,
+            got,
+        });
+    }
+    let leaves = (0..holes)
+        .map(|_| read_leaf(&mut r, &db))
+        .collect::<Result<Vec<_>, _>>()?;
     done(&r)?;
     let key = CacheKey::new(&phi, &db);
-    Ok((key, artifact))
+    Ok((key, Artifact::new(template, leaves)))
+}
+
+/// Reads and fully validates one leaf OBDD of an artifact body.
+fn read_leaf(r: &mut Reader<'_>, db: &Database) -> Result<DegenerateLineage, StoreError> {
+    let split = r.u8()?;
+    if split > db.k() {
+        return Err(StoreError::SplitOutOfRange { split, k: db.k() });
+    }
+    let order_len = r.u32()? as usize;
+    let mut order = Vec::with_capacity(order_len.min(r.remaining() / 4));
+    for _ in 0..order_len {
+        order.push(tuple_var(r.u32()?, db)?);
+    }
+    let node_count = r.u32()? as usize;
+    let mut entries = Vec::with_capacity(node_count.min(r.remaining() / 12));
+    for _ in 0..node_count {
+        let level = r.u32()?;
+        let lo = NodeRef::from_raw(r.u32()?);
+        let hi = NodeRef::from_raw(r.u32()?);
+        entries.push((level, lo, hi));
+    }
+    let manager = ObddManager::from_parts(order, &entries)?;
+    let root = r.u32()?;
+    if root as usize >= entries.len() + 2 {
+        return Err(StoreError::RootOutOfRange {
+            root,
+            len: entries.len(),
+        });
+    }
+    // `new` builds a trace-less lineage: a deserialized leaf can be
+    // walked and shipped but not incrementally patched — the unroll
+    // trace is a compile-time object and is not persisted (`DESIGN.md`
+    // §9).
+    Ok(DegenerateLineage::new(
+        manager,
+        NodeRef::from_raw(root),
+        split,
+    ))
 }
 
 /// Decodes and validates an update-delta blob, yielding the pre-update
@@ -953,7 +859,12 @@ mod tests {
     fn corruption_matrix_obdd_body() {
         // The shape has 3 tuples: R(0), S1(0,0), T(0).
         let (phi, db) = obdd_ctx();
-        let obdd = |body: &[u8]| decode_artifact(&blob(KIND_OBDD, &phi, &db, body)).unwrap_err();
+        // Every body starts with the leaf count: one leaf, for an OBDD.
+        let obdd = |leaf: &[u8]| {
+            let mut body = u32s(&[1]);
+            body.extend_from_slice(leaf);
+            decode_artifact(&blob(KIND_OBDD, &phi, &db, &body)).unwrap_err()
+        };
 
         // Split variable beyond k.
         assert_eq!(obdd(&[9]), StoreError::SplitOutOfRange { split: 9, k: 1 });
@@ -1018,43 +929,82 @@ mod tests {
     #[test]
     fn corruption_matrix_dd_body() {
         let (phi, db) = dd_ctx();
+        let holes = Fragmentation::of(&phi).unwrap().num_leaves();
         let dd = |body: &[u8]| decode_artifact(&blob(KIND_DD, &phi, &db, body)).unwrap_err();
 
-        // Unknown gate tag.
-        assert_eq!(dd(&[1, 0, 0, 0, 9]), StoreError::BadGateTag(9));
+        // A leaf count that differs from the template's hole count.
+        for got in [0, 1, holes as u32 + 1] {
+            assert_eq!(
+                dd(&u32s(&[got])),
+                StoreError::LeafCount {
+                    expected: holes,
+                    got
+                }
+            );
+        }
 
-        // Var gate naming a non-tuple variable.
-        let mut body = u32s(&[1]);
-        body.push(2); // Var
-        body.extend(u32s(&[42]));
+        // The first leaf is valid (empty order, constant-false root);
+        // the second is validated like any OBDD body.
+        let with_second = |second: &[u8]| {
+            let mut body = u32s(&[holes as u32]);
+            body.push(0); // split
+            body.extend(u32s(&[0, 0, 0])); // order_len, node_count, root
+            body.extend_from_slice(second);
+            dd(&body)
+        };
+        let mut second = vec![1u8];
+        second.extend(u32s(&[1, 42])); // order = [42]
         assert_eq!(
-            dd(&body),
+            with_second(&second),
             StoreError::ForeignVariable { var: 42, tuples: 5 }
         );
-
-        // Not gate with a forward (self) input.
-        let mut body = u32s(&[1]);
-        body.push(5); // Not
-        body.extend(u32s(&[0]));
+        let mut second = vec![1u8];
+        second.extend(u32s(&[1, 0, 1, 0, 2, 1])); // forward child
         assert_eq!(
-            dd(&body),
-            StoreError::Circuit(CircuitError::DanglingInput { gate: 0, input: 0 })
+            with_second(&second),
+            StoreError::Obdd(ObddError::DanglingChild { node: 0, child: 2 })
         );
-
-        // Duplicate gates (hash-consing violated).
-        let mut body = u32s(&[2]);
-        body.push(0); // Const(false)
-        body.push(0); // Const(false) again
+        let mut second = vec![1u8];
+        second.extend(u32s(&[1, 0, 1, 0, 0, 1, 3])); // root = 3
         assert_eq!(
-            dd(&body),
-            StoreError::Circuit(CircuitError::DuplicateGate { gate: 1 })
+            with_second(&second),
+            StoreError::RootOutOfRange { root: 3, len: 1 }
         );
+        // A valid second leaf and nothing after it: truncated.
+        let mut second = vec![1u8];
+        second.extend(u32s(&[0, 0, 1]));
+        assert_eq!(with_second(&second), StoreError::Truncated);
+    }
 
-        // Root outside the gate table.
-        let mut body = u32s(&[1]);
-        body.push(1); // Const(true)
-        body.extend(u32s(&[3])); // root = 3
-        assert_eq!(dd(&body), StoreError::RootOutOfRange { root: 3, len: 1 });
+    #[test]
+    fn fresh_patched_and_decoded_phi9_plug_into_valid_dds() {
+        let db = complete_database(3, 1);
+        let mut shrunk = db.clone();
+        shrunk.remove(intext_tid::TupleId(2)).unwrap();
+        let fresh = intext_core::compile_dd(&phi9(), &db).unwrap();
+        let patched = fresh.patched(&db, &shrunk).expect("one tuple removed");
+        let key = CacheKey::new(&phi9(), &db);
+        let (_, decoded) = decode_artifact(&encode_artifact(&key, &fresh)).unwrap();
+        for (name, artifact, shape) in [
+            ("fresh", &fresh, &db),
+            ("patched", &patched, &shrunk),
+            ("decoded", &decoded, &db),
+        ] {
+            let (circuit, root) = artifact.to_circuit();
+            intext_circuits::verify::check_dd(&circuit, root)
+                .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            let probs: Vec<BigRational> = (0..shape.len() as i64)
+                .map(|i| BigRational::from_ratio(i + 1, shape.len() as u64 + 3))
+                .collect();
+            let tid = intext_tid::Tid::new(shape.clone(), probs).unwrap();
+            let via_circuit =
+                circuit.probability_f64(root, &|v| tid.prob_f64(intext_tid::TupleId(v)));
+            assert_eq!(
+                artifact.probability_f64(&tid).to_bits(),
+                via_circuit.to_bits(),
+                "{name}: the artifact walk gives the plugged circuit's bits"
+            );
+        }
     }
 
     #[test]

@@ -98,9 +98,10 @@ impl DegenerateLineage {
         self.trace.is_some()
     }
 
-    /// OBDD node count.
+    /// OBDD node count: the root's walk prefix, which on a compacted
+    /// lineage is exactly its reachable nodes.
     pub fn size(&self) -> usize {
-        self.manager.size(self.root)
+        self.manager.prefix_len(self.root)
     }
 
     /// Exact probability of the query under the TID's probabilities.
@@ -228,14 +229,47 @@ impl DegenerateLineage {
         let root = cur[encode_state(0, nbits)];
         prefix.reverse();
         prefix.append(&mut checkpoints);
-        Some(DegenerateLineage {
-            manager,
+        Some(Self::compacted(
+            &manager,
             root,
-            split: l,
-            trace: Some(UnrollTrace {
+            l,
+            Some(UnrollTrace {
                 checkpoints: prefix,
             }),
-        })
+        ))
+    }
+
+    /// The lineage of `root` in `manager`, with the arena rebuilt by
+    /// [`ObddManager::compact`]: the root's reachable nodes first, in
+    /// canonical postorder, so every walk is one linear pass over them;
+    /// then the nodes only the trace's checkpoints reach, which later
+    /// patches transplant. The trace is remapped onto the new arena.
+    fn compacted(
+        manager: &ObddManager,
+        root: NodeRef,
+        split: u8,
+        trace: Option<UnrollTrace>,
+    ) -> DegenerateLineage {
+        let mut roots = vec![root];
+        for (_, states) in trace.iter().flat_map(|t| &t.checkpoints) {
+            roots.extend_from_slice(states);
+        }
+        let (manager, images) = manager.compact(&roots);
+        let mut images = images.into_iter();
+        let root = images.next().expect("the root is the first image");
+        let trace = trace.map(|t| UnrollTrace {
+            checkpoints: t
+                .checkpoints
+                .into_iter()
+                .map(|(j, states)| (j, images.by_ref().take(states.len()).collect()))
+                .collect(),
+        });
+        DegenerateLineage {
+            manager,
+            root,
+            split,
+            trace,
+        }
     }
 }
 
@@ -463,12 +497,12 @@ pub fn compile_degenerate_obdd(
     let l = psi.independent_var().ok_or(LineageError::NotDegenerate)?;
     let mut compiler = SplitCompiler::new(db, l);
     let (root, trace) = compiler.compile_with_trace(psi)?;
-    Ok(DegenerateLineage {
-        manager: compiler.into_manager(),
+    Ok(DegenerateLineage::compacted(
+        compiler.manager(),
         root,
-        split: l,
-        trace: Some(trace),
-    })
+        l,
+        Some(trace),
+    ))
 }
 
 /// Ablation baseline for Proposition 3.7: build one OBDD per `h_{k,i}`
@@ -514,7 +548,7 @@ pub fn compile_degenerate_obdd_apply(
         }
         psi.eval(mask)
     });
-    Ok(DegenerateLineage::new(manager, root, l))
+    Ok(DegenerateLineage::compacted(&manager, root, l, None))
 }
 
 #[cfg(test)]

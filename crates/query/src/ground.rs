@@ -132,11 +132,15 @@ fn build(m: &mut ObddManager, expr: &QueryExpr, db: &Database) -> NodeRef {
 
 /// Compiles a query's grounded lineage to an OBDD over raw tuple ids
 /// (ascending variable order). The pair plugs straight into the
-/// engine's degenerate-lineage artifact type.
+/// engine's degenerate-lineage artifact type. The apply steps leave
+/// every intermediate function in the arena, so it is compacted to the
+/// root's reachable nodes: the manager holds exactly what a walk visits
+/// and what a cache budget counts.
 pub fn ground_circuit(expr: &QueryExpr, db: &Database) -> (ObddManager, NodeRef) {
     let mut m = ObddManager::new((0..db.len() as u32).collect());
     let root = build(&mut m, expr, db);
-    (m, root)
+    let (m, roots) = m.compact(&[root]);
+    (m, roots[0])
 }
 
 /// Exact probability by grounded-circuit weighted model counting.
@@ -296,6 +300,29 @@ mod tests {
             assert!((f - bf).abs() < 1e-12, "f64 on {expr:?}");
             assert!((f - exact.to_f64()).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn grounded_arena_holds_only_the_roots_nodes() {
+        // The unsafe join R(x), S1(x,y), T(y) on the complete k = 1,
+        // domain-6 instance minus one S1 tuple: the apply steps create
+        // several times more nodes than the final function keeps.
+        let mut db = Database::new(1, 6);
+        let mut dropped = false;
+        for (_, desc) in intext_tid::complete_database(1, 6).iter() {
+            if !dropped && matches!(desc, TupleDesc::S(..)) {
+                dropped = true;
+                continue;
+            }
+            db.insert(desc).unwrap();
+        }
+        let expr = QueryExpr::Cq(ConjunctiveQuery::new(vec![
+            Atom::unary(Relation::R, Term::Var(0)),
+            Atom::binary(Relation::S(1), Term::Var(0), Term::Var(1)),
+            Atom::unary(Relation::T, Term::Var(1)),
+        ]));
+        let (m, root) = ground_circuit(&expr, &db);
+        assert_eq!(m.arena_size(), m.size(root));
     }
 
     #[test]

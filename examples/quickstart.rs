@@ -82,7 +82,7 @@ fn main() {
     let p = engine.evaluate(&q, &tid).expect("φ9 is tractable");
     let first = engine.stats().last.expect("just evaluated");
     println!(
-        "engine answer                : {p}\n  [{} gates compiled in {:?}, evaluated in {:?}]",
+        "engine answer                : {p}\n  [{} leaf OBDD nodes compiled in {:?}, evaluated in {:?}]",
         first.circuit_size.unwrap_or(0),
         first.compile_time,
         first.eval_time,
@@ -101,8 +101,8 @@ fn main() {
 
     // Live updates: remove a tuple, then put it back. Each structural
     // change patches every cached artifact in place (Prop 3.7 group
-    // extension / d-D leaf re-plugging, DESIGN.md §9) — zero
-    // recompiles, and the patched circuit stays exact ground truth.
+    // extension, leaf by leaf for a d-D, DESIGN.md §9) — zero
+    // recompiles, and the patched artifact stays exact ground truth.
     let (desc, p0) = engine
         .remove_tuple(&mut tid, TupleId(0))
         .expect("tuple 0 exists");
@@ -139,11 +139,15 @@ fn main() {
     let dd = compile_dd(&phi9(), tid.database()).expect("e(φ9) = 0");
     let int = dd.probability_exact(&tid);
     println!("intensional (d-D lineage)    : {int}");
-    println!("compiled d-D: {}", dd.stats());
+    println!(
+        "compiled d-D: {} leaf OBDD nodes; plugged into one circuit: {}",
+        dd.size(),
+        dd.to_circuit().0.stats()
+    );
     println!(
         "template: {} leaves, {} negation gates",
-        dd.fragmentation.num_leaves(),
-        dd.fragmentation.template.negation_count()
+        dd.leaves().len(),
+        dd.template().negation_count()
     );
 
     assert_eq!(brute, ext, "extensional must equal ground truth");
@@ -209,7 +213,7 @@ fn main() {
         "no compiles on the replica"
     );
     println!(
-        "\nwarm start: {} artifact(s), {} gates from a {}-byte snapshot \
+        "\nwarm start: {} artifact(s), {} leaf nodes from a {}-byte snapshot \
          (0 compiles on replay ✓)",
         report.artifacts,
         report.gates,

@@ -5,7 +5,7 @@
 //! cargo run --example regen_fixtures -- DIR     # write into DIR instead
 //! ```
 //!
-//! The fixtures pin the version-1 persistence format (`DESIGN.md` §5):
+//! The fixtures pin the version-2 persistence format (`DESIGN.md` §5):
 //! CI regenerates them into a scratch directory and fails if the bytes
 //! differ from the committed ones (`scripts/check-fixtures.sh`), so any
 //! drift in the format *or* in the compiler's deterministic output is

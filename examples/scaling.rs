@@ -24,7 +24,7 @@ fn main() {
     println!("query: Q_φ9 (safe, k = 3) on complete databases of growing domain\n");
     println!(
         "{:>6} {:>8} {:>16} {:>16} {:>16} {:>12}",
-        "domain", "tuples", "brute force", "extensional", "intensional", "d-D gates"
+        "domain", "tuples", "brute force", "extensional", "intensional", "leaf nodes"
     );
 
     let mut rng = StdRng::seed_from_u64(0xD1C7);
@@ -59,7 +59,7 @@ fn main() {
             "{n:>6} {tuples:>8} {brute_cell:>16} {:>16} {:>16} {:>12}",
             format!("{ext_time:.2?}"),
             format!("{int_time:.2?}"),
-            dd.stats().gates
+            dd.size()
         );
 
         if let Some((pb, _)) = brute {

@@ -95,11 +95,11 @@
 //! assert_eq!(engine.stats().lane_kernel_calls, 1); // 4 scenarios, 1 walk
 //! assert!(engine.stats().walk_nanos > 0);
 //!
-//! // Bound the artifact cache (total gates retained); LRU eviction keeps
+//! // Bound the artifact cache (leaf OBDD nodes retained); LRU eviction keeps
 //! // it under budget and counts into `stats().cache_evictions`.
 //! engine.set_cache_budget(Some(1 << 20));
 //!
-//! // Persist the compiled circuits (versioned format, DESIGN.md §5) and
+//! // Persist the compiled artifacts (versioned format, DESIGN.md §5) and
 //! // warm-start a replica: zero compiles, bit-identical answers.
 //! let snapshot = engine.save_cache();
 //! let mut replica = PqeEngine::new();

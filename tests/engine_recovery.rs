@@ -1139,6 +1139,69 @@ fn pure_garbage_directory_cold_starts_with_everything_quarantined() {
     assert!(matches!(healed.snapshot, SnapshotSource::Current { artifacts } if artifacts >= 1));
 }
 
+/// A directory written by a version-1 build — a snapshot and a WAL of
+/// two delta records whose store blobs all carry version 1 — meets the
+/// first format bump (`DESIGN.md` §5): the version is checked before the
+/// checksum, so both files are quarantined with a typed reason, nothing
+/// replays, and the engine cold-starts and compiles on first use.
+#[test]
+fn version_1_durable_directory_cold_starts() {
+    let mem = Arc::new(MemFs::new());
+    let dir = reopen(&mem);
+    let mut tid = Tid::new(Database::new(1, DOMAIN), Vec::new()).unwrap();
+    tid.insert(TupleDesc::R(0), half()).unwrap();
+    tid.insert(TupleDesc::T(0), half()).unwrap();
+    let phi = durable_fns(1).remove(0);
+    let q = HQuery::new(phi.clone());
+    let mut writer = PqeEngine::new();
+    writer.evaluate(&q, &tid).unwrap();
+    let version_1 = |mut blob: Vec<u8>| {
+        blob[8..10].copy_from_slice(&1u16.to_le_bytes());
+        blob
+    };
+    mem.install(
+        dir.path().join(SNAPSHOT_FILE),
+        version_1(writer.save_cache()),
+    );
+    let wal = dir.wal();
+    wal.reset().unwrap();
+    for desc in [TupleDesc::R(1), TupleDesc::T(1)] {
+        let delta = writer
+            .export_delta(&q, tid.database(), &TupleUpdate::Insert { desc })
+            .unwrap();
+        wal.append(&version_1(delta)).unwrap();
+        writer.insert_tuple(&mut tid, desc, half()).unwrap();
+    }
+
+    let before = mem.files();
+    let (mut recovered, report) =
+        PqeEngine::recover_with(EngineConfig::default(), &reopen(&mem)).unwrap();
+    assert_eq!(report.snapshot, SnapshotSource::Cold);
+    assert_eq!(report.wal_records_applied, 0);
+    assert_eq!(report.wal_records_dropped, 2);
+    assert_eq!(report.quarantined.len(), 2, "snapshot and log");
+    assert!(report.quarantined[0].original.ends_with(SNAPSHOT_FILE));
+    assert!(report.quarantined[1].original.ends_with(WAL_FILE));
+    for quarantine in &report.quarantined {
+        assert!(
+            quarantine.reason.contains("unsupported format version 1"),
+            "{}",
+            quarantine.reason
+        );
+    }
+    assert_report_consistent(&recovered, &report, &before, &mem, "version-1 dir");
+
+    // A cold engine: nothing cached, the first evaluation compiles and
+    // answers like a fresh engine.
+    assert_eq!(recovered.cache_len(), 0);
+    assert_eq!(
+        recovered.evaluate(&q, &tid).unwrap(),
+        PqeEngine::new().evaluate(&q, &tid).unwrap()
+    );
+    assert_eq!(recovered.stats().cache_misses, 1);
+    assert_eq!(recovered.stats().artifact_loads, 0);
+}
+
 /// A short read of the current snapshot during recovery itself (a
 /// concurrently-truncated file, a bad sector): the generation is
 /// quarantined and recovery falls back to the retained previous

@@ -99,8 +99,8 @@ fn compiled_circuits_are_verified_dds_on_small_instances() {
             continue;
         }
         let phi = BoolFn::from_table_u64(4, t);
-        let dd = compile_dd(&phi, tid.database()).unwrap();
-        verify::check_dd(&dd.circuit, dd.root)
+        let (circuit, root) = compile_dd(&phi, tid.database()).unwrap().to_circuit();
+        verify::check_dd(&circuit, root)
             .unwrap_or_else(|v| panic!("d-D violation for t={t:#x}: {v}"));
     }
 }
