@@ -2,14 +2,14 @@
 //! tuple changes under a live cached query. Four strategies around a
 //! single-tuple remove/insert round trip, across domain sizes and both
 //! artifact kinds — `obdd` is a degenerate ψ (`h_{3,0}` alone, a pure
-//! Prop 3.7 OBDD), `dd` is φ9 (the full Thm 5.2 d-D, whose circuit
-//! re-materialization is shared by patch and recompile alike):
+//! Prop 3.7 OBDD), `dd` is φ9 (the full Thm 5.2 d-D, whose patch is the
+//! patch of its leaf OBDDs under an unchanged template):
 //!
 //! * `patch_update_eval` — the live-update API: every cached artifact
 //!   is patched across the structural change, evaluations stay pure
-//!   circuit walks, zero recompiles ever.
+//!   walks, zero recompiles ever.
 //! * `recompile_update_eval` — the pre-incremental discipline: the same
-//!   updates applied to the instance, the cache cleared, the circuit
+//!   updates applied to the instance, the cache cleared, the artifact
 //!   recompiled from scratch before each evaluation.
 //! * `cold_miss_eval` — the cache-miss floor: a fresh engine's first
 //!   touch (classify + compile + insert + walk), for scale.
@@ -128,7 +128,7 @@ fn bench_incremental(c: &mut Criterion) {
             );
 
             // Reweight: a probability-only update touches no structure;
-            // the cached circuit is walked under the new weights.
+            // the cached artifact is walked under the new weights.
             g.bench_with_input(
                 BenchmarkId::new(format!("reweight_eval_{kind}"), domain),
                 &base,

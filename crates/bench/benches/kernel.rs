@@ -3,18 +3,19 @@
 //! Once an artifact is compiled and cached, the only remaining
 //! per-scenario costs are the walk itself and its bookkeeping. The
 //! scalar path (`evaluate_f64` in a loop) pays, per scenario: one
-//! `O(|D|)` cache-key construction + hash, one values-buffer allocation,
-//! and one full gate decode. The lane-batched path
+//! `O(|D|)` cache-key construction + hash, the value-buffer allocations,
+//! and one full node decode. The lane-batched path
 //! (`evaluate_batch_sharded_f64` on one shard) groups the same-shape run
 //! once, then walks the artifact in blocks of `LANES` scenarios: one
-//! gate decode and zero steady-state allocations per *block*, with the
-//! per-gate arithmetic auto-vectorized across lanes.
+//! node decode and zero steady-state allocations per *block*, with the
+//! per-node arithmetic auto-vectorized across lanes.
 //!
 //! This is an **allocation + cache-locality win, not a threading win** —
 //! both contenders here run on a single core (the sharded variant is
 //! E18's story). Like E18, the bench prints `threads=` so every recorded
 //! number states its regime. Both artifact kinds are measured at domain
-//! 16 with 1000 scenarios: `dd` (φ9's d-D circuit, ~24.5k gates) and
+//! 16 with 1000 scenarios: `dd` (φ9's d-D: a template over seven leaf
+//! OBDDs) and
 //! `obdd` (the degenerate h₍₃,₀₎ lineage OBDD). Bit-identity between the
 //! two paths is asserted before timing; the acceptance bar (≥ 3×
 //! lane-batched over scalar, recorded in `EXPERIMENTS.md`) is checked by
@@ -56,8 +57,8 @@ fn bench_kernel(c: &mut Criterion) {
     let workload = scenarios(&base, 1000);
     g.throughput(Throughput::Elements(workload.len() as u64));
 
-    // Both artifact kinds: φ9 compiles a d-D circuit, the degenerate
-    // h_{3,0} a lineage OBDD — same kernel, different walk topologies.
+    // Both plans: φ9 compiles a d-D (seven leaves under a template), the
+    // degenerate h_{3,0} a one-leaf OBDD — same kernel, different shapes.
     let cases = [
         ("dd", HQuery::new(phi9())),
         ("obdd", HQuery::new(BoolFn::var(4, 0))),

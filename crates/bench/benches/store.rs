@@ -29,7 +29,7 @@ fn bench_store(c: &mut Criterion) {
     let path = dir.join(format!("e20-domain{domain}.intx"));
     std::fs::write(&path, &blob).expect("blob is writable");
     println!(
-        "store: domain {domain}, {} gates, {} bytes on disk",
+        "store: domain {domain}, {} leaf OBDD nodes, {} bytes on disk",
         warm.cache_gates(),
         blob.len()
     );
@@ -64,7 +64,7 @@ fn bench_store(c: &mut Criterion) {
         },
     );
 
-    // Hit: the warmed engine's steady state — one linear circuit walk.
+    // Hit: the warmed engine's steady state — one linear walk.
     g.bench_with_input(
         BenchmarkId::new("cache_hit_eval", domain),
         &tid,

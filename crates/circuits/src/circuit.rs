@@ -182,25 +182,6 @@ impl Circuit {
         per_gate[root.0 as usize].clone()
     }
 
-    /// The distinct variables of every `Var` gate in the arena, sorted
-    /// ascending — exactly the probability entries a forward pass (any
-    /// walk, lane-batched or scalar) reads. Batch evaluators fill their
-    /// [`ProbMatrix`] for these variables only, which matters when the
-    /// circuit touches a fraction of a large database.
-    pub fn support_vars(&self) -> Vec<u32> {
-        let mut vars: Vec<u32> = self
-            .gates
-            .iter()
-            .filter_map(|g| match g {
-                Gate::Var(v) => Some(*v),
-                _ => None,
-            })
-            .collect();
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    }
-
     /// Probability of the gate's function under independent variable
     /// probabilities, **assuming the circuit rooted at `root` is a d-D**
     /// (`∧ → ×`, `∨ → +`, `¬ → 1-x`; Section 2 of the paper). Linear time.

@@ -418,8 +418,8 @@ mod tests {
     #[test]
     fn patched_dd_is_bit_identical_to_fresh_compile() {
         // Insert and remove each tuple of a φ9 instance in turn; the
-        // template-re-plugged circuit must match a fresh compile on
-        // every world and every probability walk, to the bit.
+        // patched leaves under the reused template must match a fresh
+        // compile on every world and every probability walk, to the bit.
         let full = complete_database(3, 1);
         for (id, missing) in full.iter() {
             let mut without = Database::new(3, 1);

@@ -212,7 +212,7 @@ pub enum StoreError {
     RootOutOfRange {
         /// The raw root reference.
         root: u32,
-        /// Number of nodes/gates actually present.
+        /// Number of nodes actually present.
         len: usize,
     },
     /// The OBDD split variable exceeds the shape's chain length.

@@ -116,7 +116,7 @@ impl DegenerateLineage {
             .probability_f64(self.root, &|v| tid.prob_f64(TupleId(v)))
     }
 
-    /// Embeds the OBDD as a d-D circuit (for template plugging).
+    /// Embeds the OBDD as a d-D circuit (for `verify::check_dd`).
     pub fn to_circuit(&self) -> (Circuit, GateId) {
         self.manager.to_circuit(self.root)
     }

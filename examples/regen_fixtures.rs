@@ -47,7 +47,8 @@ use intext::tid::{complete_database, uniform_tid, Database, Tid, TupleId, Vocabu
 /// * `degenerate_obdd`: ψ = h₀ ∧ ¬h₂ (ignores h₁, so Proposition 3.7
 ///   compiles a reduced OBDD) on the complete k = 2, domain-2 instance.
 /// * `zero_euler_dd`: φ9 (nondegenerate, e(φ9) = 0, so Theorem 5.2
-///   compiles a d-D circuit) on the complete k = 3, domain-2 instance.
+///   compiles a d-D: its template over seven leaf OBDDs) on the
+///   complete k = 3, domain-2 instance.
 fn fixtures() -> Vec<(&'static str, BoolFn, Database)> {
     let psi = &BoolFn::var(3, 0) & &!&BoolFn::var(3, 2);
     vec![
