@@ -38,7 +38,7 @@ fn bench_obdd(c: &mut Criterion) {
             BenchmarkId::new("probability_f64", domain),
             &tid,
             |b, tid| {
-                b.iter(|| black_box(lin.probability_f64(tid)));
+                b.iter(|| black_box(lin.probability::<f64>(tid)));
             },
         );
     }

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use intext_bench::{bench_tid, DOMAIN_SWEEP};
 use intext_boolfn::phi9;
 use intext_core::compile_dd;
+use intext_numeric::BigRational;
 use std::hint::black_box;
 
 fn bench_probability(c: &mut Criterion) {
@@ -16,13 +17,13 @@ fn bench_probability(c: &mut Criterion) {
         let dd = compile_dd(&phi9(), tid.database()).unwrap();
         g.throughput(Throughput::Elements(dd.size() as u64));
         g.bench_with_input(BenchmarkId::new("f64", domain), &tid, |b, tid| {
-            b.iter(|| black_box(dd.probability_f64(tid)));
+            b.iter(|| black_box(dd.probability::<f64>(tid)));
         });
         g.bench_with_input(
             BenchmarkId::new("exact_rational", domain),
             &tid,
             |b, tid| {
-                b.iter(|| black_box(dd.probability_exact(tid)));
+                b.iter(|| black_box(dd.probability::<BigRational>(tid)));
             },
         );
     }

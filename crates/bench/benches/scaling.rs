@@ -8,7 +8,7 @@ use intext_bench::bench_tid;
 use intext_boolfn::phi9;
 use intext_core::compile_dd;
 use intext_extensional::pqe_extensional_f64;
-use intext_query::{pqe_brute_force_f64, HQuery};
+use intext_query::{pqe_brute_force, HQuery};
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench_scaling(c: &mut Criterion) {
         }
         let q = HQuery::new(phi9());
         g.bench_with_input(BenchmarkId::new("brute_force", domain), &tid, |b, tid| {
-            b.iter(|| black_box(pqe_brute_force_f64(&q, tid).unwrap()));
+            b.iter(|| black_box(pqe_brute_force::<f64>(&q, tid).unwrap()));
         });
     }
     for domain in [1u32, 2, 4, 8, 16] {
@@ -34,7 +34,7 @@ fn bench_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("intensional", domain), &tid, |b, tid| {
             b.iter(|| {
                 let dd = compile_dd(&phi9(), tid.database()).unwrap();
-                black_box(dd.probability_f64(tid))
+                black_box(dd.probability::<f64>(tid))
             });
         });
     }

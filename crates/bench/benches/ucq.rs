@@ -14,8 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use intext_bench::{bench_tid, DOMAIN_SWEEP};
 use intext_query::{
-    ground_circuit_probability_f64, is_safe_ucq, lifted_probability_f64, parse_query,
-    ucq_brute_force_f64,
+    ground_circuit_probability, is_safe_ucq, lifted_probability, parse_query, ucq_brute_force,
 };
 use intext_tid::Vocabulary;
 use std::hint::black_box;
@@ -51,44 +50,45 @@ fn bench_ucq(c: &mut Criterion) {
         g.throughput(Throughput::Elements(tid.len() as u64));
 
         // The routes must agree before any of them is timed.
-        let lifted = lifted_probability_f64(&safe_ucq, &tid).expect("safe query lifts");
-        let grounded = ground_circuit_probability_f64(&safe, &tid);
+        let lifted = lifted_probability::<f64>(&safe_ucq, &tid).expect("safe query lifts");
+        let grounded = ground_circuit_probability::<f64>(&safe, &tid);
         assert!(
             (lifted - grounded).abs() < 1e-9,
             "lifted {lifted} vs grounded {grounded} at domain {domain}"
         );
         assert!(
-            lifted_probability_f64(&unsafe_ucq, &tid).is_none(),
+            lifted_probability::<f64>(&unsafe_ucq, &tid).is_none(),
             "unsafe query must not lift"
         );
 
         g.bench_with_input(BenchmarkId::new("safe_lifted", domain), &tid, |b, tid| {
-            b.iter(|| black_box(lifted_probability_f64(&safe_ucq, tid).unwrap()));
+            b.iter(|| black_box(lifted_probability::<f64>(&safe_ucq, tid).unwrap()));
         });
         g.bench_with_input(BenchmarkId::new("safe_grounded", domain), &tid, |b, tid| {
-            b.iter(|| black_box(ground_circuit_probability_f64(&safe, tid)));
+            b.iter(|| black_box(ground_circuit_probability::<f64>(&safe, tid)));
         });
         if tid.len() <= BRUTE_MAX_TUPLES {
-            let brute = ucq_brute_force_f64(&safe, &tid).expect("within the world budget");
+            let brute = ucq_brute_force::<f64>(&safe, &tid).expect("within the world budget");
             assert!((lifted - brute).abs() < 1e-9);
             g.bench_with_input(BenchmarkId::new("safe_brute", domain), &tid, |b, tid| {
-                b.iter(|| black_box(ucq_brute_force_f64(&safe, tid).unwrap()));
+                b.iter(|| black_box(ucq_brute_force::<f64>(&safe, tid).unwrap()));
             });
         }
         if domain <= UNSAFE_GROUND_MAX_DOMAIN {
-            let p = ground_circuit_probability_f64(&unsafe_q, &tid);
+            let p = ground_circuit_probability::<f64>(&unsafe_q, &tid);
             if tid.len() <= BRUTE_MAX_TUPLES {
-                let brute = ucq_brute_force_f64(&unsafe_q, &tid).expect("within the world budget");
+                let brute =
+                    ucq_brute_force::<f64>(&unsafe_q, &tid).expect("within the world budget");
                 assert!((p - brute).abs() < 1e-9);
                 g.bench_with_input(BenchmarkId::new("unsafe_brute", domain), &tid, |b, tid| {
-                    b.iter(|| black_box(ucq_brute_force_f64(&unsafe_q, tid).unwrap()));
+                    b.iter(|| black_box(ucq_brute_force::<f64>(&unsafe_q, tid).unwrap()));
                 });
             }
             g.bench_with_input(
                 BenchmarkId::new("unsafe_grounded", domain),
                 &tid,
                 |b, tid| {
-                    b.iter(|| black_box(ground_circuit_probability_f64(&unsafe_q, tid)));
+                    b.iter(|| black_box(ground_circuit_probability::<f64>(&unsafe_q, tid)));
                 },
             );
         }

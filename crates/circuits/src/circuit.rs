@@ -3,9 +3,9 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use intext_numeric::BigRational;
+use intext_numeric::{BigRational, ProbNum};
 
-use crate::eval::{EvalScratch, ProbMatrix, LANES};
+use crate::eval::EvalScratch;
 
 /// Index of a gate inside a [`Circuit`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -57,10 +57,9 @@ pub struct CircuitStats {
 /// **Concurrency contract** (relied on by the engine's sharded batch
 /// evaluation): mutation happens only through `&mut self` during
 /// construction; every walk — [`eval`](Self::eval),
-/// [`probability_f64`](Self::probability_f64),
-/// [`probability_exact`](Self::probability_exact), [`stats`](Self::stats)
-/// — takes `&self`, keeps its scratch space on its own stack, and caches
-/// nothing in the arena. A compiled circuit behind an `Arc` can therefore
+/// [`probability`](Self::probability), [`stats`](Self::stats) — takes
+/// `&self`, keeps its scratch space on its own stack or in the caller's
+/// [`EvalScratch`], and caches nothing in the arena. A compiled circuit behind an `Arc` can therefore
 /// be walked by any number of threads at once; the `Send + Sync` bound is
 /// pinned by a compile-time test.
 #[derive(Clone, Debug, Default)]
@@ -184,103 +183,39 @@ impl Circuit {
 
     /// Probability of the gate's function under independent variable
     /// probabilities, **assuming the circuit rooted at `root` is a d-D**
-    /// (`∧ → ×`, `∨ → +`, `¬ → 1-x`; Section 2 of the paper). Linear time.
-    pub fn probability_f64(&self, root: GateId, prob: &impl Fn(u32) -> f64) -> f64 {
-        let mut values = vec![0f64; self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            values[i] = match g {
-                Gate::Const(b) => f64::from(u8::from(*b)),
-                Gate::Var(v) => prob(*v),
-                Gate::And(xs) => xs.iter().map(|x| values[x.0 as usize]).product(),
-                Gate::Or(xs) => xs.iter().map(|x| values[x.0 as usize]).sum(),
-                Gate::Not(x) => 1.0 - values[x.0 as usize],
-            };
-        }
-        values[root.0 as usize]
-    }
-
-    /// Lane-batched variant of [`Self::probability_f64`]: one forward
-    /// pass over the gate table computes up to [`LANES`] scenarios at
-    /// once, reading scenario probabilities from `probs` and keeping
-    /// every intermediate in `scratch` (no heap allocation once the
-    /// scratch has grown to this arena's size).
+    /// (`∧ → ×`, `∨ → +`, `¬ → 1-x`; Section 2 of the paper): one
+    /// forward pass over the gate table, in any [`ProbNum`] type, reading
+    /// `prob(v)` at each variable gate and keeping the gate values in
+    /// `scratch` (no heap allocation once it has grown to this arena's
+    /// size). Linear time.
     ///
-    /// **Bit-identity contract**: every gate folds its inputs in arena
-    /// input order — products left-to-right for `∧`, sums left-to-right
-    /// for `∨` — exactly as the scalar walk does, so lane `l` of the
-    /// result is bit-identical to `probability_f64` called with lane
-    /// `l`'s probabilities. Lanes the caller did not fill are computed
-    /// from whatever the matrix holds and are simply meaningless; read
-    /// back only the lanes you set.
-    pub fn probability_f64_many(
+    /// **Operation order** (the bit-identity contract of `DESIGN.md`
+    /// §6): an `∧` gate is a product from one over its inputs in arena
+    /// order, an `∨` gate a sum from zero, a `¬` gate `1 − x`. So a
+    /// `[f64; LANES]` pass gives, in lane `l`, the bits of the `f64`
+    /// pass under lane `l`'s probabilities.
+    pub fn probability<N: ProbNum>(
         &self,
         root: GateId,
-        probs: &ProbMatrix,
-        scratch: &mut EvalScratch,
-    ) -> [f64; LANES] {
-        scratch.ensure_lanes(self.gates.len());
-        let values = &mut scratch.lanes[..self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            let (done, rest) = values.split_at_mut(i);
-            let out = &mut rest[0];
-            match g {
-                Gate::Const(b) => out.fill(f64::from(u8::from(*b))),
-                Gate::Var(v) => *out = *probs.block(*v),
-                Gate::And(xs) => {
-                    out.fill(1.0);
-                    for x in xs {
-                        for (o, v) in out.iter_mut().zip(&done[x.0 as usize]) {
-                            *o *= v;
-                        }
-                    }
-                }
-                Gate::Or(xs) => {
-                    out.fill(0.0);
-                    for x in xs {
-                        for (o, v) in out.iter_mut().zip(&done[x.0 as usize]) {
-                            *o += v;
-                        }
-                    }
-                }
-                Gate::Not(x) => {
-                    for (o, v) in out.iter_mut().zip(&done[x.0 as usize]) {
-                        *o = 1.0 - v;
-                    }
-                }
-            }
-        }
-        values[root.0 as usize]
-    }
-
-    /// Exact-rational variant of [`Self::probability_f64`].
-    pub fn probability_exact(
-        &self,
-        root: GateId,
-        prob: &impl Fn(u32) -> BigRational,
-    ) -> BigRational {
-        let mut values: Vec<BigRational> = Vec::with_capacity(self.gates.len());
+        prob: impl Fn(u32) -> N,
+        scratch: &mut EvalScratch<N>,
+    ) -> N {
+        let values = &mut scratch.values;
+        values.clear();
         for g in &self.gates {
-            let v = match g {
-                Gate::Const(true) => BigRational::one(),
-                Gate::Const(false) => BigRational::zero(),
+            let value = match g {
+                Gate::Const(true) => N::one(),
+                Gate::Const(false) => N::zero(),
                 Gate::Var(v) => prob(*v),
-                Gate::And(xs) => {
-                    let mut acc = BigRational::one();
-                    for x in xs {
-                        acc = &acc * &values[x.0 as usize];
-                    }
-                    acc
-                }
-                Gate::Or(xs) => {
-                    let mut acc = BigRational::zero();
-                    for x in xs {
-                        acc = &acc + &values[x.0 as usize];
-                    }
-                    acc
-                }
+                Gate::And(xs) => xs
+                    .iter()
+                    .fold(N::one(), |acc, x| acc.mul(&values[x.0 as usize])),
+                Gate::Or(xs) => xs
+                    .iter()
+                    .fold(N::zero(), |acc, x| acc.add(&values[x.0 as usize])),
                 Gate::Not(x) => values[x.0 as usize].complement(),
             };
-            values.push(v);
+            values.push(value);
         }
         values[root.0 as usize].clone()
     }
@@ -295,7 +230,7 @@ impl Circuit {
             "variable set must cover the circuit"
         );
         let half = BigRational::from_ratio(1, 2);
-        let p = self.probability_exact(root, &|_| half.clone());
+        let p = self.probability(root, |_| half.clone(), &mut EvalScratch::new());
         let scale = BigRational::new(
             intext_numeric::BigInt::from(
                 intext_numeric::BigUint::one().shl_bits(vars.len() as u64),
@@ -357,6 +292,7 @@ impl fmt::Display for CircuitStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{ProbMatrix, LANES};
 
     /// (x0 ∧ x1) ∨ ¬x2, rooted at the Or.
     fn sample() -> (Circuit, GateId) {
@@ -413,12 +349,18 @@ mod tests {
         let n0 = c.not(x0);
         let a = c.and(vec![n0, x1]);
         let root = c.or(vec![x0, a]);
-        let p = c.probability_f64(root, &|v| if v == 0 { 0.5 } else { 0.25 });
+        let p = c.probability(
+            root,
+            |v| if v == 0 { 0.5 } else { 0.25 },
+            &mut EvalScratch::new(),
+        );
         // Pr(x0 ∨ x1) = 1 - 0.5*0.75 = 0.625.
         assert!((p - 0.625).abs() < 1e-12);
-        let exact = c.probability_exact(root, &|v| {
-            BigRational::from_ratio(1, if v == 0 { 2 } else { 4 })
-        });
+        let exact = c.probability(
+            root,
+            |v| BigRational::from_ratio(1, if v == 0 { 2 } else { 4 }),
+            &mut EvalScratch::new(),
+        );
         assert_eq!(exact, BigRational::from_ratio(5, 8));
     }
 
@@ -475,16 +417,20 @@ mod tests {
         let expected: Vec<f64> = (0..LANES)
             .map(|lane| {
                 let (p0, p1) = scenario(lane);
-                c.probability_f64(root, &|v| if v == 0 { p0 } else { p1 })
+                c.probability(
+                    root,
+                    |v| if v == 0 { p0 } else { p1 },
+                    &mut EvalScratch::new(),
+                )
             })
             .collect();
         let mut scratch = EvalScratch::new();
-        let got = c.probability_f64_many(root, &probs, &mut scratch);
+        let got = c.probability(root, |v| *probs.block(v), &mut scratch);
         for lane in 0..LANES {
             assert_eq!(got[lane].to_bits(), expected[lane].to_bits(), "lane {lane}");
         }
         // Scratch reuse across calls changes nothing.
-        let again = c.probability_f64_many(root, &probs, &mut scratch);
+        let again = c.probability(root, |v| *probs.block(v), &mut scratch);
         assert_eq!(again, got);
     }
 
@@ -496,11 +442,11 @@ mod tests {
         let probs = ProbMatrix::new();
         let mut scratch = EvalScratch::new();
         assert_eq!(
-            c.probability_f64_many(t, &probs, &mut scratch),
+            c.probability(t, |v| *probs.block(v), &mut scratch),
             [1.0; LANES]
         );
         assert_eq!(
-            c.probability_f64_many(f, &probs, &mut scratch),
+            c.probability(f, |v| *probs.block(v), &mut scratch),
             [0.0; LANES]
         );
     }
@@ -521,13 +467,14 @@ mod tests {
         let n0 = c.not(x0);
         let a = c.and(vec![n0, x1]);
         let root = c.or(vec![x0, a]);
-        let expected = c.probability_f64(root, &|v| if v == 0 { 0.5 } else { 0.25 });
+        let prob = |v| if v == 0 { 0.5 } else { 0.25 };
+        let expected = c.probability(root, prob, &mut EvalScratch::new());
         let shared = std::sync::Arc::new(c);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let c = std::sync::Arc::clone(&shared);
                 s.spawn(move || {
-                    let p = c.probability_f64(root, &|v| if v == 0 { 0.5 } else { 0.25 });
+                    let p = c.probability(root, prob, &mut EvalScratch::new());
                     assert!((p - expected).abs() < 1e-15);
                 });
             }

@@ -1,31 +1,32 @@
 //! The lane-batched evaluation kernel's data plane: a
-//! structure-of-arrays probability matrix and a reusable scratch arena.
+//! structure-of-arrays probability matrix and the reusable scratch of
+//! every probability pass.
 //!
 //! Once a d-D or OBDD is compiled, probability evaluation is a *linear*
 //! walk of an immutable artifact — yet a scalar walk per scenario pays a
-//! fresh buffer allocation, a full gate decode, and a closure call per
-//! variable, per scenario. The kernel amortizes all three: one forward
-//! pass over the gate (or node) table computes [`LANES`] scenarios at
-//! once, reading per-variable probabilities from a [`ProbMatrix`] block
-//! and keeping every intermediate in an [`EvalScratch`] that is grown
-//! once and reused forever (zero heap allocations in steady state).
+//! fresh buffer allocation, a full node decode, and a probability
+//! lookup per variable, per scenario. The kernel amortizes all three:
+//! the one generic pass of each structure, run on [`LANES`]-wide blocks
+//! (`[f64; LANES]` is an [`intext_numeric::ProbNum`]), computes that
+//! many scenarios at once, reading per-variable probabilities from a
+//! [`ProbMatrix`] block and keeping every intermediate in an
+//! [`EvalScratch`] that is grown once and reused forever (zero heap
+//! allocations in steady state).
 //!
 //! **Bit-identity contract.** Each lane performs *exactly* the f64
-//! operations of the scalar walk, in the same order: `∧`-gates fold a
-//! product left-to-right over their inputs, `∨`-gates a sum, `¬`-gates
-//! compute `1 - x`, and OBDD nodes compute `p·hi + (1 - p)·lo`. IEEE 754
-//! arithmetic is deterministic, so lane `l` of
-//! [`Circuit::probability_f64_many`](crate::Circuit::probability_f64_many)
-//! is bit-identical to
-//! [`Circuit::probability_f64`](crate::Circuit::probability_f64) under
+//! operations of the scalar pass, in the same order, because it *is*
+//! the same pass: `∧`-gates fold a product left-to-right from one,
+//! `∨`-gates a sum from zero, `¬`-gates compute `1 - x`, and OBDD nodes
+//! compute `p·hi + (1 - p)·lo`. IEEE 754 arithmetic is deterministic,
+//! so lane `l` of a lane pass is bit-identical to the `f64` pass under
 //! lane `l`'s probabilities — batching is a performance knob, never a
-//! semantics knob. The fixed-width inner loops over `LANES` are what
-//! lets the compiler auto-vectorize the pass without changing that
-//! order.
+//! semantics knob.
 //!
 //! See `DESIGN.md` §6 for the layout diagrams and the zero-allocation
 //! argument; the `kernel` bench (E21 in `EXPERIMENTS.md`) measures the
 //! payoff.
+
+use intext_numeric::ProbNum;
 
 /// Number of scenarios one kernel invocation evaluates together.
 ///
@@ -89,9 +90,10 @@ impl ProbMatrix {
         self.data[var as usize * LANES + lane] = p;
     }
 
-    /// The contiguous lane block of one variable.
+    /// The contiguous lane block of one variable: its probability in
+    /// every scenario lane, the value a lane pass reads for it.
     #[inline]
-    pub(crate) fn block(&self, var: u32) -> &[f64; LANES] {
+    pub fn block(&self, var: u32) -> &[f64; LANES] {
         // Same contract as `set`: reads outside the `reset` range would
         // silently see stale data from an earlier, larger block (the
         // backing buffer never shrinks), so catch the misuse in debug
@@ -103,34 +105,67 @@ impl ProbMatrix {
     }
 }
 
-/// Reusable dense buffers for the lane-batched walks — the reason a
-/// steady-state batch evaluation performs **zero heap allocations per
+/// Reusable buffers of the probability passes — the reason a
+/// steady-state lane walk performs **zero heap allocations per
 /// scenario**.
 ///
-/// One buffer of value lanes (`LANES` running `f64`s per gate or OBDD
-/// node), grown to the largest artifact walked through it and then
-/// reused verbatim: a circuit pass overwrites its slots, an OBDD pass
-/// clears and refills it (`Vec::clear` keeps the capacity). One scratch
-/// serves both artifact kinds; shard workers each own one so walks stay
-/// free of shared mutable state.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    /// Gate- (or node-) major value lanes.
-    pub(crate) lanes: Vec<[f64; LANES]>,
+/// Two dense per-variable tables, `p` and `1 − p`, filled by
+/// [`prepare`](Self::prepare) and read by every OBDD node, and one
+/// buffer of values (one per gate or OBDD node). Each grows to the
+/// largest walk it serves and is then reused verbatim: `prepare`
+/// overwrites the entries it is given, and a pass clears and refills the
+/// values (`Vec::clear` keeps the capacity). One scratch serves
+/// circuits, OBDDs and artifacts; shard workers each own one, so walks
+/// stay free of shared mutable state.
+#[derive(Clone, Debug)]
+pub struct EvalScratch<N = [f64; LANES]> {
+    /// `p[v]`: variable `v`'s probability.
+    pub(crate) p: Vec<N>,
+    /// `q[v] = 1 − p[v]`, computed once per [`prepare`](Self::prepare).
+    pub(crate) q: Vec<N>,
+    /// Gate- (or node-) indexed values of the current pass.
+    pub(crate) values: Vec<N>,
 }
 
-impl EvalScratch {
-    /// A fresh scratch; the buffer is allocated lazily on first use.
+impl<N> Default for EvalScratch<N> {
+    fn default() -> Self {
+        EvalScratch {
+            p: Vec::new(),
+            q: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<N: ProbNum> EvalScratch<N> {
+    /// A fresh scratch; the buffers are allocated lazily on first use.
     pub fn new() -> Self {
         EvalScratch::default()
     }
 
-    /// Grows the value-lane buffer to at least `slots` blocks (growth
-    /// only — steady-state calls are allocation-free).
-    pub(crate) fn ensure_lanes(&mut self, slots: usize) {
-        if self.lanes.len() < slots {
-            self.lanes.resize(slots, [0.0; LANES]);
+    /// Sets the probability of every variable in `vars` to `prob(v)`
+    /// and computes its complement once: what the next OBDD passes read
+    /// at every node that tests `v`. Entries of other variables keep
+    /// whatever an earlier call left, so prepare every variable the
+    /// walked nodes test (an artifact's support, an OBDD's order).
+    /// Growth only — once the tables cover the largest variable,
+    /// preparing allocates nothing.
+    pub fn prepare(
+        &mut self,
+        vars: impl IntoIterator<Item = u32>,
+        prob: impl Fn(u32) -> N,
+    ) -> &mut Self {
+        for v in vars {
+            let i = v as usize;
+            if i >= self.p.len() {
+                self.p.resize(i + 1, N::zero());
+                self.q.resize(i + 1, N::zero());
+            }
+            let p = prob(v);
+            self.q[i] = p.complement();
+            self.p[i] = p;
         }
+        self
     }
 }
 
@@ -183,13 +218,16 @@ mod tests {
 
     #[test]
     fn scratch_buffers_grow_once_and_stay() {
-        let mut s = EvalScratch::new();
-        s.ensure_lanes(4);
-        assert_eq!(s.lanes.len(), 4);
-        s.lanes[0][0] = 1.0;
-        // A smaller request reuses the same storage.
-        s.ensure_lanes(2);
-        assert_eq!(s.lanes.len(), 4);
-        assert_eq!(s.lanes[0][0], 1.0);
+        let mut s = EvalScratch::<[f64; LANES]>::new();
+        s.prepare(0..4, |v| [f64::from(v) / 4.0; LANES]);
+        assert_eq!(s.p.len(), 4);
+        assert_eq!(s.q[1], [0.75; LANES], "the complement is prepared once");
+        let cap = s.p.capacity();
+        // A smaller request reuses the same storage and leaves the other
+        // entries as they were.
+        s.prepare([1], |_| [1.0; LANES]);
+        assert_eq!((s.p.len(), s.p.capacity()), (4, cap));
+        assert_eq!((s.p[1], s.q[1]), ([1.0; LANES], [0.0; LANES]));
+        assert_eq!(s.p[3], [0.75; LANES]);
     }
 }

@@ -15,19 +15,23 @@
 //! This crate implements both from scratch: an arena [`Circuit`] type
 //! with structural decomposability checking and semantic determinism
 //! verification ([`verify`]), and a reduced-ordered [`ObddManager`] with
-//! the standard `apply`/negate algorithms, exact and floating probability
-//! computation, model counting, and conversion into d-D circuits.
+//! the standard `apply`/negate algorithms, probability computation,
+//! model counting, and conversion into d-D circuits.
 //!
-//! Probability walks exploit that linearity aggressively. Every OBDD
-//! walk is one ascending pass over the arena up to the root
-//! ([`ObddManager::fold`]) — no reachability search, no recursion, no
-//! hash-memo — and [`ObddManager::compact`] makes that pass visit
-//! exactly the root's reachable nodes. The [`eval`] module provides the
-//! **lane-batched kernel**: [`Circuit::probability_f64_many`] /
-//! [`ObddManager::probability_f64_many`] evaluate up to [`LANES`]
-//! probability scenarios in one pass over the same immutable artifact,
-//! bit-identical per lane to the scalar walk, with zero steady-state
-//! heap allocations thanks to [`EvalScratch`] reuse (`DESIGN.md` §6).
+//! Probability walks exploit that linearity aggressively. Each structure
+//! has **one** probability pass, generic over the number trait
+//! [`intext_numeric::ProbNum`]: [`Circuit::probability`] and
+//! [`ObddManager::probability`] run in exact rationals, in `f64`, and on
+//! `[f64; LANES]` blocks of scenarios alike, so an exact, an `f64` and a
+//! lane answer are computed by the same code. Every OBDD walk is one
+//! ascending pass over the arena up to the root ([`ObddManager::fold`])
+//! — no reachability search, no recursion, no hash-memo — and
+//! [`ObddManager::compact`] makes that pass visit exactly the root's
+//! reachable nodes. The [`eval`] module holds the **lane-batched
+//! kernel**'s buffers: a pass over [`LANES`]-wide blocks evaluates that
+//! many probability scenarios over the same immutable artifact,
+//! bit-identical per lane to the `f64` pass, with zero steady-state heap
+//! allocations thanks to [`EvalScratch`] reuse (`DESIGN.md` §6).
 
 mod circuit;
 pub mod eval;

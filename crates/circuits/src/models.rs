@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 
+use crate::eval::EvalScratch;
 use crate::obdd::{NodeRef, ObddManager};
 
 impl ObddManager {
@@ -135,16 +136,15 @@ impl ObddManager {
         }
         let num_levels = self.order().len() as u32;
         let mut assignment = vec![false; self.order().len()];
-        // Pre-compute satisfaction probabilities per node once.
+        // Pre-compute satisfaction probabilities per node once, over
+        // probabilities prepared once.
         let mut probs: HashMap<NodeRef, f64> = HashMap::new();
-        let node_prob = |m: &ObddManager, x: NodeRef, probs: &mut HashMap<NodeRef, f64>| {
-            if let Some(&p) = probs.get(&x) {
-                p
-            } else {
-                let p = m.probability_f64(x, prob);
-                probs.insert(x, p);
-                p
-            }
+        let mut scratch = EvalScratch::new();
+        scratch.prepare(self.order().iter().copied(), prob);
+        let mut node_prob = |m: &ObddManager, x: NodeRef, probs: &mut HashMap<NodeRef, f64>| {
+            *probs
+                .entry(x)
+                .or_insert_with(|| m.probability(x, &mut scratch))
         };
         let mut cur = r;
         let mut frontier = 0u32;

@@ -9,9 +9,9 @@
 
 use std::collections::HashMap;
 
-use intext_numeric::{BigRational, BigUint};
+use intext_numeric::{BigUint, ProbNum};
 
-use crate::eval::{EvalScratch, ProbMatrix, LANES};
+use crate::eval::EvalScratch;
 use crate::{Circuit, GateId};
 
 /// Reference to an OBDD node or terminal: `0` = false, `1` = true,
@@ -146,10 +146,9 @@ impl std::error::Error for ObddError {}
 /// **Concurrency contract** (mirrors [`Circuit`](crate::Circuit), and is
 /// what lets the engine share compiled lineages across shard workers):
 /// node construction (`mk`, `apply`, …) takes `&mut self`, but every walk
-/// — [`size`](Self::size), [`probability_f64`](Self::probability_f64),
-/// [`probability_exact`](Self::probability_exact), evaluation — takes
-/// `&self` with stack-local scratch and no memo writes back into the
-/// manager, so a finished OBDD behind an `Arc` is freely walkable from
+/// — [`size`](Self::size), [`probability`](Self::probability),
+/// evaluation — takes `&self` with stack-local or caller-owned scratch
+/// and no memo writes back into the manager, so a finished OBDD behind an `Arc` is freely walkable from
 /// many threads. Pinned by a compile-time `Send + Sync` test.
 #[derive(Debug)]
 pub struct ObddManager {
@@ -492,9 +491,9 @@ impl ObddManager {
     /// ([`prefix_len`](Self::prefix_len)), sorted ascending — exactly the
     /// probability entries any walk from `r` reads. On a compacted arena
     /// that is the support of `r` (reduction-skipped variables
-    /// marginalize out and are absent). Batch evaluators fill their
-    /// [`ProbMatrix`] for these variables only; a lineage OBDD often
-    /// touches a fraction of a large database's tuples.
+    /// marginalize out and are absent). Batch evaluators
+    /// [`prepare`](EvalScratch::prepare) these variables only; a lineage
+    /// OBDD often touches a fraction of a large database's tuples.
     pub fn support_vars(&self, r: NodeRef) -> Vec<u32> {
         let mut vars: Vec<u32> = self.nodes[..self.prefix_len(r)]
             .iter()
@@ -559,50 +558,31 @@ impl ObddManager {
     }
 
     /// Probability of the function under independent per-variable
-    /// probabilities (linear in the OBDD size; reduction-skipped
-    /// variables marginalize out automatically).
+    /// probabilities, in any [`ProbNum`] type: one [`fold`](Self::fold)
+    /// pass (linear in the OBDD size; reduction-skipped variables
+    /// marginalize out automatically) reading the `p` and `1 − p` last
+    /// [`prepare`](EvalScratch::prepare)d in `scratch` for every variable
+    /// the walked nodes test, and keeping the node values there too (no
+    /// heap allocation once the scratch has grown to this prefix's size).
     ///
-    /// One [`fold`](Self::fold) pass. Each node computes
-    /// `p·hi + (1 - p)·lo`, the same expression in the same order as
-    /// every other walk, keeping results bit-identical across the scalar
-    /// and lane-batched paths.
-    pub fn probability_f64(&self, r: NodeRef, prob: &impl Fn(u32) -> f64) -> f64 {
-        self.fold(r, &[0.0, 1.0], &mut Vec::new(), |var, &lo, &hi| {
-            let p = prob(var);
-            p * hi + (1.0 - p) * lo
-        })
-    }
-
-    /// Exact-rational variant of [`Self::probability_f64`], reading
-    /// `prob` and its complement at every node.
-    pub fn probability_exact(&self, r: NodeRef, prob: &impl Fn(u32) -> BigRational) -> BigRational {
-        let terminals = [BigRational::zero(), BigRational::one()];
-        self.fold(r, &terminals, &mut Vec::new(), |var, lo, hi| {
-            let p = prob(var);
-            &(&p * hi) + &(&p.complement() * lo)
-        })
-    }
-
-    /// Lane-batched variant of [`Self::probability_f64`]: one
-    /// [`fold`](Self::fold) pass computes up to [`LANES`] scenarios at
-    /// once, reading per-variable probabilities from `probs` and keeping
-    /// the node values in `scratch` (zero heap allocations once the
-    /// scratch has grown to this prefix's size).
+    /// Every node computes `p·hi + (1 − p)·lo`, in that order, whatever
+    /// the type — so a `[f64; LANES]` pass gives, in lane `l`, the bits of
+    /// the `f64` pass under lane `l`'s probabilities. An exact zero branch
+    /// is skipped ([`ProbNum::is_skippable_zero`]), which no float pass
+    /// does.
     ///
-    /// Same bit-identity contract as
-    /// [`Circuit::probability_f64_many`](crate::Circuit::probability_f64_many):
-    /// every node evaluates `p·hi + (1 - p)·lo` per lane, so lane `l` is
-    /// bit-identical to the scalar walk under lane `l`'s probabilities.
-    pub fn probability_f64_many(
-        &self,
-        r: NodeRef,
-        probs: &ProbMatrix,
-        scratch: &mut EvalScratch,
-    ) -> [f64; LANES] {
-        let terminals = [[0.0; LANES], [1.0; LANES]];
-        self.fold(r, &terminals, &mut scratch.lanes, |var, lo, hi| {
-            let p = probs.block(var);
-            std::array::from_fn(|l| p[l] * hi[l] + (1.0 - p[l]) * lo[l])
+    /// [`LANES`]: crate::LANES
+    pub fn probability<N: ProbNum>(&self, r: NodeRef, scratch: &mut EvalScratch<N>) -> N {
+        let EvalScratch { p, q, values } = scratch;
+        self.fold(r, &[N::zero(), N::one()], values, |var, lo, hi| {
+            let (p, q) = (&p[var as usize], &q[var as usize]);
+            if lo.is_skippable_zero() {
+                p.mul(hi)
+            } else if hi.is_skippable_zero() {
+                q.mul(lo)
+            } else {
+                p.mul(hi).add(&q.mul(lo))
+            }
         })
     }
 
@@ -775,44 +755,42 @@ impl ObddManager {
 
     /// Copies the function's gates into an existing circuit arena
     /// (hash-consing merges shared structure), returning the root gate.
-    /// Used to plug many OBDDs into one `¬`-`∨`-template.
+    /// Used to plug many OBDDs into one `¬`-`∨`-template. The gates are
+    /// built in one ascending [`fold`](Self::fold) pass over the
+    /// function [`compact`](Self::compact)ed to its reachable nodes, so
+    /// arbitrarily deep OBDDs cannot overflow the stack.
     pub fn copy_into_circuit(&self, r: NodeRef, c: &mut Circuit) -> GateId {
-        let mut memo: HashMap<NodeRef, GateId> = HashMap::new();
-        self.to_circuit_rec(r, c, &mut memo)
-    }
-
-    fn to_circuit_rec(
-        &self,
-        r: NodeRef,
-        c: &mut Circuit,
-        memo: &mut HashMap<NodeRef, GateId>,
-    ) -> GateId {
-        if let Some(&g) = memo.get(&r) {
-            return g;
+        if r.is_terminal() {
+            return c.constant(r == NodeRef::TRUE);
         }
-        let g = match r {
-            NodeRef::FALSE => c.constant(false),
-            NodeRef::TRUE => c.constant(true),
-            _ => {
-                let n = self.nodes[r.index()];
-                let var = self.order[n.level as usize];
-                let hi = self.to_circuit_rec(n.hi, c, memo);
-                let lo = self.to_circuit_rec(n.lo, c, memo);
-                let v = c.var(var);
-                let nv = c.not(v);
-                let left = c.and(vec![v, hi]);
-                let right = c.and(vec![nv, lo]);
-                c.or(vec![left, right])
-            }
-        };
-        memo.insert(r, g);
-        g
+        // Both terminals are reachable from every decision node of a
+        // reduced OBDD (it computes a non-constant function).
+        let terminals = [c.constant(false), c.constant(true)];
+        let (m, roots) = self.compact(&[r]);
+        m.fold(roots[0], &terminals, &mut Vec::new(), |var, &lo, &hi| {
+            let v = c.var(var);
+            let nv = c.not(v);
+            let left = c.and(vec![v, hi]);
+            let right = c.and(vec![nv, lo]);
+            c.or(vec![left, right])
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{ProbMatrix, LANES};
+    use intext_numeric::BigRational;
+
+    /// One probability pass from `r` with every variable of the order
+    /// prepared from `prob`.
+    fn walk<N: ProbNum>(m: &ObddManager, r: NodeRef, prob: impl Fn(u32) -> N) -> N {
+        m.probability(
+            r,
+            EvalScratch::new().prepare(m.order().iter().copied(), prob),
+        )
+    }
 
     fn assignment(bits: u32) -> impl Fn(u32) -> bool {
         move |v| (bits >> v) & 1 == 1
@@ -925,9 +903,9 @@ mod tests {
     fn probability_marginalizes_skipped_levels() {
         let mut m = ObddManager::new(vec![0, 1, 2]);
         let x2 = m.literal(2, true); // skips levels 0 and 1 entirely
-        let p = m.probability_f64(x2, &|v| if v == 2 { 0.3 } else { 0.9 });
+        let p = walk(&m, x2, |v| if v == 2 { 0.3 } else { 0.9 });
         assert!((p - 0.3).abs() < 1e-12);
-        let exact = m.probability_exact(x2, &|_| BigRational::from_ratio(3, 10));
+        let exact = walk(&m, x2, |_| BigRational::from_ratio(3, 10));
         assert_eq!(exact, BigRational::from_ratio(3, 10));
     }
 
@@ -938,7 +916,7 @@ mod tests {
         let x1 = m.literal(1, true);
         let f = m.or(x0, x1);
         // Pr = 1 - (1-p0)(1-p1) with p0 = 1/2, p1 = 1/3 → 2/3.
-        let exact = m.probability_exact(f, &|v| {
+        let exact = walk(&m, f, |v| {
             BigRational::from_ratio(1, if v == 0 { 2 } else { 3 })
         });
         assert_eq!(exact, BigRational::from_ratio(2, 3));
@@ -974,8 +952,8 @@ mod tests {
                 "bits={bits:#05b}"
             );
         }
-        let pm = m.probability_f64(f, &|_| 0.5);
-        let pc = c.probability_f64(root, &|_| 0.5);
+        let pm = walk(&m, f, |_| 0.5);
+        let pc = c.probability(root, |_| 0.5, &mut EvalScratch::new());
         assert!((pm - pc).abs() < 1e-12);
     }
 
@@ -1016,8 +994,8 @@ mod tests {
             );
         }
         assert_eq!(
-            rebuilt.probability_f64(f, &|_| 0.3),
-            m.probability_f64(f, &|_| 0.3),
+            walk(&rebuilt, f, |_| 0.3),
+            walk(&m, f, |_| 0.3),
             "bit-identical walks"
         );
         // And the unique table is live again: mk on the rebuilt manager
@@ -1087,23 +1065,18 @@ mod tests {
             }
         }
         let mut scratch = EvalScratch::new();
-        let got = m.probability_f64_many(f, &probs, &mut scratch);
+        let vars = || m.order().iter().copied();
+        let got = m.probability(f, scratch.prepare(vars(), |v| *probs.block(v)));
         for (lane, &p) in got.iter().enumerate() {
-            let scalar = m.probability_f64(f, &|v| lane_prob(lane, v));
+            let scalar = walk(&m, f, |v| lane_prob(lane, v));
             assert_eq!(p.to_bits(), scalar.to_bits(), "lane {lane}");
         }
         // Terminals short-circuit without touching the scratch.
-        assert_eq!(
-            m.probability_f64_many(NodeRef::TRUE, &probs, &mut scratch),
-            [1.0; LANES]
-        );
-        assert_eq!(
-            m.probability_f64_many(NodeRef::FALSE, &probs, &mut scratch),
-            [0.0; LANES]
-        );
+        assert_eq!(m.probability(NodeRef::TRUE, &mut scratch), [1.0; LANES]);
+        assert_eq!(m.probability(NodeRef::FALSE, &mut scratch), [0.0; LANES]);
         // And the reachability marks were unwound: a second walk through
         // the same scratch gives the same bits.
-        let again = m.probability_f64_many(f, &probs, &mut scratch);
+        let again = m.probability(f, scratch.prepare(vars(), |v| *probs.block(v)));
         assert_eq!(again, got);
     }
 
@@ -1123,8 +1096,8 @@ mod tests {
         assert_eq!(m.size(node), DEPTH as usize);
 
         // All-ones probabilities make the product exactly 1.0 / 1.
-        assert_eq!(m.probability_f64(node, &|_| 1.0), 1.0);
-        assert!(m.probability_exact(node, &|_| BigRational::one()).is_one());
+        assert_eq!(walk(&m, node, |_| 1.0), 1.0);
+        assert!(walk(&m, node, |_| BigRational::one()).is_one());
 
         let mut probs = ProbMatrix::new();
         probs.reset(DEPTH as usize);
@@ -1133,9 +1106,16 @@ mod tests {
             probs.set(v, 1, 0.0);
         }
         let mut scratch = EvalScratch::new();
-        let lanes = m.probability_f64_many(node, &probs, &mut scratch);
+        scratch.prepare(0..DEPTH, |v| *probs.block(v));
+        let lanes = m.probability(node, &mut scratch);
         assert_eq!(lanes[0], 1.0, "∏ 1.0 over the whole chain");
         assert_eq!(lanes[1], 0.0, "x0 already absent");
+
+        // The circuit embedding is one ascending pass as well: one `∨`
+        // gate per node, and the same all-ones product.
+        let (c, root) = m.to_circuit(node);
+        assert_eq!(c.stats().or_gates, DEPTH as usize);
+        assert_eq!(c.probability(root, |_| 1.0, &mut EvalScratch::new()), 1.0);
     }
 
     #[test]
@@ -1155,8 +1135,8 @@ mod tests {
         }
         let p = |v: u32| 0.1 + f64::from(v) / 100.0;
         assert_eq!(
-            target.probability_f64(mapped[0], &p).to_bits(),
-            m.probability_f64(f, &p).to_bits(),
+            walk(&target, mapped[0], p).to_bits(),
+            walk(&m, f, p).to_bits(),
             "bit-identical probability walk after the copy"
         );
     }
@@ -1180,7 +1160,7 @@ mod tests {
             "only the live closure of the roots is copied"
         );
         // f = x5 ∨ x6 in the target, with x4 marginalized out.
-        let p = target.probability_f64(mapped[0], &|v| match v {
+        let p = walk(&target, mapped[0], |v| match v {
             5 => 0.5,
             6 => 0.25,
             _ => 0.0,
@@ -1253,8 +1233,8 @@ mod tests {
         }
         let p = |v: u32| 0.15 + 0.2 * f64::from(v);
         assert_eq!(
-            ca.probability_f64(ra[0], &p).to_bits(),
-            a.probability_f64(f, &p).to_bits(),
+            walk(&ca, ra[0], p).to_bits(),
+            walk(&a, f, p).to_bits(),
             "bit-identical walks after compaction"
         );
         assert_eq!(ca.support_vars(ra[0]), vec![0, 1, 2]);
@@ -1281,13 +1261,13 @@ mod tests {
         let a = m.literal(0, true);
         let b = m.literal(1, true);
         let f = m.or(a, b);
-        let expected = m.probability_f64(f, &|_| 0.5);
+        let expected = walk(&m, f, |_| 0.5);
         let shared = std::sync::Arc::new(m);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let m = std::sync::Arc::clone(&shared);
                 s.spawn(move || {
-                    let p = m.probability_f64(f, &|_| 0.5);
+                    let p = walk(&m, f, |_| 0.5);
                     assert!((p - expected).abs() < 1e-15);
                 });
             }

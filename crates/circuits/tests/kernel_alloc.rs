@@ -1,7 +1,8 @@
 //! The zero-allocation claim of the lane-batched kernel, asserted for
 //! real: a counting global allocator measures that steady-state
-//! `probability_f64_many` walks — circuit and OBDD alike, including the
-//! `ProbMatrix` refills between blocks — perform **zero** heap
+//! lane passes (`probability` on `[f64; LANES]` blocks) — circuit and
+//! OBDD alike, including the `ProbMatrix` refills and the OBDD pass's
+//! `prepare` between blocks — perform **zero** heap
 //! allocations once the scratch has grown to the artifact's size.
 //!
 //! This file holds exactly one `#[test]` on purpose: the allocation
@@ -100,11 +101,20 @@ fn steady_state_lane_walks_do_not_allocate() {
         }
     };
 
-    // Warm-up: grows the matrix and both scratch regions (circuit lanes
-    // are the larger, OBDD adds the mark/stack/topo buffers).
+    // One lane pass each: the circuit reads the matrix at its variable
+    // gates, the OBDD reads `p` and `1 − p` prepared from it.
+    let circuit_lanes = |probs: &ProbMatrix, scratch: &mut EvalScratch| {
+        circuit.probability(root, |v| *probs.block(v), scratch)
+    };
+    let obdd_lanes = |probs: &ProbMatrix, scratch: &mut EvalScratch| {
+        obdd.probability(obdd_root, scratch.prepare(0..VARS, |v| *probs.block(v)))
+    };
+
+    // Warm-up: grows the matrix and the scratch (circuit gate values are
+    // the larger buffer, the OBDD pass adds the prepared tables).
     refill(&mut probs, 0);
-    let warm_c = circuit.probability_f64_many(root, &probs, &mut scratch);
-    let warm_o = obdd.probability_f64_many(obdd_root, &probs, &mut scratch);
+    let warm_c = circuit_lanes(&probs, &mut scratch);
+    let warm_o = obdd_lanes(&probs, &mut scratch);
 
     // Steady state: many "scenario blocks" — refill + both walks — with
     // the allocation counter watching.
@@ -112,8 +122,8 @@ fn steady_state_lane_walks_do_not_allocate() {
     let mut acc = 0.0;
     for round in 1..=50u64 {
         refill(&mut probs, round);
-        let c = circuit.probability_f64_many(root, &probs, &mut scratch);
-        let o = obdd.probability_f64_many(obdd_root, &probs, &mut scratch);
+        let c = circuit_lanes(&probs, &mut scratch);
+        let o = obdd_lanes(&probs, &mut scratch);
         acc += c[0] + o[LANES - 1];
     }
     let after = allocations();
@@ -127,12 +137,6 @@ fn steady_state_lane_walks_do_not_allocate() {
     // And the warm-up results stay reproducible through the reused
     // scratch (guards against stale state masquerading as reuse).
     refill(&mut probs, 0);
-    assert_eq!(
-        circuit.probability_f64_many(root, &probs, &mut scratch),
-        warm_c
-    );
-    assert_eq!(
-        obdd.probability_f64_many(obdd_root, &probs, &mut scratch),
-        warm_o
-    );
+    assert_eq!(circuit_lanes(&probs, &mut scratch), warm_c);
+    assert_eq!(obdd_lanes(&probs, &mut scratch), warm_o);
 }

@@ -2,7 +2,7 @@
 //! operations against truth-table semantics, circuit conversions, and
 //! the downstream model tasks.
 
-use intext_circuits::{NodeRef, ObddManager};
+use intext_circuits::{EvalScratch, NodeRef, ObddManager};
 use proptest::prelude::*;
 
 /// Builds the OBDD of an arbitrary 4-variable function (truth table `t`)
@@ -91,7 +91,8 @@ proptest! {
             .collect();
         let mut m = ObddManager::new(vec![0, 1, 2, 3]);
         let f = obdd_of(&mut m, t);
-        let via_obdd = m.probability_f64(f, &|v| probs[v as usize]);
+        let mut scratch = EvalScratch::new();
+        let via_obdd = m.probability(f, scratch.prepare(0..4, |v| probs[v as usize]));
         let mut direct = 0.0;
         for bits in 0..16u32 {
             if !eval_table(t, bits) {

@@ -18,9 +18,9 @@
 use std::fmt;
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{Circuit, EvalScratch, GateId, ProbMatrix, LANES};
+use intext_circuits::{Circuit, EvalScratch, GateId};
 use intext_lineage::{compile_degenerate_obdd, DegenerateLineage, LineageError};
-use intext_numeric::BigRational;
+use intext_numeric::ProbNum;
 use intext_tid::{Database, Tid, TupleId};
 
 use crate::template::{Fold, Fragmentation, Template};
@@ -72,10 +72,11 @@ impl From<TransformError> for CompileError {
 /// OBDDs not yet plugged in. A Proposition 3.7 OBDD or a grounded
 /// lineage is the one-leaf case, `Hole(0)` ([`From<DegenerateLineage>`]).
 ///
-/// Every walk is one linear pass per leaf (the leaves are compacted to
-/// their reachable nodes) combined through the template: a `∨` adds its
-/// inputs, left first, and a `¬` computes `1 − x`. Those are the
-/// operations, in that order, the plugged circuit
+/// Its probability pass ([`walk`](Self::walk)) is written once, generic
+/// over the number type: one linear pass per leaf (the leaves are
+/// compacted to their reachable nodes) combined through the template,
+/// where a `∨` adds its inputs, left first, and a `¬` computes `1 − x`.
+/// Those are the operations, in that order, the plugged circuit
 /// ([`to_circuit`](Self::to_circuit)) performs, so both walks give the
 /// same `f64` bits.
 #[derive(Debug)]
@@ -137,79 +138,43 @@ impl CompiledLineage {
         &self.support
     }
 
-    /// One past the largest support variable: the length of a dense
-    /// per-variable table.
-    fn var_bound(&self) -> usize {
-        self.support.last().map_or(0, |&v| v as usize + 1)
-    }
-
-    /// Exact probability under the TID's tuple probabilities. Each
-    /// support variable's `1 − p` is computed once; `p` is read in place.
-    pub fn probability_exact(&self, tid: &Tid) -> BigRational {
-        let mut complement: Vec<Option<BigRational>> = vec![None; self.var_bound()];
-        for &v in &self.support {
-            complement[v as usize] = Some(tid.prob(TupleId(v)).complement());
-        }
-        let terminals = [BigRational::zero(), BigRational::one()];
-        let mut values = Vec::new();
-        self.template
-            .fold(&mut |step: Fold<BigRational>| match step {
-                Fold::Hole(i) => {
-                    let leaf = &self.leaves[i];
-                    leaf.manager
-                        .fold(leaf.root, &terminals, &mut values, |v, lo, hi| {
-                            let p = tid.prob(TupleId(v));
-                            let q = complement[v as usize].as_ref().expect("support variable");
-                            // `p·hi + (1 − p)·lo`; a zero term is skipped, as
-                            // every operation renormalizes its big operands.
-                            match (lo.is_zero(), hi.is_zero()) {
-                                (true, _) => p * hi,
-                                (false, true) => q * lo,
-                                (false, false) => &(p * hi) + &(q * lo),
-                            }
-                        })
-                }
-                Fold::Or(a, b) => &a + &b,
-                Fold::Not(a) => a.complement(),
-            })
-    }
-
-    /// Floating-point probability. Each support variable's probability
-    /// is converted once.
-    pub fn probability_f64(&self, tid: &Tid) -> f64 {
-        let mut p = vec![0.0; self.var_bound()];
-        for &v in &self.support {
-            p[v as usize] = tid.prob_f64(TupleId(v));
-        }
-        self.template.fold(&mut |step| match step {
+    /// The one probability pass, in any [`ProbNum`] type: prepares every
+    /// support variable's `p = prob(v)` and `1 − p` once in `scratch`,
+    /// walks each leaf OBDD over them
+    /// ([`ObddManager::probability`](intext_circuits::ObddManager::probability)),
+    /// and folds the leaf values through the template, a `∨` adding its
+    /// inputs left first and a `¬` computing `1 − x`. Those are the
+    /// operations, in that order, of the plugged circuit's pass
+    /// ([`to_circuit`](Self::to_circuit)), so both give the same `f64`
+    /// bits.
+    ///
+    /// Run on `[f64; LANES]` blocks (`prob` reading a [`ProbMatrix`]
+    /// block) this is the lane kernel: lane `l` is bit-identical to the
+    /// `f64` pass under lane `l`'s probabilities, and a reused `scratch`
+    /// makes it allocation-free once it has grown to the largest leaf
+    /// (`DESIGN.md` §6).
+    ///
+    /// [`ProbMatrix`]: intext_circuits::ProbMatrix
+    pub fn walk<N: ProbNum>(&self, prob: impl Fn(u32) -> N, scratch: &mut EvalScratch<N>) -> N {
+        scratch.prepare(self.support.iter().copied(), prob);
+        self.template.fold(&mut |step: Fold<N>| match step {
             Fold::Hole(i) => {
                 let leaf = &self.leaves[i];
-                leaf.manager.probability_f64(leaf.root, &|v| p[v as usize])
+                leaf.manager.probability(leaf.root, scratch)
             }
-            Fold::Or(a, b) => a + b,
-            Fold::Not(a) => 1.0 - a,
+            Fold::Or(a, b) => a.add(&b),
+            Fold::Not(a) => a.complement(),
         })
     }
 
-    /// Lane-batched floating-point probabilities: up to [`LANES`]
-    /// scenarios from `probs` at once, reusing `scratch` (zero heap
-    /// allocations once it has grown to the largest leaf). Lane `l` is
-    /// bit-identical to [`probability_f64`](Self::probability_f64) under
-    /// lane `l`'s probabilities (`DESIGN.md` §6).
-    pub fn probability_f64_many(
-        &self,
-        probs: &ProbMatrix,
-        scratch: &mut EvalScratch,
-    ) -> [f64; LANES] {
-        self.template
-            .fold(&mut |step: Fold<[f64; LANES]>| match step {
-                Fold::Hole(i) => {
-                    let leaf = &self.leaves[i];
-                    leaf.manager.probability_f64_many(leaf.root, probs, scratch)
-                }
-                Fold::Or(a, b) => std::array::from_fn(|l| a[l] + b[l]),
-                Fold::Not(a) => a.map(|x| 1.0 - x),
-            })
+    /// Probability under the TID's tuple probabilities, in any
+    /// [`ProbNum`] type: [`walk`](Self::walk) with each probability
+    /// converted by [`ProbNum::from_rational`].
+    pub fn probability<N: ProbNum>(&self, tid: &Tid) -> N {
+        self.walk(
+            |v| N::from_rational(tid.prob(TupleId(v))),
+            &mut EvalScratch::new(),
+        )
     }
 
     /// Evaluates the lineage on a concrete world (tuple-presence mask).
@@ -297,6 +262,7 @@ mod tests {
     use intext_boolfn::{max_euler_fn, phi9, phi_no_pm, small};
     use intext_circuits::verify;
     use intext_extensional::pqe_extensional;
+    use intext_numeric::BigRational;
     use intext_query::{pqe_brute_force, HQuery};
     use intext_tid::{complete_database, random_database, random_tid, DbGenConfig};
     use rand::rngs::StdRng;
@@ -330,7 +296,7 @@ mod tests {
         let tid = random_tid(db, 7, &mut rng);
         let compiled = compile_dd(&phi9(), tid.database()).unwrap();
         let q = HQuery::new(phi9());
-        let intensional = compiled.probability_exact(&tid);
+        let intensional = compiled.probability::<BigRational>(&tid);
         let extensional = pqe_extensional(&q, &tid).unwrap();
         let brute = pqe_brute_force(&q, &tid).unwrap();
         assert_eq!(intensional, extensional, "intensional vs extensional");
@@ -355,7 +321,7 @@ mod tests {
         let compiled = compile_dd(&phi, tid.database()).unwrap();
         let q = HQuery::new(phi);
         let brute = pqe_brute_force(&q, &tid).unwrap();
-        assert_eq!(compiled.probability_exact(&tid), brute);
+        assert_eq!(compiled.probability::<BigRational>(&tid), brute);
     }
 
     #[test]
@@ -388,7 +354,7 @@ mod tests {
             let compiled = compile_dd(&phi, tid.database()).unwrap();
             let q = HQuery::new(phi);
             let brute = pqe_brute_force(&q, &tid).unwrap();
-            assert_eq!(compiled.probability_exact(&tid), brute, "t={t:#x}");
+            assert_eq!(compiled.probability::<BigRational>(&tid), brute, "t={t:#x}");
             compiled_count += 1;
         }
         assert_eq!(compiled_count, 70, "C(8,4) zero-Euler functions at k=2");
@@ -446,8 +412,12 @@ mod tests {
             let (patched_c, patched_root) = patched.to_circuit();
             let (fresh_c, fresh_root) = fresh.to_circuit();
             assert_eq!(
-                patched_c.probability_f64(patched_root, &p).to_bits(),
-                fresh_c.probability_f64(fresh_root, &p).to_bits(),
+                patched_c
+                    .probability(patched_root, p, &mut EvalScratch::new())
+                    .to_bits(),
+                fresh_c
+                    .probability(fresh_root, p, &mut EvalScratch::new())
+                    .to_bits(),
                 "bit-identical d-D walks (insert)"
             );
             verify::check_dd(&patched_c, patched_root).expect("still a valid d-D");
@@ -462,10 +432,12 @@ mod tests {
             let fresh = compile_dd(&phi9(), &removed).unwrap();
             let (patched_c, patched_root) = patched.to_circuit();
             let (fresh_c, fresh_root) = fresh.to_circuit();
-            let pexact = patched_c.probability_f64(patched_root, &p);
+            let pexact = patched_c.probability(patched_root, p, &mut EvalScratch::new());
             assert_eq!(
                 pexact.to_bits(),
-                fresh_c.probability_f64(fresh_root, &p).to_bits(),
+                fresh_c
+                    .probability(fresh_root, p, &mut EvalScratch::new())
+                    .to_bits(),
                 "bit-identical d-D walks (remove)"
             );
             assert!(patched.is_patchable(), "patches stay patchable");
@@ -488,10 +460,10 @@ mod tests {
         );
         let mut tid = random_tid(db, 9, &mut rng);
         let compiled = compile_dd(&phi9(), tid.database()).unwrap();
-        let before = compiled.probability_exact(&tid);
+        let before = compiled.probability::<BigRational>(&tid);
         tid.set_prob(TupleId(0), BigRational::from_ratio(1, 97))
             .unwrap();
-        let after = compiled.probability_exact(&tid);
+        let after = compiled.probability::<BigRational>(&tid);
         let q = HQuery::new(phi9());
         assert_eq!(after, pqe_brute_force(&q, &tid).unwrap());
         assert_ne!(before, after, "the update must be visible");

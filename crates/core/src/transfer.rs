@@ -63,7 +63,7 @@ pub fn pqe_via_transfer(
     for step in steps {
         let pair = BoolFn::from_sat(n, [step.nu, step.partner()]);
         let lin = compile_degenerate_obdd(&pair, tid.database())?;
-        let p = lin.probability_exact(tid);
+        let p: BigRational = lin.probability(tid);
         acc = match step.kind {
             StepKind::Add => &acc + &p,
             StepKind::Remove => &acc - &p,
@@ -148,8 +148,12 @@ mod tests {
                 );
             }
         }
-        let expect = pqe_brute_force(&q, &tid).unwrap();
-        let got = circuit.probability_exact(root, &|v| tid.prob(intext_tid::TupleId(v)).clone());
+        let expect: BigRational = pqe_brute_force(&q, &tid).unwrap();
+        let got = circuit.probability(
+            root,
+            |v| tid.prob(intext_tid::TupleId(v)).clone(),
+            &mut intext_circuits::EvalScratch::new(),
+        );
         assert_eq!(got, expect);
     }
 
@@ -178,7 +182,7 @@ mod tests {
         let target = BoolFn::from_sat(3, [0b101u32, 0b110]); // e = 2
         assert_eq!(source.euler_characteristic(), 2);
         assert_eq!(target.euler_characteristic(), 2);
-        let source_prob = pqe_brute_force(&HQuery::new(source.clone()), &tid).unwrap();
+        let source_prob: BigRational = pqe_brute_force(&HQuery::new(source.clone()), &tid).unwrap();
         let via_transfer = pqe_between(&source, &target, &source_prob, &tid).unwrap();
         let direct = pqe_brute_force(&HQuery::new(target), &tid).unwrap();
         assert_eq!(via_transfer, direct);

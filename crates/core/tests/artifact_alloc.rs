@@ -1,9 +1,10 @@
 //! The zero-allocation claim of the artifact's lane walk, asserted for
 //! real: a counting global allocator measures that steady-state
-//! `CompiledLineage::probability_f64_many` walks — every leaf OBDD's
-//! pass, the template fold on top, and the `ProbMatrix` refills between
-//! blocks — perform **zero** heap allocations once the scratch has grown
-//! to the artifact's largest leaf.
+//! `CompiledLineage::walk` lane passes (on `[f64; LANES]` blocks) —
+//! the `prepare` of the support, every leaf OBDD's pass, the template
+//! fold on top, and the `ProbMatrix` refills between blocks — perform
+//! **zero** heap allocations once the scratch has grown to the
+//! artifact's largest leaf.
 //!
 //! This file holds exactly one `#[test]` on purpose: the allocation
 //! counter is process-global, and a sibling test allocating on another
@@ -83,10 +84,15 @@ fn steady_state_artifact_lane_walks_do_not_allocate() {
         }
     };
 
+    // One lane pass: every support variable's block read from the matrix.
+    let lanes = |artifact: &CompiledLineage, probs: &ProbMatrix, scratch: &mut EvalScratch| {
+        artifact.walk(|v| *probs.block(v), scratch)
+    };
+
     // Warm-up: grows the matrix and the scratch to the largest leaf.
     refill(&mut probs, 0);
-    let warm_dd = dd.probability_f64_many(&probs, &mut scratch);
-    let warm_obdd = obdd.probability_f64_many(&probs, &mut scratch);
+    let warm_dd = lanes(&dd, &probs, &mut scratch);
+    let warm_obdd = lanes(&obdd, &probs, &mut scratch);
 
     // Steady state: many "scenario blocks" — refill + both walks — with
     // the allocation counter watching.
@@ -94,8 +100,8 @@ fn steady_state_artifact_lane_walks_do_not_allocate() {
     let mut acc = 0.0;
     for round in 1..=50u64 {
         refill(&mut probs, round);
-        let d = dd.probability_f64_many(&probs, &mut scratch);
-        let o = obdd.probability_f64_many(&probs, &mut scratch);
+        let d = lanes(&dd, &probs, &mut scratch);
+        let o = lanes(&obdd, &probs, &mut scratch);
         acc += d[0] + o[LANES - 1];
     }
     let after = allocations();
@@ -109,6 +115,6 @@ fn steady_state_artifact_lane_walks_do_not_allocate() {
     // And the warm-up results stay reproducible through the reused
     // scratch (guards against stale state masquerading as reuse).
     refill(&mut probs, 0);
-    assert_eq!(dd.probability_f64_many(&probs, &mut scratch), warm_dd);
-    assert_eq!(obdd.probability_f64_many(&probs, &mut scratch), warm_obdd);
+    assert_eq!(lanes(&dd, &probs, &mut scratch), warm_dd);
+    assert_eq!(lanes(&obdd, &probs, &mut scratch), warm_obdd);
 }

@@ -14,10 +14,10 @@ use std::time::{Duration, Instant};
 use intext_circuits::{EvalScratch, ProbMatrix, LANES};
 use intext_core::{classify, Region};
 use intext_lineage::DegenerateLineage;
-use intext_numeric::BigRational;
+use intext_numeric::{BigRational, ProbNum};
 use intext_query::{
-    dnf_clause_bound, ground_circuit, is_safe_ucq, lifted_probability, lifted_probability_f64,
-    pqe_brute_force, pqe_brute_force_f64, recognize_h, HQuery, Query, QueryExpr, Ucq,
+    dnf_clause_bound, ground_circuit, is_safe_ucq, lifted_probability, pqe_brute_force,
+    recognize_h, HQuery, Query, QueryExpr, Ucq,
 };
 use intext_tid::{Database, Relation, Tid, TidError, TupleDesc, TupleId};
 
@@ -397,51 +397,29 @@ pub struct PreparedQuery {
     compile_time: Duration,
 }
 
-/// One lane-kernel pass: up to [`LANES`] scenarios through an artifact.
-type Kernel<N> = fn(&Artifact, &ProbMatrix, &mut EvalScratch) -> [N; LANES];
-
-/// The number types the one walker produces: exact rationals and `f64`
-/// (the pattern of `intext_query`'s lifted evaluator).
-trait Prob: Sized + Send {
-    /// The lane kernel producing this type, if any (exact walks stay
-    /// scalar).
-    const KERNEL: Option<Kernel<Self>>;
-    fn walk(artifact: &Artifact, tid: &Tid) -> Self;
-    fn brute_force(q: &HQuery, tid: &Tid) -> Self;
-    fn lifted(ucq: &Ucq, tid: &Tid) -> Self;
-    /// A sampler estimate, embedded exactly (an f64 is a dyadic
-    /// rational).
-    fn estimate(value: f64) -> Self;
+/// What the one walker does differently per answer type. Every
+/// computation it runs — the artifact pass, brute force, lifted
+/// inference — is one function generic over [`ProbNum`].
+trait Answer: ProbNum + Send {
+    /// Whether an artifact run walks [`LANES`] scenarios per pass: the
+    /// lane kernel computes in `f64`, so only `f64` answers come from it
+    /// (exact walks stay scalar).
+    const LANES: bool;
+    /// A floating-point value embedded exactly: a sampler's estimate, or
+    /// one lane of a kernel pass (an f64 is a dyadic rational).
+    fn embed(value: f64) -> Self;
 }
 
-impl Prob for BigRational {
-    const KERNEL: Option<Kernel<Self>> = None;
-    fn walk(artifact: &Artifact, tid: &Tid) -> Self {
-        artifact.probability_exact(tid)
-    }
-    fn brute_force(q: &HQuery, tid: &Tid) -> Self {
-        pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples")
-    }
-    fn lifted(ucq: &Ucq, tid: &Tid) -> Self {
-        lifted_probability(ucq, tid).expect("the planner verified the safety test")
-    }
-    fn estimate(value: f64) -> Self {
+impl Answer for BigRational {
+    const LANES: bool = false;
+    fn embed(value: f64) -> Self {
         BigRational::from_f64(value).expect("estimates are finite by construction")
     }
 }
 
-impl Prob for f64 {
-    const KERNEL: Option<Kernel<Self>> = Some(Artifact::probability_f64_many);
-    fn walk(artifact: &Artifact, tid: &Tid) -> Self {
-        artifact.probability_f64(tid)
-    }
-    fn brute_force(q: &HQuery, tid: &Tid) -> Self {
-        pqe_brute_force_f64(q, tid).expect("planner bounds the instance below 64 tuples")
-    }
-    fn lifted(ucq: &Ucq, tid: &Tid) -> Self {
-        lifted_probability_f64(ucq, tid).expect("the planner verified the safety test")
-    }
-    fn estimate(value: f64) -> Self {
+impl Answer for f64 {
+    const LANES: bool = true;
+    fn embed(value: f64) -> Self {
         value
     }
 }
@@ -595,7 +573,7 @@ impl PreparedQuery {
 
     /// One scenario through this run's backend, recorded as scenario
     /// `offset` of the run, plus the sampler's estimate if one ran.
-    fn eval_scalar<N: Prob>(
+    fn eval_scalar<N: Answer>(
         &self,
         tid: &Tid,
         stream: u64,
@@ -604,12 +582,18 @@ impl PreparedQuery {
     ) -> (N, Option<Estimate>) {
         let started = Instant::now();
         let (p, sampled): (N, Option<SampleRun>) = match &self.backend {
-            Backend::Artifact(artifact) => (N::walk(artifact, tid), None),
-            Backend::BruteForce(q) => (N::brute_force(q, tid), None),
-            Backend::Lifted(ucq) => (N::lifted(ucq, tid), None),
+            Backend::Artifact(artifact) => (artifact.probability(tid), None),
+            Backend::BruteForce(q) => (
+                pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples"),
+                None,
+            ),
+            Backend::Lifted(ucq) => (
+                lifted_probability(ucq, tid).expect("the planner verified the safety test"),
+                None,
+            ),
             Backend::Sampler(sampler) => {
                 let run = sampler.run(tid, stream);
-                (N::estimate(run.estimate.value), Some(run))
+                (N::embed(run.estimate.value), Some(run))
             }
         };
         let mut record = self.record_at(offset, started.elapsed());
@@ -623,10 +607,11 @@ impl PreparedQuery {
 
     /// The one walker: evaluates `tids` — scenarios `offset..` of this
     /// run, at batch positions `stream..` — pushing and recording one
-    /// result each. Given `lanes` and a kernel, an artifact run walks
-    /// [`LANES`] scenarios per forward pass, the block's wall time split
-    /// evenly across its lanes; everything else walks scalar.
-    fn walk<N: Prob>(
+    /// result each. Given `lanes`, an `f64` artifact run walks [`LANES`]
+    /// scenarios per pass ([`Artifact::walk`] on `[f64; LANES]` blocks),
+    /// the block's wall time split evenly across its lanes; everything
+    /// else walks scalar.
+    fn walk<N: Answer>(
         &self,
         tids: &[Tid],
         stream: u64,
@@ -635,8 +620,7 @@ impl PreparedQuery {
         out: &mut Vec<N>,
         stats: &mut EngineStats,
     ) {
-        let (Backend::Artifact(artifact), Some(lanes), Some(kernel)) =
-            (&self.backend, lanes, N::KERNEL)
+        let (Backend::Artifact(artifact), Some(lanes), true) = (&self.backend, lanes, N::LANES)
         else {
             for (i, tid) in tids.iter().enumerate() {
                 out.push(
@@ -654,11 +638,11 @@ impl PreparedQuery {
                 }
             }
             let started = Instant::now();
-            let ps = kernel(artifact, &lanes.probs, &mut lanes.scratch);
+            let ps = artifact.walk(|v| *lanes.probs.block(v), &mut lanes.scratch);
             let per_lane = started.elapsed() / block.len() as u32;
             stats.lane_kernel_calls += 1;
             for (lane, p) in ps.into_iter().take(block.len()).enumerate() {
-                out.push(p);
+                out.push(N::embed(p));
                 stats.record(self.record_at(offset + block_idx * LANES + lane, per_lane));
             }
         }
@@ -735,7 +719,7 @@ impl PreparedBatch {
     /// sequential run's. One shard runs inline. Scenario `i` samples
     /// from RNG stream `i` whatever chunk runs it, which is what makes
     /// sharded sampling bit-identical to sequential.
-    fn execute<N: Prob>(&self, tids: &[Tid], shards: usize, stats: &mut EngineStats) -> Vec<N> {
+    fn execute<N: Answer>(&self, tids: &[Tid], shards: usize, stats: &mut EngineStats) -> Vec<N> {
         let shards = shard_count(tids.len(), shards);
         let chunk = tids.len().div_ceil(shards.max(1));
         let walk_chunk = |start: usize, out: &mut Vec<N>, stats: &mut EngineStats| {
@@ -1543,7 +1527,7 @@ impl PqeEngine {
     /// Floating-point [`evaluate_batch_sharded`](Self::evaluate_batch_sharded)
     /// through the **lane-batched evaluation kernel**: inside its chunk,
     /// each worker walks every same-artifact run [`LANES`] scenarios per
-    /// forward pass ([`Artifact::probability_f64_many`]) through a
+    /// forward pass ([`Artifact::walk`] on `[f64; LANES]` blocks) through a
     /// worker-private scratch — zero steady-state allocations, and each
     /// kernel invocation counts one [`EngineStats::lane_kernel_calls`].
     /// Results stay bit-identical to a per-scenario
@@ -1559,7 +1543,7 @@ impl PqeEngine {
     }
 
     /// Plan → prepare → execute for both sharded batch methods.
-    fn run_batch<N: Prob>(
+    fn run_batch<N: Answer>(
         &mut self,
         q: impl Into<Query>,
         scenarios: &[Tid],
@@ -1747,7 +1731,7 @@ mod tests {
         assert_eq!(est.delta, 0.0);
         assert_eq!(est.samples, 0);
         assert_eq!(est.sampler, None);
-        let exact = pqe_brute_force(&q, &tid).unwrap().to_f64();
+        let exact = pqe_brute_force::<BigRational>(&q, &tid).unwrap().to_f64();
         assert!((est.value - exact).abs() < 1e-12);
     }
 

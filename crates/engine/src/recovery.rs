@@ -295,10 +295,16 @@ impl PqeEngine {
             dir.io.remove(&tmp)?;
         }
 
-        // WAL replay: apply intact records in order, stop at the first
-        // frame corruption or apply failure.
-        let wal = dir.wal();
-        let replay = wal.replay()?;
+        // WAL replay: read the log once, apply intact records in order,
+        // stop at the first frame corruption or apply failure. A missing
+        // log is an empty one (cold start).
+        let path = dir.file(WAL_FILE);
+        let bytes = match dir.io.read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let replay = Wal::scan(&bytes);
         let mut cut_at: Option<usize> = replay.corruption.as_ref().map(|c| c.valid_len());
         report.wal_cut = replay.corruption.as_ref().map(|c| c.to_string());
         for (i, record) in replay.records.iter().enumerate() {
@@ -317,12 +323,11 @@ impl PqeEngine {
         }
         engine.stats_mut().wal_records_applied += report.wal_records_applied;
 
-        // A cut log is quarantined whole, then truncated to the prefix
-        // that actually applied — the corrupt tail stays inspectable,
-        // the live log goes back to a trustworthy state.
+        // A cut log is quarantined whole, then rewritten to the prefix
+        // that actually applied — of the very bytes just scanned — so the
+        // corrupt tail stays inspectable and the live log goes back to a
+        // trustworthy state.
         if let Some(valid_len) = cut_at {
-            let path = wal.path().to_path_buf();
-            let bytes = dir.io.read(&path).unwrap_or_default();
             let moved_to = dir.quarantine(&path)?;
             engine.stats_mut().recovery_quarantines += 1;
             report.quarantined.push(Quarantine {
@@ -333,7 +338,7 @@ impl PqeEngine {
                     .clone()
                     .unwrap_or_else(|| "corrupt tail".to_string()),
             });
-            dir.io.write(&path, &bytes[..valid_len.min(bytes.len())])?;
+            dir.io.write(&path, &bytes[..valid_len])?;
             dir.io.sync(&path)?;
         }
 

@@ -344,7 +344,7 @@ fn run_naive_worlds(
     let start = Instant::now();
     if support.is_empty() {
         // The lineage is constant: evaluate it symbolically.
-        let value = circuit.probability_f64(root, &|_| 0.0);
+        let value = circuit.probability(root, |_| 0.0, &mut EvalScratch::new());
         return exact_estimate(value, start.elapsed(), SamplerKind::NaiveWorlds);
     }
     let probs: Vec<f64> = support.iter().map(|&t| tid.prob_f64(TupleId(t))).collect();
@@ -372,7 +372,7 @@ fn run_naive_worlds(
                 matrix.set(t, lane, f64::from(u8::from(bit)));
             }
         }
-        let lanes = circuit.probability_f64_many(root, &matrix, &mut scratch);
+        let lanes = circuit.probability(root, |v| *matrix.block(v), &mut scratch);
         kernel_calls += 1;
         hits += lanes[..block].iter().filter(|&&v| v > 0.5).count() as u64;
         drawn += block as u64;
@@ -480,7 +480,11 @@ mod tests {
             for world in 0..(1u64 << tid.len()) {
                 let want = q.lineage_eval(tid.database(), world);
                 assert_eq!(c.eval(root, &|v| world >> v & 1 == 1), want, "{world:#b}");
-                let walked = c.probability_f64(root, &|v| f64::from(u8::from(world >> v & 1 == 1)));
+                let walked = c.probability(
+                    root,
+                    |v| f64::from(u8::from(world >> v & 1 == 1)),
+                    &mut EvalScratch::new(),
+                );
                 assert_eq!(walked, f64::from(u8::from(want)), "{world:#b}");
             }
         }
@@ -494,7 +498,7 @@ mod tests {
         let phi = BoolFn::from_fn(3, |v| v != 0); // HardMonotone
         let q = HQuery::new(phi);
         let tid = uniform_tid(complete_database(2, 2), half());
-        let exact = pqe_brute_force(&q, &tid).unwrap().to_f64();
+        let exact = pqe_brute_force::<BigRational>(&q, &tid).unwrap().to_f64();
         for kind in [SamplerKind::KarpLuby, SamplerKind::NaiveWorlds] {
             let art = SamplerArtifact::build(kind, &q, &tid, cfg(0.05, 1e-6));
             assert_eq!(art.kind(), kind);

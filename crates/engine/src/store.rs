@@ -997,10 +997,13 @@ mod tests {
                 .map(|i| BigRational::from_ratio(i + 1, shape.len() as u64 + 3))
                 .collect();
             let tid = intext_tid::Tid::new(shape.clone(), probs).unwrap();
-            let via_circuit =
-                circuit.probability_f64(root, &|v| tid.prob_f64(intext_tid::TupleId(v)));
+            let via_circuit = circuit.probability(
+                root,
+                |v| tid.prob_f64(intext_tid::TupleId(v)),
+                &mut intext_circuits::EvalScratch::new(),
+            );
             assert_eq!(
-                artifact.probability_f64(&tid).to_bits(),
+                artifact.probability::<f64>(&tid).to_bits(),
                 via_circuit.to_bits(),
                 "{name}: the artifact walk gives the plugged circuit's bits"
             );

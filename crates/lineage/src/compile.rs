@@ -3,8 +3,8 @@
 use std::fmt;
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{Circuit, GateId, NodeRef, ObddManager};
-use intext_numeric::BigRational;
+use intext_circuits::{Circuit, EvalScratch, GateId, NodeRef, ObddManager};
+use intext_numeric::ProbNum;
 use intext_tid::{Database, Tid, TupleId};
 
 use crate::automaton::{self, witnesses, StreamStep};
@@ -104,16 +104,15 @@ impl DegenerateLineage {
         self.manager.prefix_len(self.root)
     }
 
-    /// Exact probability of the query under the TID's probabilities.
-    pub fn probability_exact(&self, tid: &Tid) -> BigRational {
-        self.manager
-            .probability_exact(self.root, &|v| tid.prob(TupleId(v)).clone())
-    }
-
-    /// Floating-point probability.
-    pub fn probability_f64(&self, tid: &Tid) -> f64 {
-        self.manager
-            .probability_f64(self.root, &|v| tid.prob_f64(TupleId(v)))
+    /// Probability of the query under the TID's probabilities, in any
+    /// [`ProbNum`] type: one OBDD pass, with each variable's `1 − p`
+    /// computed once.
+    pub fn probability<N: ProbNum>(&self, tid: &Tid) -> N {
+        let mut scratch = EvalScratch::new();
+        scratch.prepare(self.manager.order().iter().copied(), |v| {
+            N::from_rational(tid.prob(TupleId(v)))
+        });
+        self.manager.probability(self.root, &mut scratch)
     }
 
     /// Embeds the OBDD as a d-D circuit (for `verify::check_dd`).
@@ -554,6 +553,7 @@ pub fn compile_degenerate_obdd_apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intext_numeric::BigRational;
     use intext_query::{pqe_brute_force, HQuery};
     use intext_tid::{complete_database, random_database, random_tid, DbGenConfig};
     use rand::rngs::StdRng;
@@ -655,9 +655,9 @@ mod tests {
         let psi = &!&BoolFn::var(4, 0) | &(&BoolFn::var(4, 2) & &BoolFn::var(4, 3));
         let lin = compile_degenerate_obdd(&psi, tid.database()).unwrap();
         let q = HQuery::new(psi);
-        let expect = pqe_brute_force(&q, &tid).unwrap();
-        assert_eq!(lin.probability_exact(&tid), expect);
-        assert!((lin.probability_f64(&tid) - expect.to_f64()).abs() < 1e-12);
+        let expect: BigRational = pqe_brute_force(&q, &tid).unwrap();
+        assert_eq!(lin.probability::<BigRational>(&tid), expect);
+        assert!((lin.probability::<f64>(&tid) - expect.to_f64()).abs() < 1e-12);
     }
 
     #[test]
@@ -725,8 +725,8 @@ mod tests {
             let b = compile_degenerate_obdd_apply(&psi, tid.database()).unwrap();
             assert_eq!(a.split, b.split, "trial {trial}");
             assert_eq!(
-                a.probability_exact(&tid),
-                b.probability_exact(&tid),
+                a.probability::<BigRational>(&tid),
+                b.probability::<BigRational>(&tid),
                 "trial {trial}"
             );
             if tid.len() < 18 {
@@ -791,9 +791,14 @@ mod tests {
             );
         }
         let p = |v: u32| 0.05 + 0.9 * f64::from(v + 1) / f64::from(new_db.len() as u32 + 1);
+        let walk = |lin: &DegenerateLineage| {
+            let mut scratch = EvalScratch::new();
+            scratch.prepare(lin.manager.order().iter().copied(), p);
+            lin.manager.probability(lin.root, &mut scratch)
+        };
         assert_eq!(
-            patched.manager.probability_f64(patched.root, &p).to_bits(),
-            fresh.manager.probability_f64(fresh.root, &p).to_bits(),
+            walk(&patched).to_bits(),
+            walk(&fresh).to_bits(),
             "bit-identical probability walks"
         );
         assert!(patched.is_patchable(), "patches stay patchable");

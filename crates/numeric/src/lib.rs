@@ -10,6 +10,10 @@
 //! * [`BigUint`] — arbitrary-precision unsigned integers (32-bit limbs),
 //! * [`BigInt`] — signed wrapper,
 //! * [`BigRational`] — always-reduced fractions, the probability type,
+//! * [`ProbNum`] — the number trait every probability pass is written
+//!   against once, implemented for `BigRational` (exact answers), `f64`
+//!   (served answers) and `[f64; N]` (the lane kernel's scenario
+//!   blocks),
 //! * [`binomial`] — exact binomial coefficients (used to check the paper's
 //!   footnote 6: the number of Boolean functions with zero Euler
 //!   characteristic is `sum_j C(2^k, j)^2 = C(2^(k+1), 2^k)`).
@@ -21,10 +25,12 @@
 
 mod bigint;
 mod biguint;
+mod prob_num;
 mod rational;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
+pub use prob_num::ProbNum;
 pub use rational::BigRational;
 
 /// Computes the exact binomial coefficient `C(n, k)`.

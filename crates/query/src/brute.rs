@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-use intext_numeric::BigRational;
-use intext_tid::Tid;
+use intext_boolfn::BoolFn;
+use intext_numeric::ProbNum;
+use intext_tid::{Tid, TupleId};
 
 use crate::{h_witnesses, HQuery};
 
@@ -45,7 +46,7 @@ fn witness_masks(q: &HQuery, tid: &Tid) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn world_truth(phi: &intext_boolfn::BoolFn, masks: &[Vec<u64>], world: u64) -> bool {
+fn world_truth(phi: &BoolFn, masks: &[Vec<u64>], world: u64) -> bool {
     let mut truth = 0u32;
     for (i, ms) in masks.iter().enumerate() {
         // False positive of clippy::manual_contains: `m` is bound on both
@@ -58,71 +59,65 @@ fn world_truth(phi: &intext_boolfn::BoolFn, masks: &[Vec<u64>], world: u64) -> b
     phi.eval(truth)
 }
 
-/// Exact brute-force `PQE(Q_φ)` by summing over all `2^|D|` worlds.
+/// Brute-force `PQE(Q_φ)` by summing over all `2^|D|` worlds, in any
+/// [`ProbNum`] type (exact rationals are the ground truth every other
+/// evaluator is checked against).
 ///
-/// The recursion shares partial products along world prefixes, so the
-/// total cost is `O(2^|D|)` rational multiplications plus a witness scan
-/// per world.
-pub fn pqe_brute_force(q: &HQuery, tid: &Tid) -> Result<BigRational, BruteForceError> {
+/// The recursion decides one tuple per level, present (`× p`) first,
+/// then absent (`× (1 − p)`, each complement computed once), and adds
+/// the two subtrees' sums; it shares partial products along world
+/// prefixes, so the total cost is `O(2^|D|)` multiplications plus a
+/// witness scan per world. An exact zero prefix prunes its subtree.
+pub fn pqe_brute_force<N: ProbNum>(q: &HQuery, tid: &Tid) -> Result<N, BruteForceError> {
     let m = tid.len();
     if m >= 64 {
         return Err(BruteForceError::TooManyTuples(m));
     }
     let masks = witness_masks(q, tid);
-    fn rec(
-        q: &HQuery,
-        tid: &Tid,
+    let weights: Vec<(N, N)> = (0..m)
+        .map(|i| {
+            let p = N::from_rational(tid.prob(TupleId(i as u32)));
+            let absent = p.complement();
+            (p, absent)
+        })
+        .collect();
+    fn rec<N: ProbNum>(
+        phi: &BoolFn,
         masks: &[Vec<u64>],
+        weights: &[(N, N)],
         depth: usize,
         world: u64,
-        weight: BigRational,
-    ) -> BigRational {
-        if weight.is_zero() {
-            return BigRational::zero();
+        weight: N,
+    ) -> N {
+        if weight.is_skippable_zero() {
+            return N::zero();
         }
-        if depth == tid.len() {
-            return if world_truth(q.phi(), masks, world) {
+        let Some((p, absent)) = weights.get(depth) else {
+            return if world_truth(phi, masks, world) {
                 weight
             } else {
-                BigRational::zero()
+                N::zero()
             };
-        }
-        let p = tid.prob(intext_tid::TupleId(depth as u32));
-        let with = rec(q, tid, masks, depth + 1, world | (1 << depth), &weight * p);
-        let without = rec(q, tid, masks, depth + 1, world, &weight * &p.complement());
-        &with + &without
+        };
+        let with = rec(
+            phi,
+            masks,
+            weights,
+            depth + 1,
+            world | (1 << depth),
+            weight.mul(p),
+        );
+        let without = rec(phi, masks, weights, depth + 1, world, weight.mul(absent));
+        with.add(&without)
     }
-    Ok(rec(q, tid, &masks, 0, 0, BigRational::one()))
-}
-
-/// `f64` variant of [`pqe_brute_force`] for benchmarks.
-pub fn pqe_brute_force_f64(q: &HQuery, tid: &Tid) -> Result<f64, BruteForceError> {
-    let m = tid.len();
-    if m >= 64 {
-        return Err(BruteForceError::TooManyTuples(m));
-    }
-    let masks = witness_masks(q, tid);
-    let probs: Vec<f64> = (0..m)
-        .map(|i| tid.prob_f64(intext_tid::TupleId(i as u32)))
-        .collect();
-    let mut total = 0.0f64;
-    for world in 0..(1u64 << m) {
-        if !world_truth(q.phi(), &masks, world) {
-            continue;
-        }
-        let mut w = 1.0;
-        for (i, &p) in probs.iter().enumerate() {
-            w *= if (world >> i) & 1 == 1 { p } else { 1.0 - p };
-        }
-        total += w;
-    }
-    Ok(total)
+    Ok(rec(q.phi(), &masks, &weights, 0, 0, N::one()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intext_boolfn::{phi9, BoolFn};
+    use intext_boolfn::phi9;
+    use intext_numeric::BigRational;
     use intext_tid::{random_tid, uniform_tid, Database, DbGenConfig, TupleDesc};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -140,7 +135,7 @@ mod tests {
         db.insert(TupleDesc::S(1, 0, 0)).unwrap();
         let tid = intext_tid::Tid::new(db, vec![r(1, 2), r(1, 3)]).unwrap();
         let q = HQuery::new(BoolFn::var(2, 0));
-        assert_eq!(pqe_brute_force(&q, &tid).unwrap(), r(1, 6));
+        assert_eq!(pqe_brute_force::<BigRational>(&q, &tid).unwrap(), r(1, 6));
     }
 
     #[test]
@@ -151,8 +146,8 @@ mod tests {
         let tid = intext_tid::Tid::new(db, vec![r(1, 2), r(1, 3)]).unwrap();
         let q = HQuery::new(BoolFn::var(2, 0));
         let nq = HQuery::new(!&BoolFn::var(2, 0));
-        let p = pqe_brute_force(&q, &tid).unwrap();
-        let np = pqe_brute_force(&nq, &tid).unwrap();
+        let p = pqe_brute_force::<BigRational>(&q, &tid).unwrap();
+        let np = pqe_brute_force::<BigRational>(&nq, &tid).unwrap();
         assert!((&p + &np).is_one());
     }
 
@@ -161,8 +156,10 @@ mod tests {
         let tid = uniform_tid(intext_tid::complete_database(2, 2), r(1, 2));
         let top = HQuery::new(BoolFn::top(3));
         let bot = HQuery::new(BoolFn::bottom(3));
-        assert!(pqe_brute_force(&top, &tid).unwrap().is_one());
-        assert!(pqe_brute_force(&bot, &tid).unwrap().is_zero());
+        assert!(pqe_brute_force::<BigRational>(&top, &tid).unwrap().is_one());
+        assert!(pqe_brute_force::<BigRational>(&bot, &tid)
+            .unwrap()
+            .is_zero());
     }
 
     #[test]
@@ -179,8 +176,8 @@ mod tests {
         );
         let tid = random_tid(db, 10, &mut rng);
         let q = HQuery::new(phi9());
-        let exact = pqe_brute_force(&q, &tid).unwrap().to_f64();
-        let fast = pqe_brute_force_f64(&q, &tid).unwrap();
+        let exact = pqe_brute_force::<BigRational>(&q, &tid).unwrap().to_f64();
+        let fast = pqe_brute_force::<f64>(&q, &tid).unwrap();
         assert!((exact - fast).abs() < 1e-12, "{exact} vs {fast}");
     }
 
@@ -192,9 +189,9 @@ mod tests {
         db.insert(TupleDesc::S(1, 0, 1)).unwrap();
         let tid = uniform_tid(db, BigRational::one());
         let q = HQuery::new(BoolFn::var(4, 0)); // h_{3,0}
-        assert!(pqe_brute_force(&q, &tid).unwrap().is_one());
+        assert!(pqe_brute_force::<BigRational>(&q, &tid).unwrap().is_one());
         let q1 = HQuery::new(BoolFn::var(4, 1)); // h_{3,1}: no S2 tuples
-        assert!(pqe_brute_force(&q1, &tid).unwrap().is_zero());
+        assert!(pqe_brute_force::<BigRational>(&q1, &tid).unwrap().is_zero());
     }
 
     #[test]
@@ -202,7 +199,7 @@ mod tests {
         let tid = uniform_tid(intext_tid::complete_database(3, 5), r(1, 2));
         let q = HQuery::new(phi9());
         assert!(matches!(
-            pqe_brute_force(&q, &tid),
+            pqe_brute_force::<BigRational>(&q, &tid),
             Err(BruteForceError::TooManyTuples(_))
         ));
     }

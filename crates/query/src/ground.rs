@@ -10,8 +10,8 @@
 //! worst case — callers budget the tuple count — but exact on any
 //! query, safe or not, monotone or not.
 
-use intext_circuits::{NodeRef, ObddManager};
-use intext_numeric::BigRational;
+use intext_circuits::{EvalScratch, NodeRef, ObddManager};
+use intext_numeric::ProbNum;
 use intext_tid::{Database, Tid, TupleId};
 
 use crate::brute::BruteForceError;
@@ -143,29 +143,38 @@ pub fn ground_circuit(expr: &QueryExpr, db: &Database) -> (ObddManager, NodeRef)
     (m, roots[0])
 }
 
-/// Exact probability by grounded-circuit weighted model counting.
-pub fn ground_circuit_probability(expr: &QueryExpr, tid: &Tid) -> BigRational {
+/// Probability by grounded-circuit weighted model counting, in any
+/// [`ProbNum`] type: one OBDD pass over the grounded lineage, with each
+/// tuple's `1 − p` computed once.
+pub fn ground_circuit_probability<N: ProbNum>(expr: &QueryExpr, tid: &Tid) -> N {
     let (m, root) = ground_circuit(expr, tid.database());
-    m.probability_exact(root, &|var| tid.prob(TupleId(var)).clone())
+    let mut scratch = EvalScratch::new();
+    scratch.prepare(m.order().iter().copied(), |var| {
+        N::from_rational(tid.prob(TupleId(var)))
+    });
+    m.probability(root, &mut scratch)
 }
 
-/// `f64` variant of [`ground_circuit_probability`].
-pub fn ground_circuit_probability_f64(expr: &QueryExpr, tid: &Tid) -> f64 {
-    let (m, root) = ground_circuit(expr, tid.database());
-    m.probability_f64(root, &|var| tid.prob_f64(TupleId(var)))
-}
-
-/// Exact brute force over all `2^|D|` worlds, independent of both the
-/// lifted rules and the circuit compiler: builds each world as a
-/// sub-database and evaluates the query extensionally. The differential
-/// oracle for `tests/engine_ucq.rs`.
-pub fn ucq_brute_force(expr: &QueryExpr, tid: &Tid) -> Result<BigRational, BruteForceError> {
+/// Brute force over all `2^|D|` worlds, in any [`ProbNum`] type,
+/// independent of both the lifted rules and the circuit compiler: builds
+/// each world as a sub-database, evaluates the query extensionally, and
+/// adds each satisfying world's weight — a product over the tuples in
+/// id order of `p` or `1 − p` — in world order. The differential oracle
+/// for `tests/engine_ucq.rs`.
+pub fn ucq_brute_force<N: ProbNum>(expr: &QueryExpr, tid: &Tid) -> Result<N, BruteForceError> {
     let db = tid.database();
     let m = db.len();
     if m >= 64 {
         return Err(BruteForceError::TooManyTuples(m));
     }
-    let mut total = BigRational::zero();
+    let weights: Vec<(N, N)> = (0..m)
+        .map(|i| {
+            let p = N::from_rational(tid.prob(TupleId(i as u32)));
+            let absent = p.complement();
+            (p, absent)
+        })
+        .collect();
+    let mut total = N::zero();
     for world in 0u64..(1u64 << m) {
         let mut sub = Database::new(db.k(), db.domain_size());
         for i in 0..m {
@@ -175,38 +184,13 @@ pub fn ucq_brute_force(expr: &QueryExpr, tid: &Tid) -> Result<BigRational, Brute
             }
         }
         if expr.eval(&sub) {
-            total = &total + &tid.world_probability(world);
-        }
-    }
-    Ok(total)
-}
-
-/// `f64` variant of [`ucq_brute_force`].
-pub fn ucq_brute_force_f64(expr: &QueryExpr, tid: &Tid) -> Result<f64, BruteForceError> {
-    let db = tid.database();
-    let m = db.len();
-    if m >= 64 {
-        return Err(BruteForceError::TooManyTuples(m));
-    }
-    let probs: Vec<f64> = (0..m).map(|i| tid.prob_f64(TupleId(i as u32))).collect();
-    let mut total = 0.0f64;
-    for world in 0u64..(1u64 << m) {
-        let mut weight = 1.0f64;
-        for (i, p) in probs.iter().enumerate() {
-            weight *= if world >> i & 1 == 1 { *p } else { 1.0 - p };
-        }
-        if weight == 0.0 {
-            continue;
-        }
-        let mut sub = Database::new(db.k(), db.domain_size());
-        for i in 0..m {
-            if world >> i & 1 == 1 {
-                sub.insert(db.describe(TupleId(i as u32)))
-                    .expect("tuples re-insert into an equal-shape database");
-            }
-        }
-        if expr.eval(&sub) {
-            total += weight;
+            let weight = weights
+                .iter()
+                .enumerate()
+                .fold(N::one(), |w, (i, (p, absent))| {
+                    w.mul(if world >> i & 1 == 1 { p } else { absent })
+                });
+            total = total.add(&weight);
         }
     }
     Ok(total)
@@ -216,6 +200,7 @@ pub fn ucq_brute_force_f64(expr: &QueryExpr, tid: &Tid) -> Result<f64, BruteForc
 mod tests {
     use super::*;
     use crate::cq::Atom;
+    use intext_numeric::BigRational;
     use intext_tid::{Relation, TupleDesc};
 
     fn fixture() -> Tid {
@@ -293,10 +278,10 @@ mod tests {
             ])),
         ];
         for expr in exprs {
-            let exact = ground_circuit_probability(&expr, &tid);
+            let exact: BigRational = ground_circuit_probability(&expr, &tid);
             assert_eq!(exact, ucq_brute_force(&expr, &tid).unwrap(), "on {expr:?}");
-            let f = ground_circuit_probability_f64(&expr, &tid);
-            let bf = ucq_brute_force_f64(&expr, &tid).unwrap();
+            let f: f64 = ground_circuit_probability(&expr, &tid);
+            let bf: f64 = ucq_brute_force(&expr, &tid).unwrap();
             assert!((f - bf).abs() < 1e-12, "f64 on {expr:?}");
             assert!((f - exact.to_f64()).abs() < 1e-12);
         }
@@ -336,7 +321,7 @@ mod tests {
         )]));
         let (_, root) = ground_circuit(&expr, tid.database());
         assert_eq!(root, NodeRef::FALSE);
-        assert!(ground_circuit_probability(&expr, &tid).is_zero());
+        assert!(ground_circuit_probability::<BigRational>(&expr, &tid).is_zero());
         let negated = QueryExpr::Not(Box::new(expr));
         let (_, root) = ground_circuit(&negated, tid.database());
         assert_eq!(root, NodeRef::TRUE);

@@ -25,6 +25,11 @@
 //!   recognition onto the `φ + h_{k,i}` machinery ([`recognize_h`]),
 //!   and grounded circuit compilation for everything else
 //!   ([`ground_circuit`]).
+//!
+//! Every probability computation here — brute force, lifted inference,
+//! grounded weighted model counting — is one function generic over
+//! [`intext_numeric::ProbNum`]: `pqe_brute_force::<BigRational>` is the
+//! exact oracle, `pqe_brute_force::<f64>` the same recursion in floats.
 
 mod brute;
 mod cq;
@@ -37,16 +42,13 @@ mod parse;
 mod query;
 mod ucq;
 
-pub use brute::{pqe_brute_force, pqe_brute_force_f64, BruteForceError};
+pub use brute::{pqe_brute_force, BruteForceError};
 pub use cq::{Atom, ConjunctiveQuery, Term};
 pub use dnf::{dnf_clause_bound, lineage_dnf, DnfLineage};
-pub use ground::{
-    ground_circuit, ground_circuit_probability, ground_circuit_probability_f64, ground_cq,
-    ucq_brute_force, ucq_brute_force_f64,
-};
+pub use ground::{ground_circuit, ground_circuit_probability, ground_cq, ucq_brute_force};
 pub use hardness::{pqe_brute_force_cq, Pp2Cnf};
 pub use hquery::{h_cq, h_truth_vector, h_witnesses, HQuery};
-pub use lifted::{is_safe_ucq, lifted_probability, lifted_probability_f64};
+pub use lifted::{is_safe_ucq, lifted_probability};
 pub use parse::{parse_query, ParseError, MAX_DEPTH};
 pub use query::{h_query_text, recognize_h, Query};
 pub use ucq::{QueryExpr, Ucq, MAX_UCQ_DISJUNCTS};

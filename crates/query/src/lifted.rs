@@ -32,7 +32,7 @@
 
 use std::collections::BTreeSet;
 
-use intext_numeric::BigRational;
+use intext_numeric::ProbNum;
 use intext_tid::{Database, Relation, Tid, TupleId};
 
 use crate::cq::{Atom, ConjunctiveQuery, Term};
@@ -41,59 +41,6 @@ use crate::ucq::{merge_cqs, Ucq};
 /// Inclusion–exclusion expands `2^m − 1` subsets; beyond this many
 /// entangled disjuncts the query is treated as unsafe.
 const MAX_INCLUSION_EXCLUSION: usize = 12;
-
-/// The arithmetic the lifted evaluator needs, instantiated for exact
-/// rationals and for floats.
-trait Num: Clone {
-    fn zero() -> Self;
-    fn one() -> Self;
-    fn add(&self, other: &Self) -> Self;
-    fn sub(&self, other: &Self) -> Self;
-    fn mul(&self, other: &Self) -> Self;
-    fn tuple_prob(tid: &Tid, id: TupleId) -> Self;
-}
-
-impl Num for BigRational {
-    fn zero() -> Self {
-        BigRational::zero()
-    }
-    fn one() -> Self {
-        BigRational::one()
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self - other
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn tuple_prob(tid: &Tid, id: TupleId) -> Self {
-        tid.prob(id).clone()
-    }
-}
-
-impl Num for f64 {
-    fn zero() -> Self {
-        0.0
-    }
-    fn one() -> Self {
-        1.0
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self - other
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn tuple_prob(tid: &Tid, id: TupleId) -> Self {
-        tid.prob_f64(id)
-    }
-}
 
 fn atom_vars(atom: &Atom) -> BTreeSet<u8> {
     atom.args
@@ -218,7 +165,7 @@ fn ground_tuple(db: &Database, atom: &Atom) -> Option<TupleId> {
     }
 }
 
-fn eval_union<N: Num>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
+fn eval_union<N: ProbNum>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
     if cqs.iter().any(|c| c.atoms.is_empty()) {
         return Some(N::one());
     }
@@ -230,9 +177,9 @@ fn eval_union<N: Num>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
         let mut miss = N::one();
         for comp in &comps {
             let p = eval_union::<N>(comp, tid)?;
-            miss = miss.mul(&N::one().sub(&p));
+            miss = miss.mul(&p.complement());
         }
-        return Some(N::one().sub(&miss));
+        return Some(miss.complement());
     }
     if cqs.len() > 1 {
         if cqs.len() > MAX_INCLUSION_EXCLUSION {
@@ -258,7 +205,7 @@ fn eval_union<N: Num>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
     eval_cq::<N>(&cqs[0], tid)
 }
 
-fn eval_cq<N: Num>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
+fn eval_cq<N: ProbNum>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
     let cq = dedup_atoms(cq);
     if cq.atoms.is_empty() {
         return Some(N::one());
@@ -268,7 +215,7 @@ fn eval_cq<N: Num>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
         let mut p = N::one();
         for atom in &cq.atoms {
             match ground_tuple(tid.database(), atom) {
-                Some(id) => p = p.mul(&N::tuple_prob(tid, id)),
+                Some(id) => p = p.mul(&N::from_rational(tid.prob(id))),
                 None => return Some(N::zero()),
             }
         }
@@ -288,7 +235,7 @@ fn eval_cq<N: Num>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
         for a in 0..tid.database().domain_size() {
             match eval_cq::<N>(&substitute(&cq, sep, a), tid) {
                 Some(p) => {
-                    miss = miss.map(|m| m.mul(&N::one().sub(&p)));
+                    miss = miss.map(|m| m.mul(&p.complement()));
                 }
                 None => {
                     miss = None;
@@ -297,7 +244,7 @@ fn eval_cq<N: Num>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
             }
         }
         if let Some(miss) = miss {
-            return Some(N::one().sub(&miss));
+            return Some(miss.complement());
         }
     }
     None
@@ -374,21 +321,17 @@ pub fn is_safe_ucq(ucq: &Ucq) -> bool {
     safe_union(ucq.disjuncts())
 }
 
-/// Exact lifted evaluation. Returns `None` iff the recursion gets
+/// Lifted evaluation in any [`ProbNum`] type: exact rationals, or
+/// `f64` for served answers. Returns `None` iff the recursion gets
 /// stuck, which [`is_safe_ucq`] rules out in advance.
-pub fn lifted_probability(ucq: &Ucq, tid: &Tid) -> Option<BigRational> {
-    eval_union::<BigRational>(ucq.disjuncts(), tid)
-}
-
-/// Float lifted evaluation; same recursion as [`lifted_probability`]
-/// with `f64` arithmetic.
-pub fn lifted_probability_f64(ucq: &Ucq, tid: &Tid) -> Option<f64> {
-    eval_union::<f64>(ucq.disjuncts(), tid)
+pub fn lifted_probability<N: ProbNum>(ucq: &Ucq, tid: &Tid) -> Option<N> {
+    eval_union::<N>(ucq.disjuncts(), tid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intext_numeric::BigRational;
     use intext_tid::TupleDesc;
 
     fn ratio(n: i64, d: u64) -> BigRational {
@@ -480,9 +423,9 @@ mod tests {
         ];
         for q in queries {
             assert!(is_safe_ucq(&q), "expected safe: {q:?}");
-            let exact = lifted_probability(&q, &tid).expect("safe queries evaluate");
+            let exact: BigRational = lifted_probability(&q, &tid).expect("safe queries evaluate");
             assert_eq!(exact, brute(&q, &tid), "lifted vs brute on {q:?}");
-            let f = lifted_probability_f64(&q, &tid).unwrap();
+            let f: f64 = lifted_probability(&q, &tid).unwrap();
             assert!((f - exact.to_f64()).abs() < 1e-12);
         }
     }
@@ -502,7 +445,7 @@ mod tests {
             ]),
         ]);
         assert!(!is_safe_ucq(&q));
-        assert_eq!(lifted_probability(&q, &fixture()), None);
+        assert_eq!(lifted_probability::<BigRational>(&q, &fixture()), None);
     }
 
     #[test]
@@ -527,12 +470,12 @@ mod tests {
         ])]);
         let tid = fixture();
         if is_safe_ucq(&q) {
-            let exact = lifted_probability(&q, &tid).unwrap();
+            let exact: BigRational = lifted_probability(&q, &tid).unwrap();
             assert_eq!(exact, brute(&q, &tid));
         } else {
             // Conservative rejection is acceptable; evaluation must not
             // disagree with brute force if it does complete.
-            if let Some(exact) = lifted_probability(&q, &tid) {
+            if let Some(exact) = lifted_probability::<BigRational>(&q, &tid) {
                 assert_eq!(exact, brute(&q, &tid));
             }
         }

@@ -41,7 +41,7 @@ fn main() {
         let id = TupleId(round % tid.len() as u32);
         tid.set_prob(id, BigRational::from_ratio(i64::from(round % 99 + 1), 100))
             .unwrap();
-        last = dd.probability_exact(&tid);
+        last = dd.probability(&tid);
     }
     println!(
         "{UPDATES} probability updates + exact re-evaluations in {:.2?} (no recompilation)",

@@ -137,7 +137,7 @@ fn main() {
     println!("extensional (Möbius)         : {ext}");
 
     let dd = compile_dd(&phi9(), tid.database()).expect("e(φ9) = 0");
-    let int = dd.probability_exact(&tid);
+    let int: BigRational = dd.probability(&tid);
     println!("intensional (d-D lineage)    : {int}");
     println!(
         "compiled d-D: {} leaf OBDD nodes; plugged into one circuit: {}",

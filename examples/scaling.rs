@@ -15,7 +15,7 @@ use std::time::Instant;
 use intext::boolfn::phi9;
 use intext::core::compile_dd;
 use intext::extensional::pqe_extensional_f64;
-use intext::query::{pqe_brute_force_f64, HQuery};
+use intext::query::{pqe_brute_force, HQuery};
 use intext::tid::{complete_database, random_tid};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +36,7 @@ fn main() {
 
         let brute = if tuples <= 24 {
             let t0 = Instant::now();
-            let p = pqe_brute_force_f64(&q, &tid).unwrap();
+            let p: f64 = pqe_brute_force(&q, &tid).unwrap();
             Some((p, t0.elapsed()))
         } else {
             None
@@ -48,7 +48,7 @@ fn main() {
 
         let t0 = Instant::now();
         let dd = compile_dd(&phi9(), tid.database()).unwrap();
-        let int = dd.probability_f64(&tid);
+        let int: f64 = dd.probability(&tid);
         let int_time = t0.elapsed();
 
         let brute_cell = match &brute {

@@ -76,8 +76,13 @@
 //! let dd = compile_dd(&phi9(), tid.database()).unwrap();
 //! let brute = pqe_brute_force(&q, &tid).unwrap();
 //! assert_eq!(p, ext);
-//! assert_eq!(p, dd.probability_exact(&tid));
+//! assert_eq!(p, dd.probability::<BigRational>(&tid));
 //! assert_eq!(p, brute);
+//!
+//! // Each probability pass is written once, generic over the number
+//! // type: the same d-D walk in `f64` is what a server answers with.
+//! let approx: f64 = dd.probability(&tid);
+//! assert!((approx - p.to_f64()).abs() < 1e-12);
 //!
 //! // Scenario sweeps reuse the compiled circuit: shard a re-weighting
 //! // workload across 4 worker threads, one compile for the whole batch.

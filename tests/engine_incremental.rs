@@ -293,7 +293,7 @@ proptest! {
                 let spot = &fns[(mix(&mut state) % tables) as usize];
                 let q = HQuery::new(spot.clone());
                 prop_assert_eq!(
-                    pqe_brute_force(&q, &tid).unwrap(),
+                    pqe_brute_force::<BigRational>(&q, &tid).unwrap(),
                     oracle_answer(spot, &dist),
                     "oracle disagrees with pqe_brute_force at k={} step={}", k, step
                 );

@@ -1249,6 +1249,43 @@ fn short_snapshot_read_falls_back_to_the_previous_generation() {
     }
 }
 
+/// A torn WAL tail makes recovery cut the log: it quarantines the file
+/// and rewrites the live log to the records it applied. That rewrite
+/// must come from the bytes recovery scanned, not from a second read
+/// that can come back short — so a short read at the operation that was
+/// once that second read leaves a log the next recovery replays in
+/// full.
+#[test]
+fn short_wal_reread_cannot_shrink_the_applied_prefix() {
+    let (mem, _, _, _) = wal_fixture();
+    let wal_path = PathBuf::from("engine").join(WAL_FILE);
+    let mut bytes = mem.read(&wal_path).unwrap();
+    bytes.extend_from_slice(&[0xAB; 3]);
+    mem.install(wal_path, bytes);
+
+    // Operation numbering on the recovery side: 0 = create_dir_all,
+    // 1 = the read of snapshot.bin, 2 = the read of the log; a recovery
+    // that re-read the log before rewriting it did so at 3.
+    let faulted = Arc::new(FaultIo::new(
+        Arc::clone(&mem) as Arc<dyn StorageIo>,
+        FaultPlan {
+            short_read: Some((3, 0)),
+            ..FaultPlan::default()
+        },
+    ));
+    let dir = DurableDir::open_with("engine", faulted as Arc<dyn StorageIo>).unwrap();
+    let (_, first) = PqeEngine::recover_with(EngineConfig::default(), &dir).unwrap();
+    assert_eq!(first.wal_records_applied, 2, "both intact records apply");
+    assert!(first.wal_cut.is_some(), "the torn tail is cut");
+
+    let (_, second) = PqeEngine::recover_with(EngineConfig::default(), &reopen(&mem)).unwrap();
+    assert_eq!(
+        second.wal_records_applied, first.wal_records_applied,
+        "the rewritten log keeps every record the first recovery applied"
+    );
+    assert!(second.clean(), "the first recovery left a trustworthy log");
+}
+
 /// Cases per property for the byte-flip fuzz below.
 fn flip_cases() -> u32 {
     if common::seed_count() > common::DEFAULT_SEEDS {

@@ -107,7 +107,7 @@ fn estimates_land_within_eps_of_brute_force_for_every_hard_small_phi() {
                 _ => 2,
             }] = true;
             let q = HQuery::new(phi);
-            let exact = pqe_brute_force(&q, &tid).unwrap().to_f64();
+            let exact = pqe_brute_force::<BigRational>(&q, &tid).unwrap().to_f64();
             let mut engine = sampling_engine(0xA11CE, 0.1, 1e-6);
             let est = engine.estimate(&q, &tid).unwrap();
             let kind = est.sampler.expect("hard instance must have sampled");
@@ -143,7 +143,7 @@ fn conjectured_hard_region_is_sampled_and_cross_validated() {
     let q = HQuery::new(phi);
     let tid = uniform_tid(complete_database(3, 1), half());
     assert!(tid.len() > 4);
-    let exact = pqe_brute_force(&q, &tid).unwrap().to_f64();
+    let exact = pqe_brute_force::<BigRational>(&q, &tid).unwrap().to_f64();
     let mut engine = sampling_engine(0x5EED, 0.1, 1e-6);
     let est = engine.estimate(&q, &tid).unwrap();
     // φ_max-Euler is non-monotone, so there is no DNF to Karp–Luby over.
@@ -189,7 +189,7 @@ fn violation_rate_respects_delta_for_both_samplers() {
     for (phi, expected_kind) in cases {
         assert!(is_hard(classify(&phi)));
         let q = HQuery::new(phi);
-        let exact = pqe_brute_force(&q, &tid).unwrap().to_f64();
+        let exact = pqe_brute_force::<BigRational>(&q, &tid).unwrap().to_f64();
         let mut violations = 0u64;
         for r in 0..r_total {
             let mut engine = sampling_engine(common::BASE_SEED + r, EPS, DELTA);

@@ -15,9 +15,8 @@ use intext::boolfn::BoolFn;
 use intext::engine::{Plan, PqeEngine};
 use intext::numeric::BigRational;
 use intext::query::{
-    ground_circuit_probability, ground_circuit_probability_f64, h_query_text, is_safe_ucq,
-    lifted_probability, lifted_probability_f64, parse_query, ucq_brute_force, ucq_brute_force_f64,
-    HQuery, Query,
+    ground_circuit_probability, h_query_text, is_safe_ucq, lifted_probability, parse_query,
+    ucq_brute_force, HQuery, Query,
 };
 use intext::tid::{
     complete_database, random_database, random_tid, uniform_tid, DbGenConfig, Tid, Vocabulary,
@@ -91,19 +90,19 @@ fn safe_ucqs_lifted_equals_grounded_equals_brute() {
             .normalize();
         assert_eq!(is_safe_ucq(&ucq), expect_safe, "safety of {text}");
         if !expect_safe {
-            assert!(lifted_probability(&ucq, &corpus_tid(2, 0)).is_none());
+            assert!(lifted_probability::<BigRational>(&ucq, &corpus_tid(2, 0)).is_none());
             continue;
         }
         for seed in 0..5 {
             let tid = corpus_tid(2, seed);
-            let lifted = lifted_probability(&ucq, &tid).expect("safe queries lift");
-            let grounded = ground_circuit_probability(&expr, &tid);
-            let brute = ucq_brute_force(&expr, &tid).unwrap();
+            let lifted: BigRational = lifted_probability(&ucq, &tid).expect("safe queries lift");
+            let grounded: BigRational = ground_circuit_probability(&expr, &tid);
+            let brute: BigRational = ucq_brute_force(&expr, &tid).unwrap();
             assert_eq!(lifted, brute, "lifted vs brute on {text} (seed {seed})");
             assert_eq!(grounded, brute, "grounded vs brute on {text} (seed {seed})");
-            let lifted64 = lifted_probability_f64(&ucq, &tid).unwrap();
-            let grounded64 = ground_circuit_probability_f64(&expr, &tid);
-            let brute64 = ucq_brute_force_f64(&expr, &tid).unwrap();
+            let lifted64: f64 = lifted_probability(&ucq, &tid).unwrap();
+            let grounded64: f64 = ground_circuit_probability(&expr, &tid);
+            let brute64: f64 = ucq_brute_force(&expr, &tid).unwrap();
             assert!(
                 (lifted64 - brute64).abs() <= 1e-12,
                 "{text}: {lifted64} vs {brute64}"
@@ -141,7 +140,7 @@ fn engine_answers_match_brute_force_on_the_corpus() {
                 "{text} (seed {seed})"
             );
             let p64 = engine.evaluate_f64(&q, &tid).unwrap();
-            let brute64 = ucq_brute_force_f64(&expr, &tid).unwrap();
+            let brute64: f64 = ucq_brute_force(&expr, &tid).unwrap();
             assert!((p64 - brute64).abs() <= 1e-12, "{text}: {p64} vs {brute64}");
         }
     }

@@ -4,11 +4,14 @@
 //! query, across random databases.
 
 use intext::boolfn::{enumerate, phi9, small, BoolFn};
-use intext::circuits::verify;
-use intext::core::{classify, compile_dd, CompileError};
+use intext::circuits::{verify, EvalScratch, ProbMatrix, LANES};
+use intext::core::{classify, compile_dd, CompileError, CompiledLineage};
+use intext::engine::{Plan, PqeEngine};
 use intext::extensional::{pqe_extensional, ExtensionalError};
+use intext::lineage::compile_degenerate_obdd;
+use intext::numeric::BigRational;
 use intext::query::{pqe_brute_force, HQuery};
-use intext::tid::{random_database, random_tid, DbGenConfig, Tid};
+use intext::tid::{random_database, random_tid, DbGenConfig, Tid, TupleId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,7 +42,7 @@ fn all_safe_monotone_k3_queries_agree_across_engines() {
         match pqe_extensional(&q, &tid) {
             Ok(ext) => {
                 let dd = compile_dd(&phi, tid.database()).expect("safe implies e=0");
-                let int = dd.probability_exact(&tid);
+                let int: BigRational = dd.probability(&tid);
                 assert_eq!(ext, int, "extensional vs intensional, t={t:#x}");
                 let brute = pqe_brute_force(&q, &tid).unwrap();
                 assert_eq!(int, brute, "intensional vs brute force, t={t:#x}");
@@ -84,9 +87,48 @@ fn non_ucq_zero_euler_queries_beat_the_extensional_engine() {
         );
         let dd = compile_dd(&phi, tid.database()).expect("e = 0 compiles");
         let brute = pqe_brute_force(&q, &tid).unwrap();
-        assert_eq!(dd.probability_exact(&tid), brute, "t={t:#x}");
+        assert_eq!(dd.probability::<BigRational>(&tid), brute, "t={t:#x}");
         checked += 1;
     }
+}
+
+/// An artifact and its plugged circuit are the same d-D, walked to the
+/// same answers: `check_dd` passes, the exact values are equal, and the
+/// scalar `f64` and [`LANES`]-lane results are bit-equal (`DESIGN.md`
+/// §6). `scenarios` fill the lanes; the first is the scalar scenario.
+fn assert_artifact_is_its_circuit(artifact: &CompiledLineage, scenarios: &[Tid], what: &str) {
+    let (circuit, root) = artifact.to_circuit();
+    verify::check_dd(&circuit, root).unwrap_or_else(|v| panic!("d-D violation for {what}: {v}"));
+    let tid = &scenarios[0];
+    let prob = |v| tid.prob(TupleId(v)).clone();
+    assert_eq!(
+        artifact.probability::<BigRational>(tid),
+        circuit.probability(root, prob, &mut EvalScratch::new()),
+        "exact, {what}"
+    );
+    let prob_f64 = |v| tid.prob_f64(TupleId(v));
+    assert_eq!(
+        artifact.probability::<f64>(tid).to_bits(),
+        circuit
+            .probability(root, prob_f64, &mut EvalScratch::new())
+            .to_bits(),
+        "f64, {what}"
+    );
+    let mut probs = ProbMatrix::new();
+    probs.reset(tid.len());
+    for (lane, scenario) in scenarios.iter().cycle().take(LANES).enumerate() {
+        for v in 0..tid.len() as u32 {
+            probs.set(v, lane, scenario.prob_f64(TupleId(v)));
+        }
+    }
+    let mut scratch = EvalScratch::new();
+    let lanes = artifact.walk(|v| *probs.block(v), &mut scratch);
+    let via_circuit = circuit.probability(root, |v| *probs.block(v), &mut scratch);
+    assert_eq!(
+        lanes.map(f64::to_bits),
+        via_circuit.map(f64::to_bits),
+        "lanes, {what}"
+    );
 }
 
 #[test]
@@ -99,10 +141,41 @@ fn compiled_circuits_are_verified_dds_on_small_instances() {
             continue;
         }
         let phi = BoolFn::from_table_u64(4, t);
-        let (circuit, root) = compile_dd(&phi, tid.database()).unwrap().to_circuit();
-        verify::check_dd(&circuit, root)
-            .unwrap_or_else(|v| panic!("d-D violation for t={t:#x}: {v}"));
+        let dd = compile_dd(&phi, tid.database()).unwrap();
+        assert_artifact_is_its_circuit(&dd, std::slice::from_ref(&tid), &format!("t={t:#x}"));
     }
+    // Every cacheable φ with k ≤ 2 — the one-leaf OBDDs of the Obdd
+    // plan and the templates of the DdCircuit plan — on seeded random
+    // TIDs, the lanes filled from re-weighted scenarios.
+    let engine = PqeEngine::new();
+    let mut cacheable = 0;
+    for k in 1..=2u8 {
+        let tid = sample_tid(k, 2, 500 + u64::from(k));
+        let scenarios: Vec<Tid> = (0..LANES)
+            .map(|i| {
+                let mut scenario = tid.clone();
+                let tuple = TupleId((i % tid.len()) as u32);
+                scenario
+                    .set_prob(tuple, BigRational::from_ratio(1, 3 + i as u64))
+                    .unwrap();
+                scenario
+            })
+            .collect();
+        let n = k + 1;
+        for t in 0..(1u64 << (1u32 << n)) {
+            let phi = BoolFn::from_table_u64(n, t);
+            let artifact = match engine.plan(HQuery::new(phi.clone()), &tid).unwrap() {
+                Plan::Obdd => CompiledLineage::from(
+                    compile_degenerate_obdd(&phi, tid.database()).expect("degenerate"),
+                ),
+                Plan::DdCircuit => compile_dd(&phi, tid.database()).expect("e(φ) = 0"),
+                _ => continue,
+            };
+            assert_artifact_is_its_circuit(&artifact, &scenarios, &format!("k={k}, t={t:#x}"));
+            cacheable += 1;
+        }
+    }
+    assert_eq!(cacheable, 76, "cacheable φ with k ≤ 2");
 }
 
 #[test]
@@ -143,6 +216,6 @@ fn growing_domains_stay_consistent() {
         let q = HQuery::new(phi9());
         let ext = pqe_extensional(&q, &tid).unwrap();
         let dd = compile_dd(&phi9(), tid.database()).unwrap();
-        assert_eq!(ext, dd.probability_exact(&tid), "domain {domain}");
+        assert_eq!(ext, dd.probability::<BigRational>(&tid), "domain {domain}");
     }
 }

@@ -5,6 +5,7 @@
 use intext::boolfn::{small, BoolFn};
 use intext::core::{apply_steps, compile_dd, steps_between, steps_to_bottom, Fragmentation};
 use intext::extensional::pqe_extensional;
+use intext::numeric::BigRational;
 use intext::query::{pqe_brute_force, HQuery};
 use intext::tid::{random_database, random_tid, DbGenConfig, Tid};
 use proptest::prelude::*;
@@ -75,8 +76,8 @@ proptest! {
         let tid = tid_from_seed(2, seed);
         let dd = compile_dd(&phi, tid.database()).unwrap();
         let q = HQuery::new(phi);
-        let brute = pqe_brute_force(&q, &tid).unwrap();
-        prop_assert_eq!(dd.probability_exact(&tid), brute);
+        let brute: BigRational = pqe_brute_force(&q, &tid).unwrap();
+        prop_assert_eq!(dd.probability::<BigRational>(&tid), brute);
     }
 
     #[test]
@@ -113,7 +114,7 @@ proptest! {
     ) {
         let tid = tid_from_seed(2, seed);
         let dd = compile_dd(&phi, tid.database()).unwrap();
-        let p = dd.probability_exact(&tid);
+        let p: BigRational = dd.probability(&tid);
         prop_assert!(p.is_probability(), "got {}", p);
     }
 }

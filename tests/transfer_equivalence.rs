@@ -3,7 +3,7 @@
 //! induced reductions preserve probabilities and lineage circuits.
 
 use intext::boolfn::{small, BoolFn};
-use intext::circuits::Circuit;
+use intext::circuits::{Circuit, EvalScratch};
 use intext::core::{
     apply_steps, compile_dd, pqe_via_transfer, steps_between, transfer_circuit, Step,
 };
@@ -114,8 +114,12 @@ fn circuit_transfer_equals_direct_compilation() {
         let mut circuit = Circuit::new();
         let bot = circuit.constant(false);
         let root = transfer_circuit(&mut circuit, bot, 4, &steps, db).unwrap();
-        let via_transfer = circuit.probability_exact(root, &|v| tid.prob(TupleId(v)).clone());
-        let direct = compile_dd(&phi, db).unwrap().probability_exact(&tid);
+        let via_transfer = circuit.probability(
+            root,
+            |v| tid.prob(TupleId(v)).clone(),
+            &mut EvalScratch::new(),
+        );
+        let direct = compile_dd(&phi, db).unwrap().probability(&tid);
         assert_eq!(via_transfer, direct, "t={t:#x}");
         done += 1;
     }
