@@ -59,9 +59,9 @@ pub struct CircuitStats {
 /// construction; every walk — [`eval`](Self::eval),
 /// [`probability`](Self::probability), [`stats`](Self::stats) — takes
 /// `&self`, keeps its scratch space on its own stack or in the caller's
-/// [`EvalScratch`], and caches nothing in the arena. A compiled circuit behind an `Arc` can therefore
-/// be walked by any number of threads at once; the `Send + Sync` bound is
-/// pinned by a compile-time test.
+/// [`EvalScratch`], and caches nothing in the arena. A compiled circuit
+/// behind an `Arc` can therefore be walked by any number of threads at
+/// once; the `Send + Sync` bound is pinned by a compile-time test.
 #[derive(Clone, Debug, Default)]
 pub struct Circuit {
     gates: Vec<Gate>,

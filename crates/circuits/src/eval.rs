@@ -148,22 +148,23 @@ impl<N: ProbNum> EvalScratch<N> {
     /// at every node that tests `v`. Entries of other variables keep
     /// whatever an earlier call left, so prepare every variable the
     /// walked nodes test (an artifact's support, an OBDD's order).
-    /// Growth only — once the tables cover the largest variable,
-    /// preparing allocates nothing.
-    pub fn prepare(
-        &mut self,
-        vars: impl IntoIterator<Item = u32>,
-        prob: impl Fn(u32) -> N,
-    ) -> &mut Self {
+    /// Growth only, sized once per call — once the tables cover the
+    /// largest variable, preparing allocates nothing.
+    pub fn prepare<I>(&mut self, vars: I, prob: impl Fn(u32) -> N) -> &mut Self
+    where
+        I: IntoIterator<Item = u32>,
+        I::IntoIter: Clone,
+    {
+        let vars = vars.into_iter();
+        let len = vars.clone().max().map_or(0, |v| v as usize + 1);
+        if self.p.len() < len {
+            self.p.resize(len, N::zero());
+            self.q.resize(len, N::zero());
+        }
         for v in vars {
-            let i = v as usize;
-            if i >= self.p.len() {
-                self.p.resize(i + 1, N::zero());
-                self.q.resize(i + 1, N::zero());
-            }
             let p = prob(v);
-            self.q[i] = p.complement();
-            self.p[i] = p;
+            self.q[v as usize] = p.complement();
+            self.p[v as usize] = p;
         }
         self
     }

@@ -148,8 +148,9 @@ impl std::error::Error for ObddError {}
 /// node construction (`mk`, `apply`, …) takes `&mut self`, but every walk
 /// — [`size`](Self::size), [`probability`](Self::probability),
 /// evaluation — takes `&self` with stack-local or caller-owned scratch
-/// and no memo writes back into the manager, so a finished OBDD behind an `Arc` is freely walkable from
-/// many threads. Pinned by a compile-time `Send + Sync` test.
+/// and no memo writes back into the manager, so a finished OBDD behind
+/// an `Arc` is freely walkable from many threads. Pinned by a
+/// compile-time `Send + Sync` test.
 #[derive(Debug)]
 pub struct ObddManager {
     order: Vec<u32>,

@@ -23,8 +23,9 @@
 //!    (Proposition 4.4), built in time polynomial in `|D|`. The artifact
 //!    keeps the template and the leaves apart: every template `∨` is
 //!    deterministic (a sum) and `¬` is `1 − x`, so the probability is
-//!    one linear pass per leaf combined through the template, and the
-//!    plugged circuit is only built on demand
+//!    one linear pass per leaf combined through the template — written
+//!    once, generic over the number type ([`CompiledLineage::walk`]) —
+//!    and the plugged circuit is only built on demand
 //!    ([`CompiledLineage::to_circuit`]).
 //!
 //! Since every safe `H⁺`-query has `e(φ) = 0` (Corollary 3.9), this

@@ -40,9 +40,11 @@
 //!    [`PreparedBatch`] fans a workload across `std::thread::scope`
 //!    workers ([`PqeEngine::evaluate_batch_sharded`],
 //!    [`PqeEngine::evaluate_batch_sharded_f64`]), bit-identical to
-//!    evaluating each scenario alone. Exact and f64 share one walker;
-//!    f64 batches drive the **lane-batched evaluation kernel**, one
-//!    forward pass per [`intext_circuits::LANES`] same-shape scenarios
+//!    evaluating each scenario alone. Exact and f64 share one walker,
+//!    and every computation it runs is one pass generic over
+//!    [`intext_numeric::ProbNum`]; f64 batches drive the **lane-batched
+//!    evaluation kernel** — the artifact's pass on `[f64; LANES]`
+//!    blocks, one per [`intext_circuits::LANES`] same-shape scenarios,
 //!    with zero steady-state allocations. Sampled scenarios draw from
 //!    RNG streams `(seed, global scenario index)`, so sharded sampling
 //!    is bit-identical to sequential.

@@ -59,6 +59,18 @@ fn world_truth(phi: &BoolFn, masks: &[Vec<u64>], world: u64) -> bool {
     phi.eval(truth)
 }
 
+/// Each tuple's weight in a world where it is present and where it is
+/// absent — `p` and `1 − p` — in tuple id order.
+pub(crate) fn tuple_weights<N: ProbNum>(tid: &Tid) -> Vec<(N, N)> {
+    (0..tid.len())
+        .map(|i| {
+            let p = N::from_rational(tid.prob(TupleId(i as u32)));
+            let absent = p.complement();
+            (p, absent)
+        })
+        .collect()
+}
+
 /// Brute-force `PQE(Q_φ)` by summing over all `2^|D|` worlds, in any
 /// [`ProbNum`] type (exact rationals are the ground truth every other
 /// evaluator is checked against).
@@ -74,13 +86,7 @@ pub fn pqe_brute_force<N: ProbNum>(q: &HQuery, tid: &Tid) -> Result<N, BruteForc
         return Err(BruteForceError::TooManyTuples(m));
     }
     let masks = witness_masks(q, tid);
-    let weights: Vec<(N, N)> = (0..m)
-        .map(|i| {
-            let p = N::from_rational(tid.prob(TupleId(i as u32)));
-            let absent = p.complement();
-            (p, absent)
-        })
-        .collect();
+    let weights = tuple_weights(tid);
     fn rec<N: ProbNum>(
         phi: &BoolFn,
         masks: &[Vec<u64>],

@@ -14,7 +14,7 @@ use intext_circuits::{EvalScratch, NodeRef, ObddManager};
 use intext_numeric::ProbNum;
 use intext_tid::{Database, Tid, TupleId};
 
-use crate::brute::BruteForceError;
+use crate::brute::{tuple_weights, BruteForceError};
 use crate::cq::{ConjunctiveQuery, Term};
 use crate::ucq::QueryExpr;
 
@@ -167,13 +167,7 @@ pub fn ucq_brute_force<N: ProbNum>(expr: &QueryExpr, tid: &Tid) -> Result<N, Bru
     if m >= 64 {
         return Err(BruteForceError::TooManyTuples(m));
     }
-    let weights: Vec<(N, N)> = (0..m)
-        .map(|i| {
-            let p = N::from_rational(tid.prob(TupleId(i as u32)));
-            let absent = p.complement();
-            (p, absent)
-        })
-        .collect();
+    let weights: Vec<(N, N)> = tuple_weights(tid);
     let mut total = N::zero();
     for world in 0u64..(1u64 << m) {
         let mut sub = Database::new(db.k(), db.domain_size());

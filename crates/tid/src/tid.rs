@@ -74,7 +74,8 @@ impl Tid {
         &self.probs[id.0 as usize]
     }
 
-    /// Probability of a tuple as `f64` (for benchmarks).
+    /// Probability of a tuple as `f64`: the nearest double to the exact
+    /// probability, what every `f64` answer is computed from.
     pub fn prob_f64(&self, id: TupleId) -> f64 {
         self.probs[id.0 as usize].to_f64()
     }
