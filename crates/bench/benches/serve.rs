@@ -9,8 +9,8 @@
 //! `direct` baseline of the same 64 evaluations on a bare engine.
 //!
 //! What to expect: the per-request serve overhead is one queue
-//! round-trip (a mutex + condvar each way) plus one read-lock probe —
-//! microseconds — so at domain 8, where a cached circuit walk is itself
+//! round-trip (a mutex + condvar each way) plus one write-locked
+//! prepare (plan and cache probe) — microseconds — so at domain 8, where a cached circuit walk is itself
 //! tens of microseconds, the single-worker server should sit within a
 //! small factor of `direct`, and worker counts beyond the hardware
 //! thread count should change nothing. On a single-thread container

@@ -35,7 +35,6 @@
 
 mod circuit;
 pub mod eval;
-mod models;
 mod obdd;
 pub mod verify;
 

@@ -288,22 +288,6 @@ impl ObddManager {
         }
     }
 
-    /// `(level, lo, hi)` of a decision node (not a terminal).
-    pub(crate) fn node_parts(&self, r: NodeRef) -> (u32, NodeRef, NodeRef) {
-        let n = self.nodes[r.index()];
-        (n.level, n.lo, n.hi)
-    }
-
-    /// The level of a reference, with terminals resolving to one past the
-    /// last variable level (useful for skipped-variable spans).
-    pub(crate) fn resolve_level(&self, r: NodeRef) -> u32 {
-        if r.is_terminal() {
-            self.order.len() as u32
-        } else {
-            self.nodes[r.index()].level
-        }
-    }
-
     /// The unique reduced node `(level, lo, hi)`; the workhorse shared by
     /// all construction paths (including the lineage unroller in
     /// `intext-lineage`).

@@ -1,6 +1,5 @@
 //! Property-based tests for the knowledge-compilation substrate: OBDD
-//! operations against truth-table semantics, circuit conversions, and
-//! the downstream model tasks.
+//! operations against truth-table semantics, and circuit conversions.
 
 use intext_circuits::{EvalScratch, NodeRef, ObddManager};
 use proptest::prelude::*;
@@ -122,44 +121,5 @@ proptest! {
             count.numer().to_i64().unwrap(),
             i64::from(t.count_ones())
         );
-    }
-
-    #[test]
-    fn enumerate_models_agrees_with_table(t in any::<u16>()) {
-        let mut m = ObddManager::new(vec![0, 1, 2, 3]);
-        let f = obdd_of(&mut m, t);
-        let models = m.enumerate_models(f, usize::MAX);
-        prop_assert_eq!(models.len(), t.count_ones() as usize);
-        for model in models {
-            let bits: u32 = model
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b)
-                .map(|(i, _)| 1u32 << i)
-                .sum();
-            prop_assert!(eval_table(t, bits));
-        }
-    }
-
-    #[test]
-    fn most_probable_model_beats_all_models(t in 1u16.., seed in any::<u32>()) {
-        let probs: Vec<f64> = (0..4)
-            .map(|i| (f64::from((seed >> (8 * i)) & 0xff) + 0.5) / 256.0)
-            .collect();
-        let mut m = ObddManager::new(vec![0, 1, 2, 3]);
-        let f = obdd_of(&mut m, t);
-        prop_assume!(f != NodeRef::FALSE);
-        let (model, p) = m.most_probable_model(f, &|v| probs[v as usize]).unwrap();
-        prop_assert!(m.eval(f, &|v| model[v as usize]), "MPE must satisfy");
-        for bits in 0..16u32 {
-            if !eval_table(t, bits) {
-                continue;
-            }
-            let mut w = 1.0;
-            for (i, pr) in probs.iter().enumerate() {
-                w *= if (bits >> i) & 1 == 1 { *pr } else { 1.0 - *pr };
-            }
-            prop_assert!(p >= w - 1e-12, "world {bits:#x} has weight {w} > {p}");
-        }
     }
 }

@@ -4,7 +4,6 @@
 //! shared immutably across shard workers and memory stays bounded.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intext_boolfn::BoolFn;
@@ -106,21 +105,15 @@ pub type Artifact = intext_core::CompiledLineage;
 struct CacheSlot {
     artifact: Arc<Artifact>,
     /// Logical timestamp of the last `get` or `insert` touching this
-    /// slot — atomic, so a lookup through `&self` can refresh it.
-    last_used: AtomicU64,
-}
-
-impl CacheSlot {
-    fn last_used(&self) -> u64 {
-        self.last_used.load(Ordering::Relaxed)
-    }
+    /// slot.
+    last_used: u64,
 }
 
 impl std::fmt::Debug for CacheSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheSlot")
             .field("nodes", &self.artifact.size())
-            .field("last_used", &self.last_used())
+            .field("last_used", &self.last_used)
             .finish_non_exhaustive()
     }
 }
@@ -155,9 +148,8 @@ pub struct ArtifactCache {
     entries: HashMap<CacheKey, CacheSlot>,
     budget: Option<usize>,
     total_gates: usize,
-    /// The logical clock recency timestamps are drawn from; atomic for
-    /// the same reason as [`CacheSlot::last_used`].
-    clock: AtomicU64,
+    /// The logical clock recency timestamps are drawn from.
+    clock: u64,
 }
 
 impl ArtifactCache {
@@ -170,19 +162,15 @@ impl ArtifactCache {
     }
 
     /// The artifact for `key` to *use*, refreshing its recency, or
-    /// `None` on a miss. Takes `&self`: the refresh is an atomic store
-    /// from the atomic clock, so both preparers — the engine's write
-    /// path and the serve layer's read-locked probe
-    /// ([`PqeEngine::prepare_shared`](crate::PqeEngine::prepare_shared))
-    /// — rank a hit exactly as a sequential engine does, and a server
-    /// evicts what that engine would.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Artifact>> {
-        let slot = self.entries.get(key)?;
-        // Relaxed: a timestamp publishes no other data, and eviction
-        // reads the timestamps through `&mut self`, after the lock that
-        // hands it out has ordered every earlier lookup.
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        slot.last_used.fetch_max(now, Ordering::Relaxed);
+    /// `None` on a miss. The engine's one preparer
+    /// ([`PqeEngine::prepare_batch`](crate::PqeEngine::prepare_batch))
+    /// is its only caller, so a served hit ranks exactly as a
+    /// sequential engine's does and a server evicts what that engine
+    /// would.
+    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Artifact>> {
+        let slot = self.entries.get_mut(key)?;
+        self.clock += 1;
+        slot.last_used = self.clock;
         Some(Arc::clone(&slot.artifact))
     }
 
@@ -207,7 +195,7 @@ impl ArtifactCache {
     /// logical clock is also what makes snapshot bytes deterministic.
     pub fn entries_lru_order(&self) -> Vec<(&CacheKey, &Arc<Artifact>)> {
         let mut entries: Vec<_> = self.entries.iter().collect();
-        entries.sort_by_key(|(_, slot)| slot.last_used());
+        entries.sort_by_key(|(_, slot)| slot.last_used);
         entries
             .into_iter()
             .map(|(key, slot)| (key, &slot.artifact))
@@ -251,8 +239,7 @@ impl ArtifactCache {
 
     /// [`insert`](Self::insert) for an already-shared artifact.
     fn insert_arc(&mut self, key: CacheKey, artifact: Arc<Artifact>) -> (Arc<Artifact>, u64) {
-        let clock = self.clock.get_mut();
-        *clock += 1;
+        self.clock += 1;
         let gates = artifact.size();
         if self.budget.is_some_and(|budget| gates > budget) {
             // An artifact that can never fit is not retained at all —
@@ -262,7 +249,7 @@ impl ArtifactCache {
         }
         let slot = CacheSlot {
             artifact: Arc::clone(&artifact),
-            last_used: AtomicU64::new(*clock),
+            last_used: self.clock,
         };
         if let Some(old) = self.entries.insert(key, slot) {
             // Same key compiled twice (only possible after an eviction
@@ -286,7 +273,7 @@ impl ArtifactCache {
             let Some(victim) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, slot)| slot.last_used())
+                .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(key, _)| key.clone())
             else {
                 break;

@@ -3,7 +3,6 @@
 //! evaluation, plus the artifact cache and live updates.
 
 use std::collections::HashSet;
-use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
 use std::panic::resume_unwind;
@@ -11,7 +10,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use intext_circuits::{EvalScratch, ProbMatrix, LANES};
+use intext_circuits::{EvalScratch, LANES};
 use intext_core::{classify, Region};
 use intext_lineage::DegenerateLineage;
 use intext_numeric::{BigRational, ProbNum};
@@ -356,7 +355,7 @@ impl Recipe {
 
 /// Consecutive same-shape scenarios and their routing decision, as
 /// [`PqeEngine::plan_runs`] leaves them: nothing fetched or compiled.
-pub struct PlannedRun {
+struct PlannedRun {
     route: Route,
     scenarios: Range<usize>,
 }
@@ -381,9 +380,9 @@ enum Backend {
 /// `Send + Sync`, and many threads may evaluate the same preparation
 /// concurrently.
 ///
-/// Obtain one from [`PqeEngine::prepare`] / [`PqeEngine::prepare_run`]
-/// (may compile; needs `&mut self`) or [`PqeEngine::prepare_shared`]
-/// (read-only probe; `&self`). Every evaluation records one
+/// Obtain one from [`PqeEngine::prepare`], or a batch of them from
+/// [`PqeEngine::prepare_batch`] (both may compile, so they take
+/// `&mut self`). Every evaluation records one
 /// [`QueryStats`] per scenario into the *caller's* [`EngineStats`], so
 /// worker-local stats merged back via [`EngineStats::merge`] equal the
 /// counters a sequential engine evaluating the same requests would
@@ -429,7 +428,6 @@ impl Answer for f64 {
 /// evaluation allocates nothing.
 #[derive(Default)]
 pub struct LaneScratch {
-    probs: ProbMatrix,
     scratch: EvalScratch,
 }
 
@@ -441,46 +439,6 @@ impl LaneScratch {
 }
 
 impl PreparedQuery {
-    /// The one preparer: builds `run`'s shared state from its head
-    /// scenario. Artifact routes go through `fetch`, which returns the
-    /// artifact plus the compile time if it compiled one; it fails only
-    /// on the read path, for a cold key.
-    fn prepare<E>(
-        run: &PlannedRun,
-        tids: &[Tid],
-        fetch: impl FnOnce(&Recipe, &Database) -> Result<(Arc<Artifact>, Option<Duration>), E>,
-    ) -> Result<PreparedQuery, E> {
-        let tid = &tids[run.scenarios.start];
-        let (backend, cache_hit, compile_time) = match &run.route {
-            Route::Artifact(recipe) => {
-                let (artifact, compiled) = fetch(recipe, tid.database())?;
-                (
-                    Backend::Artifact(artifact),
-                    compiled.is_none(),
-                    compiled.unwrap_or_default(),
-                )
-            }
-            Route::BruteForce(q) => (Backend::BruteForce(Arc::clone(q)), false, Duration::ZERO),
-            Route::Lifted(ucq) => (Backend::Lifted(Arc::clone(ucq)), false, Duration::ZERO),
-            Route::Sample {
-                query,
-                kind,
-                config,
-            } => {
-                let started = Instant::now();
-                let sampler = SamplerArtifact::build(*kind, query, tid, *config);
-                (Backend::Sampler(sampler), false, started.elapsed())
-            }
-        };
-        Ok(PreparedQuery {
-            plan: run.route.plan(),
-            backend,
-            scenarios: run.scenarios.clone(),
-            cache_hit,
-            compile_time,
-        })
-    }
-
     /// The backend the planner chose.
     pub fn plan(&self) -> Plan {
         self.plan
@@ -608,9 +566,10 @@ impl PreparedQuery {
     /// The one walker: evaluates `tids` — scenarios `offset..` of this
     /// run, at batch positions `stream..` — pushing and recording one
     /// result each. Given `lanes`, an `f64` artifact run walks [`LANES`]
-    /// scenarios per pass ([`Artifact::walk`] on `[f64; LANES]` blocks),
-    /// the block's wall time split evenly across its lanes; everything
-    /// else walks scalar.
+    /// scenarios per pass ([`Artifact::walk`] on `[f64; LANES]` blocks,
+    /// each support variable's block read straight from the block's
+    /// TIDs), the block's wall time, reads included, split evenly across
+    /// its lanes; everything else walks scalar.
     fn walk<N: Answer>(
         &self,
         tids: &[Tid],
@@ -631,14 +590,15 @@ impl PreparedQuery {
             return;
         };
         for (block_idx, block) in tids.chunks(LANES).enumerate() {
-            lanes.probs.reset(block[0].len());
-            for (lane, tid) in block.iter().enumerate() {
-                for &v in artifact.support_vars() {
-                    lanes.probs.set(v, lane, tid.prob_f64(TupleId(v)));
-                }
-            }
             let started = Instant::now();
-            let ps = artifact.walk(|v| *lanes.probs.block(v), &mut lanes.scratch);
+            // A ragged block's trailing lanes are walked but never read
+            // back.
+            let lane_probs = |v| {
+                std::array::from_fn(|lane| {
+                    block.get(lane).map_or(0.0, |tid| tid.prob_f64(TupleId(v)))
+                })
+            };
+            let ps = artifact.walk(lane_probs, &mut lanes.scratch);
             let per_lane = started.elapsed() / block.len() as u32;
             stats.lane_kernel_calls += 1;
             for (lane, p) in ps.into_iter().take(block.len()).enumerate() {
@@ -687,11 +647,6 @@ fn batch_plan(
 }
 
 impl PreparedBatch {
-    /// The runs of one batch, in [`PqeEngine::plan_runs`] order.
-    pub fn new(runs: Vec<PreparedQuery>) -> Self {
-        PreparedBatch { runs }
-    }
-
     /// Exact probabilities of `tids` (the scenarios this batch was
     /// planned for), fanned across `shards` workers; see
     /// [`PqeEngine::evaluate_batch_sharded`].
@@ -1392,11 +1347,7 @@ impl PqeEngine {
     /// run from its head (a plan depends on a TID only through its
     /// shape). Pure, so a batch with an unsound scenario anywhere fails
     /// before anything is fetched or compiled. One scenario is one run.
-    pub fn plan_runs(
-        &self,
-        q: impl Into<Query>,
-        tids: &[Tid],
-    ) -> Result<Vec<PlannedRun>, EngineError> {
+    fn plan_runs(&self, q: impl Into<Query>, tids: &[Tid]) -> Result<Vec<PlannedRun>, EngineError> {
         let Some(first) = tids.first() else {
             return Ok(Vec::new());
         };
@@ -1416,52 +1367,81 @@ impl PqeEngine {
         Ok(runs)
     }
 
-    /// The write path of the serve layer's locking contract
-    /// (`DESIGN.md` §10): prepares planned `run` of `tids`, serving its
-    /// artifact from the cache or compiling and caching it when cold.
+    /// The one preparer: builds planned `run`'s shared state from its
+    /// head scenario. An artifact route serves its artifact from the
+    /// cache (a hit refreshes its LRU recency), or compiles and caches
+    /// it when cold; the other routes build their state here.
     /// Hit/miss attribution is recorded at evaluation time.
-    pub fn prepare_run(&mut self, run: &PlannedRun, tids: &[Tid]) -> PreparedQuery {
-        let (cache, stats) = (&mut self.cache, &mut self.stats);
-        let Ok(prepared) = PreparedQuery::prepare(run, tids, |recipe, db| {
-            let key = recipe.cache_key(db);
-            if let Some(artifact) = cache.get(&key) {
-                return Ok::<_, Infallible>((artifact, None));
+    fn prepare_run(&mut self, run: PlannedRun, tids: &[Tid]) -> PreparedQuery {
+        let tid = &tids[run.scenarios.start];
+        let plan = run.route.plan();
+        let (backend, cache_hit, compile_time) = match run.route {
+            Route::Artifact(recipe) => {
+                let key = recipe.cache_key(tid.database());
+                match self.cache.get(&key) {
+                    Some(artifact) => (Backend::Artifact(artifact), true, Duration::ZERO),
+                    None => {
+                        let started = Instant::now();
+                        let compiled = recipe.compile(tid.database());
+                        let compile_time = started.elapsed();
+                        let (artifact, evicted) = self.cache.insert(key, compiled);
+                        self.stats.cache_evictions += evicted;
+                        (Backend::Artifact(artifact), false, compile_time)
+                    }
+                }
             }
-            let started = Instant::now();
-            let compiled = recipe.compile(db);
-            let compile_time = started.elapsed();
-            let (artifact, evicted) = cache.insert(key, compiled);
-            stats.cache_evictions += evicted;
-            Ok((artifact, Some(compile_time)))
-        });
-        prepared
+            Route::BruteForce(q) => (Backend::BruteForce(q), false, Duration::ZERO),
+            Route::Lifted(ucq) => (Backend::Lifted(ucq), false, Duration::ZERO),
+            Route::Sample {
+                query,
+                kind,
+                config,
+            } => {
+                let started = Instant::now();
+                let sampler = SamplerArtifact::build(kind, &query, tid, config);
+                (Backend::Sampler(sampler), false, started.elapsed())
+            }
+        };
+        PreparedQuery {
+            plan,
+            backend,
+            scenarios: run.scenarios,
+            cache_hit,
+            compile_time,
+        }
     }
 
-    /// The read path: prepares planned `run` of `tids` through `&self`
-    /// — artifact plans only look the cache up
-    /// ([`get`](ArtifactCache::get): no compile, and a hit refreshes
-    /// its LRU recency exactly as [`prepare_run`](Self::prepare_run)'s
-    /// does). `None` when the artifact is cold: escalate to
-    /// `prepare_run`, which re-probes, so two racing readers cost one
-    /// compile.
-    pub fn prepare_shared(&self, run: &PlannedRun, tids: &[Tid]) -> Option<PreparedQuery> {
-        PreparedQuery::prepare(run, tids, |recipe, db| {
-            let artifact = self.cache.get(&recipe.cache_key(db)).ok_or(())?;
-            Ok::<_, ()>((artifact, None))
-        })
-        .ok()
-    }
-
-    /// Plans and prepares `(q, tid)` on the write path — a batch of one:
-    /// [`plan_runs`](Self::plan_runs) + [`prepare_run`](Self::prepare_run).
+    /// Plans and prepares `(q, tid)` for evaluation — a batch of one
+    /// ([`prepare_batch`](Self::prepare_batch)).
     pub fn prepare(
         &mut self,
         q: impl Into<Query>,
         tid: &Tid,
     ) -> Result<PreparedQuery, EngineError> {
-        let tids = std::slice::from_ref(tid);
+        let mut batch = self.prepare_batch(q, std::slice::from_ref(tid))?;
+        // One scenario plans to exactly one run.
+        Ok(batch.runs.swap_remove(0))
+    }
+
+    /// Plans and prepares a batch for evaluation: every run of
+    /// consecutive same-shape scenarios is planned first, so a batch
+    /// with an unsound scenario anywhere fails with no compile, no cache
+    /// change and no counted query; then each run fetches or compiles
+    /// its shared state once, in scenario order, so the hit, miss and
+    /// eviction counters equal a sequential run's. The batch then
+    /// evaluates with no engine access at all
+    /// ([`PreparedBatch::eval_exact`], [`PreparedBatch::eval_f64`]).
+    pub fn prepare_batch(
+        &mut self,
+        q: impl Into<Query>,
+        tids: &[Tid],
+    ) -> Result<PreparedBatch, EngineError> {
         let runs = self.plan_runs(q, tids)?;
-        Ok(self.prepare_run(&runs[0], tids))
+        let runs = runs
+            .into_iter()
+            .map(|run| self.prepare_run(run, tids))
+            .collect();
+        Ok(PreparedBatch { runs })
     }
 
     /// Dry-runs the sharded batch: how many workers would run, how many
@@ -1502,14 +1482,13 @@ impl PqeEngine {
     /// one compilation per distinct shape. Three phases (sequence
     /// diagram in `DESIGN.md`):
     ///
-    /// 1. **Plan** ([`plan_runs`](Self::plan_runs)): every scenario, up
-    ///    front and pure — an unsound scenario anywhere fails here, so
-    ///    on error *nothing* has happened: no compile, no cache
-    ///    mutation, no eviction, no stats.
-    /// 2. **Prepare** ([`prepare_run`](Self::prepare_run)): each
-    ///    same-shape run fetches or compiles its shared state once, in
-    ///    scenario order, so hit/miss/eviction counters equal a
-    ///    sequential run's.
+    /// 1. **Plan** ([`prepare_batch`](Self::prepare_batch)): every
+    ///    scenario, up front and pure — an unsound scenario anywhere
+    ///    fails here, so on error *nothing* has happened: no compile,
+    ///    no cache mutation, no eviction, no stats.
+    /// 2. **Prepare** (the same call): each same-shape run fetches or
+    ///    compiles its shared state once, in scenario order, so
+    ///    hit/miss/eviction counters equal a sequential run's.
     /// 3. **Execute** ([`PreparedBatch::eval_exact`]): contiguous
     ///    scenario chunks walk on `std::thread::scope` workers (one
     ///    shard runs inline), each recording into its own
@@ -1549,12 +1528,7 @@ impl PqeEngine {
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<N>, EngineError> {
-        let runs = self.plan_runs(q, scenarios)?;
-        let batch = PreparedBatch::new(
-            runs.iter()
-                .map(|run| self.prepare_run(run, scenarios))
-                .collect(),
-        );
+        let batch = self.prepare_batch(q, scenarios)?;
         let out = batch.execute(scenarios, shards, &mut self.stats);
         self.stats.last_batch = Some(batch.batch_plan(scenarios.len(), shards));
         Ok(out)
@@ -2337,16 +2311,18 @@ mod tests {
         let q = Query::parse("R(x),S1(x,y),T(y)", &Vocabulary::h(1)).unwrap();
         let tid = k1_tid();
         let expected = engine.evaluate(&q, &tid).unwrap();
-        // prepare / prepare_shared serve the cached ground circuit.
+        // prepare / prepare_batch serve the cached ground circuit.
         let mut stats = EngineStats::default();
         let prepared = engine.prepare(&q, &tid).unwrap();
         assert_eq!(prepared.plan(), Plan::GroundCircuit);
         assert!(prepared.cache_hit());
         assert_eq!(prepared.eval_exact(&tid, 0, &mut stats), expected);
         let one = std::slice::from_ref(&tid);
-        let runs = engine.plan_runs(&q, one).unwrap();
-        let shared = engine.prepare_shared(&runs[0], one).unwrap();
-        assert_eq!(shared.eval_exact(&tid, 0, &mut stats), expected);
+        let batch = engine.prepare_batch(&q, one).unwrap();
+        assert_eq!(
+            batch.eval_exact(one, 1, &mut stats),
+            std::slice::from_ref(&expected)
+        );
         // Batches: one shard, lane-batched f64, and sharded agree.
         let tids = vec![tid.clone(), tid.clone(), tid.clone()];
         let batch = engine.evaluate_batch_sharded(&q, &tids, 1).unwrap();
@@ -2367,16 +2343,11 @@ mod tests {
         let q = Query::parse("S1(0,y),T(y)", &Vocabulary::h(1)).unwrap();
         let tid = k1_tid();
         let expected = engine.evaluate(&q, &tid).unwrap();
-        // A lifted plan needs no shared state: prepare_shared completes
-        // on a read-only probe.
+        // A lifted plan needs no shared state: preparing it builds none.
         let mut stats = EngineStats::default();
-        let one = std::slice::from_ref(&tid);
-        let runs = engine.plan_runs(&q, one).unwrap();
-        let shared = engine
-            .prepare_shared(&runs[0], one)
-            .expect("lifted plans need no shared state");
-        assert_eq!(shared.plan(), Plan::Lifted);
-        assert_eq!(shared.eval_exact(&tid, 0, &mut stats), expected);
+        let prepared = engine.prepare(&q, &tid).unwrap();
+        assert_eq!(prepared.plan(), Plan::Lifted);
+        assert_eq!(prepared.eval_exact(&tid, 0, &mut stats), expected);
         let tids = vec![tid.clone(), tid.clone()];
         let batch = engine.evaluate_batch_sharded(&q, &tids, 1).unwrap();
         assert!(batch.iter().all(|p| *p == expected));

@@ -14,18 +14,18 @@
 //! stays as the reference oracle). [`PqeEngine`] makes the choice
 //! automatic, and every entry point runs one pipeline:
 //!
-//! 1. **Plan** — [`PqeEngine::plan_runs`] resolves any [`Query`] (an
-//!    [`intext_query::HQuery`], or a parsed UCQ over a vocabulary):
+//! 1. **Plan** — [`PqeEngine::prepare_batch`] (and
+//!    [`PqeEngine::prepare`], its batch of one) resolves any [`Query`]
+//!    (an [`intext_query::HQuery`], or a parsed UCQ over a vocabulary):
 //!    H-shaped queries — including parsed queries *recognized* as
 //!    H-shaped — classify on the paper's Figure 1 region map
 //!    ([`intext_core::classify()`]) and pick the cheapest sound backend;
 //!    general queries split by the Dalvi–Suciu safety test. Each run of
 //!    consecutive same-shape scenarios is planned once, before anything
 //!    is fetched or compiled; [`PqeEngine::explain`] narrates a plan.
-//! 2. **Prepare** — each run fetches or builds its shared state once
-//!    ([`PqeEngine::prepare_run`], or the `&self` probe
-//!    [`PqeEngine::prepare_shared`], whose hits refresh LRU recency
-//!    exactly like the write path's). Every cacheable plan compiles one
+//! 2. **Prepare** — the same call then fetches or builds each run's
+//!    shared state once, in scenario order; a cache hit refreshes the
+//!    artifact's LRU recency. Every cacheable plan compiles one
 //!    artifact shape, [`Artifact`]: a `¬`-`∨`-template over leaf OBDDs
 //!    compacted to their reachable nodes (a d-D has one leaf per
 //!    fragment, a Proposition 3.7 or grounded OBDD is the one-leaf
@@ -129,8 +129,8 @@ pub mod wal;
 
 pub use cache::{Artifact, ArtifactCache, CacheKey};
 pub use engine::{
-    ConfigError, EngineConfig, EngineError, LaneScratch, LoadReport, PlannedRun, PqeEngine,
-    PreparedBatch, PreparedQuery,
+    ConfigError, EngineConfig, EngineError, LaneScratch, LoadReport, PqeEngine, PreparedBatch,
+    PreparedQuery,
 };
 pub use intext_query::Query;
 pub use plan::{BatchPlan, Explanation, Plan};

@@ -6,10 +6,10 @@
 //! pure walks over immutable `Arc`-shared artifacts. This crate turns
 //! that split into a server:
 //!
-//! * [`SharedEngine`] — the engine behind one `RwLock`, with a
-//!   read-locked probe / write-locked compile discipline
-//!   (double-checked, so N racing cold probes cost one compile) and
-//!   every evaluation outside any lock.
+//! * [`SharedEngine`] — the engine behind one `RwLock`: preparation
+//!   (plan, cache probe, compile when cold) is one write-locked step,
+//!   so N racing requests for one cold key cost one compile, and every
+//!   evaluation runs outside any lock.
 //! * [`AdmissionQueue`] — a bounded queue in front of the worker pool.
 //!   Overload is a *typed* signal ([`ServeError::QueueFull`],
 //!   [`ServeError::DeadlineExceeded`], [`ServeError::BudgetExceeded`]),

@@ -1,19 +1,18 @@
 //! The sharded read-write layer around one [`PqeEngine`].
 //!
-//! The locking contract (`DESIGN.md` §10): the hot path — planning a
-//! query's runs ([`PqeEngine::plan_runs`]) and probing the artifact
-//! cache — takes the **read** lock ([`PqeEngine::prepare_shared`],
-//! which compiles nothing and refreshes a hit's LRU recency through an
-//! atomic, exactly as a sequential engine's lookup would), and the
-//! returned [`PreparedQuery`] / [`PreparedBatch`] is evaluated entirely
-//! **outside** any lock, as a pure walk over `Arc`-shared state. Only
-//! cold keys (first compile of a shape), live-tuple updates, and
-//! snapshot loads take the write lock. The cold path is
-//! **double-checked**: a reader that missed hands its planned run to
-//! [`PqeEngine::prepare_run`] under the write lock, which re-probes, so
-//! N racing readers cost one compile and N−1 hits — exactly the
-//! counters a sequential engine running the same requests reports,
-//! which is what lets the differential harness assert stats equality.
+//! The locking contract (`DESIGN.md` §10): preparing a request — plan
+//! its runs, probe the artifact cache, compile a cold artifact — is one
+//! exclusive step under the **write** lock ([`PqeEngine::prepare`],
+//! [`PqeEngine::prepare_batch`]), and the returned [`PreparedQuery`] /
+//! [`PreparedBatch`] is evaluated entirely **outside** any lock, as a
+//! pure walk over `Arc`-shared state. Because preparation is exclusive,
+//! N racing requests for one cold key cost one compile and N − 1 hits,
+//! and every hit refreshes LRU recency as a sequential engine's would:
+//! exactly the counters a sequential engine running the same requests
+//! reports, which is what lets the differential harness assert stats
+//! equality. Live-tuple updates and snapshot loads take the write lock
+//! too; snapshots, delta exports and the read-only escape hatch take
+//! the read lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -48,44 +47,22 @@ impl SharedEngine {
         }
     }
 
-    /// Prepares `(q, tid)` for lock-free evaluation: read-locked plan +
-    /// probe first, write-locked compile only when the key is cold
-    /// (double-checked, so concurrent cold probes compile once).
-    /// Accepts any [`Query`] — an H-query, or a parsed UCQ routed to
-    /// the lifted or grounded-circuit backend.
+    /// Write-locked [`PqeEngine::prepare`]: plans `(q, tid)`, probes the
+    /// cache and compiles when cold, for lock-free evaluation. Accepts
+    /// any [`Query`] — an H-query, or a parsed UCQ routed to the lifted
+    /// or grounded-circuit backend.
     pub fn prepare(&self, q: &Query, tid: &Tid) -> Result<PreparedQuery, EngineError> {
-        let mut runs = self.prepare_runs(q, std::slice::from_ref(tid))?;
-        // One scenario plans to exactly one run.
-        Ok(runs.swap_remove(0))
+        self.write().prepare(q, tid)
     }
 
-    /// Prepares a batch for lock-free execution: every run is planned
-    /// first, so an unsound scenario fails before anything is fetched or
-    /// compiled; then each run is prepared as [`prepare`](Self::prepare)
-    /// prepares one query.
+    /// Write-locked [`PqeEngine::prepare_batch`], held once across all
+    /// of the batch's runs.
     pub(crate) fn prepare_batch(
         &self,
         q: &Query,
         tids: &[Tid],
     ) -> Result<PreparedBatch, EngineError> {
-        self.prepare_runs(q, tids).map(PreparedBatch::new)
-    }
-
-    /// Plans every run under the read lock, then prepares each in order:
-    /// a read-locked probe, escalating to the write lock (with the read
-    /// path's plan) only for a cold run.
-    fn prepare_runs(&self, q: &Query, tids: &[Tid]) -> Result<Vec<PreparedQuery>, EngineError> {
-        let engine = self.read();
-        let runs = engine.plan_runs(q, tids)?;
-        let mut reader = Some(engine);
-        let prepare = |run| {
-            let engine = reader.get_or_insert_with(|| self.read());
-            engine.prepare_shared(run, tids).unwrap_or_else(|| {
-                reader = None; // release the read lock before writing
-                self.write().prepare_run(run, tids)
-            })
-        };
-        Ok(runs.iter().map(prepare).collect())
+        self.write().prepare_batch(q, tids)
     }
 
     /// Write-locked [`PqeEngine::insert_tuple`]: readers drain first,
@@ -249,7 +226,7 @@ mod tests {
             }
         });
         assert_eq!(stats.queries, 4);
-        // Double-checked locking: exactly one compile no matter the race.
+        // Exclusive preparation: exactly one compile no matter the race.
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 3);
         assert_eq!(shared.cache_len(), 1);
