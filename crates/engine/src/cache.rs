@@ -252,9 +252,9 @@ impl ArtifactCache {
             last_used: self.clock,
         };
         if let Some(old) = self.entries.insert(key, slot) {
-            // Same key compiled twice (only possible after an eviction
-            // raced a re-insert through the caller); replace, don't leak
-            // the old size.
+            // The key was already resident (a snapshot or an import
+            // re-admitting it, or a patch onto a cached shape); replace,
+            // don't leak the old size.
             self.total_gates -= old.artifact.size();
         }
         self.total_gates += gates;
