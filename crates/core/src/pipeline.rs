@@ -20,7 +20,7 @@ use std::fmt;
 use intext_boolfn::BoolFn;
 use intext_circuits::{Circuit, EvalScratch, GateId};
 use intext_lineage::{compile_degenerate_obdd, DegenerateLineage, LineageError};
-use intext_numeric::ProbNum;
+use intext_numeric::{BigRational, BlockWalk, ProbNum, ResidueCrt, Residues};
 use intext_tid::{Database, Tid, TupleId};
 
 use crate::template::{Fold, Fragmentation, Template};
@@ -177,6 +177,30 @@ impl CompiledLineage {
         )
     }
 
+    /// The exact probability under the TID's tuple probabilities, equal
+    /// to [`probability::<BigRational>`](Self::probability) but computed
+    /// in residue arithmetic (`intext_numeric`'s [`ResidueCrt`]):
+    ///
+    /// 1. `D = ∏ den(p_v)` over [`support_vars`](Self::support_vars),
+    ///    and enough word-size primes dividing no `den(p_v)` that their
+    ///    product exceeds `D`;
+    /// 2. one [`walk`](Self::walk) per block of those primes, over
+    ///    [`Residues`] prepared once per block;
+    /// 3. the residues times `D`, combined by CRT into `N = P · D`;
+    /// 4. `N / D`, reduced once.
+    ///
+    /// When `D` outgrows the prime table this is the `BigRational` walk.
+    pub fn exact_probability(&self, tid: &Tid) -> BigRational {
+        let probs: Vec<&BigRational> = self.support.iter().map(|&v| tid.prob(TupleId(v))).collect();
+        match ResidueCrt::new(probs.iter().map(|p| p.denom())) {
+            Some(crt) => crt.solve(&mut ResidueWalk {
+                artifact: self,
+                probs: &probs,
+            }),
+            None => self.probability(tid),
+        }
+    }
+
     /// Evaluates the lineage on a concrete world (tuple-presence mask).
     pub fn eval_world(&self, world: u64) -> bool {
         self.template.fold(&mut |step| match step {
@@ -237,6 +261,24 @@ impl CompiledLineage {
             .map(|leaf| leaf.patched(old_db, new_db))
             .collect::<Option<Vec<_>>>()?;
         Some(CompiledLineage::new(self.template.clone(), leaves))
+    }
+}
+
+/// [`CompiledLineage::walk`] on one residue block: `probs[i]` is the
+/// probability of support variable `i`.
+struct ResidueWalk<'a> {
+    artifact: &'a CompiledLineage,
+    probs: &'a [&'a BigRational],
+}
+
+impl BlockWalk for ResidueWalk<'_> {
+    fn walk<const B: usize>(&mut self) -> Residues<B> {
+        let residues = Residues::<B>::from_rationals(self.probs);
+        let support = &self.artifact.support;
+        self.artifact.walk(
+            |v| residues[support.binary_search(&v).expect("walks read the support")],
+            &mut EvalScratch::new(),
+        )
     }
 }
 
@@ -301,6 +343,31 @@ mod tests {
         let brute = pqe_brute_force(&q, &tid).unwrap();
         assert_eq!(intensional, extensional, "intensional vs extensional");
         assert_eq!(intensional, brute, "intensional vs brute force");
+    }
+
+    #[test]
+    fn residue_walk_equals_the_rational_walk() {
+        // Denominators from 2 to 97 and domains 1–3 of φ9: one block,
+        // then several, always the exact value.
+        for (domain, den) in [(1, 2), (2, 7), (3, 10), (3, 97)] {
+            let mut rng = StdRng::seed_from_u64(u64::from(domain) * den);
+            let db = random_database(
+                &DbGenConfig {
+                    k: 3,
+                    domain_size: domain,
+                    density: 0.8,
+                    prob_denominator: den,
+                },
+                &mut rng,
+            );
+            let tid = random_tid(db, den, &mut rng);
+            let compiled = compile_dd(&phi9(), tid.database()).unwrap();
+            assert_eq!(
+                compiled.exact_probability(&tid),
+                compiled.probability::<BigRational>(&tid),
+                "domain {domain}, denominators up to {den}"
+            );
+        }
     }
 
     #[test]

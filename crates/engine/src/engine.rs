@@ -407,6 +407,8 @@ trait Answer: ProbNum + Send {
     /// A floating-point value embedded exactly: a sampler's estimate, or
     /// one lane of a kernel pass (an f64 is a dyadic rational).
     fn embed(value: f64) -> Self;
+    /// An artifact's probability on `tid`.
+    fn artifact(artifact: &Artifact, tid: &Tid) -> Self;
 }
 
 impl Answer for BigRational {
@@ -414,12 +416,19 @@ impl Answer for BigRational {
     fn embed(value: f64) -> Self {
         BigRational::from_f64(value).expect("estimates are finite by construction")
     }
+    /// The residue walk: one modular pass per prime block, one CRT.
+    fn artifact(artifact: &Artifact, tid: &Tid) -> Self {
+        artifact.exact_probability(tid)
+    }
 }
 
 impl Answer for f64 {
     const LANES: bool = true;
     fn embed(value: f64) -> Self {
         value
+    }
+    fn artifact(artifact: &Artifact, tid: &Tid) -> Self {
+        artifact.probability(tid)
     }
 }
 
@@ -540,7 +549,7 @@ impl PreparedQuery {
     ) -> (N, Option<Estimate>) {
         let started = Instant::now();
         let (p, sampled): (N, Option<SampleRun>) = match &self.backend {
-            Backend::Artifact(artifact) => (artifact.probability(tid), None),
+            Backend::Artifact(artifact) => (N::artifact(artifact, tid), None),
             Backend::BruteForce(q) => (
                 pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples"),
                 None,

@@ -214,6 +214,35 @@ impl BigUint {
         (BigUint::from_limbs(out), rem as u32)
     }
 
+    /// `self mod m`: the residue the exact-walk reconstruction reads off
+    /// denominators, numerators and partial CRT values.
+    ///
+    /// # Panics
+    /// Panics if `m == 0`.
+    pub fn rem_u64(&self, m: u64) -> u64 {
+        assert!(m != 0, "division by zero");
+        let m = u128::from(m);
+        self.limbs.iter().rev().fold(0u64, |rem, &w| {
+            (((u128::from(rem) << 32) | u128::from(w)) % m) as u64
+        })
+    }
+
+    /// `self · m + a` in one pass over the limbs.
+    pub fn mul_add_u64(&self, m: u64, a: u64) -> BigUint {
+        let mut out = Vec::with_capacity(self.limbs.len() + 3);
+        let mut carry = u128::from(a);
+        for &w in &self.limbs {
+            let cur = u128::from(w) * u128::from(m) + carry;
+            out.push(cur as u32);
+            carry = cur >> 32;
+        }
+        while carry != 0 {
+            out.push(carry as u32);
+            carry >>= 32;
+        }
+        BigUint::from_limbs(out)
+    }
+
     /// Long division: returns `(quotient, remainder)`.
     ///
     /// Bitwise shift-subtract long division: `O(bits(self) * limbs)`.
@@ -516,6 +545,24 @@ mod tests {
         let (q, r) = big(1000).div_rem_u32(7);
         assert_eq!(q.to_u64(), Some(142));
         assert_eq!(r, 6);
+    }
+
+    #[test]
+    fn rem_and_mul_add_by_u64_match_u128() {
+        let v: BigUint = "123456789012345678901234567890".parse().unwrap();
+        let wide = 123_456_789_012_345_678_901_234_567_890u128;
+        for m in [1u64, 7, u64::from(u32::MAX), (1 << 62) - 57, u64::MAX] {
+            assert_eq!(u128::from(v.rem_u64(m)), wide % u128::from(m), "mod {m}");
+        }
+        assert_eq!(BigUint::zero().rem_u64(5), 0);
+        let x = big(u64::MAX);
+        assert_eq!(
+            x.mul_add_u64(u64::MAX, u64::MAX).to_string(),
+            (u128::from(u64::MAX) * u128::from(u64::MAX) + u128::from(u64::MAX)).to_string()
+        );
+        assert_eq!(BigUint::zero().mul_add_u64(9, 4).to_u64(), Some(4));
+        assert!(x.mul_add_u64(0, 0).is_zero());
+        assert_eq!(v.mul_add_u64(1, 0), v);
     }
 
     #[test]

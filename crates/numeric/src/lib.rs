@@ -27,11 +27,13 @@ mod bigint;
 mod biguint;
 mod prob_num;
 mod rational;
+mod residue;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
 pub use prob_num::ProbNum;
 pub use rational::BigRational;
+pub use residue::{BlockWalk, ResidueCrt, Residues, RESIDUE_BLOCKS, RESIDUE_LANES};
 
 /// Computes the exact binomial coefficient `C(n, k)`.
 ///

@@ -142,10 +142,9 @@ impl BigRational {
         &BigRational::one() - self
     }
 
-    /// Lossy conversion to `f64`.
+    /// The nearest `f64` (ties to even, subnormals included; a value
+    /// beyond `f64::MAX` is infinite).
     pub fn to_f64(&self) -> f64 {
-        // Align magnitudes so that the division happens between values of
-        // comparable size (both operands could individually overflow f64).
         let nbits = self.num.magnitude().bits() as i64;
         let dbits = self.den.bits() as i64;
         if self.is_zero() {
@@ -153,10 +152,8 @@ impl BigRational {
         }
         // Fast path for the overwhelmingly common case (tuple
         // probabilities are small fractions): both magnitudes are exactly
-        // representable, so one IEEE division is correctly rounded — and
-        // bit-identical to the slow path below, whose single rounding
-        // also happens in the division (the power-of-two rescale is
-        // exact). Crucially this path performs no heap allocation, which
+        // representable, so one IEEE division is correctly rounded.
+        // Crucially this path performs no heap allocation, which
         // is what keeps `Tid::prob_f64` off the profile of the
         // lane-batched evaluation kernel's matrix fills (E21).
         if nbits <= 53 && dbits <= 53 {
@@ -165,32 +162,7 @@ impl BigRational {
             let v = n / d;
             return if self.num.is_negative() { -v } else { v };
         }
-        let shift = nbits - dbits;
-        // Scale denominator by 2^shift so num/den' is in [1/2, 2).
-        let (n, d) = if shift >= 0 {
-            (
-                self.num.magnitude().clone(),
-                self.den.shl_bits(shift as u64),
-            )
-        } else {
-            (
-                self.num.magnitude().shl_bits((-shift) as u64),
-                self.den.clone(),
-            )
-        };
-        // The aligned operands share a bit length; past 1024 bits each
-        // would individually overflow `f64` (inf/inf = NaN), so drop the
-        // same number of low-order bits from both. The truncation
-        // perturbs the quotient by a relative ~2^-1000 — far below f64
-        // resolution — and operands at or below 1024 bits are untouched.
-        let width = n.bits().max(d.bits());
-        let (n, d) = if width > 1024 {
-            (n.shr_bits(width - 1024), d.shr_bits(width - 1024))
-        } else {
-            (n, d)
-        };
-        let ratio = n.to_f64() / d.to_f64();
-        let v = mul_pow2(ratio, shift);
+        let v = f64::from_bits(round_quotient(self.num.magnitude(), &self.den));
         if self.num.is_negative() {
             -v
         } else {
@@ -211,23 +183,44 @@ impl BigRational {
     }
 }
 
-/// `x · 2^e` (ldexp): steps the exponent in representable chunks so the
-/// scaling never routes through an overflowed (or fully underflowed)
-/// intermediate — `2f64.powi(-1024)` alone would already be `0`. Every
-/// step multiplies by an exact power of two, so no rounding happens
-/// until the result itself leaves the normal range.
-fn mul_pow2(x: f64, e: i64) -> f64 {
-    let mut x = x;
-    let mut e = e;
-    while e > 1023 {
-        x *= 2f64.powi(1023);
-        e -= 1023;
+/// The bits of the `f64` nearest to `n / d` (`n, d > 0`), rounded once.
+///
+/// One integer division yields a quotient `q` of 55 or 56 bits and a
+/// remainder whose only use is a sticky bit. The bits of `q` below the
+/// result's unit in the last place — 2 or 3 for a normal result, more
+/// for a subnormal one, whose unit is `2⁻¹⁰⁷⁴` — are rounded half to
+/// even, with the sticky bit breaking ties. The rounded mantissa and
+/// the exponent then assemble into the result's bits exactly; a
+/// carry out of the mantissa steps the exponent, and an exponent past
+/// the largest finite one gives infinity.
+fn round_quotient(n: &BigUint, d: &BigUint) -> u64 {
+    const INFINITY: u64 = 0x7ff0_0000_0000_0000;
+    // q = ⌊n · 2^s / d⌋ lies in [2⁵⁴, 2⁵⁶).
+    let s = d.bits() as i64 - n.bits() as i64 + 55;
+    let (q, r) = if s >= 0 {
+        n.shl_bits(s as u64).div_rem(d)
+    } else {
+        n.div_rem(&d.shl_bits((-s) as u64))
+    };
+    let q = q.to_u64().expect("the quotient has at most 56 bits");
+    // n / d = (q + sticky) · 2^-s; its leading bit is 2^top.
+    let top = i64::from(q.ilog2()) - s;
+    let ulp = (top - 52).max(-1074);
+    let drop = ulp + s;
+    if drop >= 64 {
+        // Below half the smallest subnormal.
+        return 0;
     }
-    while e < -1022 {
-        x *= 2f64.powi(-1022);
-        e += 1022;
+    let (kept, rest, half) = (q >> drop, q & ((1 << drop) - 1), 1u64 << (drop - 1));
+    let up = rest > half || (rest == half && (!r.is_zero() || kept & 1 == 1));
+    // value = (kept + up) · 2^ulp, and kept + up ≤ 2⁵³: a subnormal
+    // has exponent field 0 and no hidden bit, a normal one exponent
+    // field ulp + 1075 over a hidden 2⁵².
+    let field = ulp + 1074;
+    if field >= 2046 {
+        return INFINITY;
     }
-    x * 2f64.powi(e as i32)
+    ((field as u64) << 52) + kept + u64::from(up)
 }
 
 impl Default for BigRational {
@@ -411,6 +404,38 @@ mod tests {
         assert!((r(1, 3).to_f64() - 1.0 / 3.0).abs() < 1e-15);
         assert!((r(-7, 16).to_f64() + 0.4375).abs() < 1e-15);
         assert_eq!(BigRational::zero().to_f64(), 0.0);
+    }
+
+    #[test]
+    fn to_f64_rounds_wide_parts_once() {
+        // Rounding each part to 64 bits, then to 53, then the quotient
+        // gave ...b9 here; the nearest double is ...ba.
+        let q = BigRational::new(
+            BigInt::from("1115245025920320069776094962".parse::<BigUint>().unwrap()),
+            "96496770834113869350581732650365293365".parse().unwrap(),
+        );
+        assert_eq!(q.to_f64().to_bits(), 0x3da9_6a32_c9ed_71ba);
+        assert_eq!((-&q).to_f64().to_bits(), 0xbda9_6a32_c9ed_71ba);
+        // Subnormal results round once, at their own precision: 3/2 of
+        // the smallest subnormal is a tie that goes to the even 2.
+        let tiny = BigUint::one().shl_bits(1075);
+        let q = BigRational::new(BigInt::from(3i64), tiny.clone());
+        assert_eq!(q.to_f64().to_bits(), 2);
+        // Half of the smallest subnormal ties to 0; a hair above it
+        // rounds up.
+        let half = BigRational::new(BigInt::one(), tiny.clone());
+        assert_eq!(half.to_f64().to_bits(), 0);
+        let above = BigRational::new(
+            BigInt::from(BigUint::one().shl_bits(64).mul_add_u64(1, 1)),
+            tiny.shl_bits(64),
+        );
+        assert_eq!(above.to_f64().to_bits(), 1);
+        // Past the largest double.
+        let huge = BigRational::new(
+            BigInt::from(BigUint::one().shl_bits(1030)),
+            BigUint::from(3u64),
+        );
+        assert_eq!(huge.to_f64(), f64::INFINITY);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and the integer types as ℤ — cross-checked against native 128-bit
 //! arithmetic on values inside its range.
 
-use intext_numeric::{binomial, BigInt, BigRational, BigUint};
+use intext_numeric::{binomial, BigInt, BigRational, BigUint, Sign};
 use proptest::prelude::*;
 
 fn rat(n: i64, d: u64) -> BigRational {
@@ -95,5 +95,74 @@ proptest! {
             acc = &acc + &binomial(n, k);
         }
         prop_assert_eq!(acc.to_u64(), Some(1u64 << n));
+    }
+}
+
+/// A `limbs`-limb integer with a nonzero top limb, drawn from `seed`
+/// by SplitMix64.
+fn wide(seed: &mut u64, limbs: usize) -> BigUint {
+    let mut next = || {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as u32
+    };
+    let mut v: Vec<u32> = (0..limbs).map(|_| next()).collect();
+    v[limbs - 1] |= 1 << (next() % 32);
+    BigUint::from_limbs(v)
+}
+
+/// `|a − b|`.
+fn distance(a: &BigRational, b: &BigRational) -> BigRational {
+    let d = a - b;
+    if d.numer().is_negative() {
+        -&d
+    } else {
+        d
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+    /// `to_f64` is the nearest double: no neighbour of its result is
+    /// closer to the exact value, and a tie lands on an even mantissa.
+    /// Parts of one to six limbs (at least one wider than 53 bits), both
+    /// signs, values above one, and tiny values down into the subnormal
+    /// range; every comparison is exact, through `from_f64`.
+    #[test]
+    fn to_f64_is_correctly_rounded(
+        seed in any::<u64>(),
+        (num_limbs, den_limbs) in (1usize..=6, 2usize..=6),
+        negative in any::<bool>(),
+        shape in 0u32..3,
+    ) {
+        let mut seed = seed;
+        let (mut num, mut den) = (wide(&mut seed, num_limbs), wide(&mut seed, den_limbs));
+        match shape {
+            // Greater than one.
+            1 if num < den => std::mem::swap(&mut num, &mut den),
+            // Tiny: 2^-1000 to 2^-1130 times a ratio of wide parts,
+            // through the subnormal range and below it.
+            2 => den = den.shl_bits(1000 + u64::from(seed as u32 % 131)),
+            _ => {}
+        }
+        let sign = if negative { Sign::Negative } else { Sign::Positive };
+        let q = BigRational::new(BigInt::from_sign_mag(sign, num), den);
+        let x = q.to_f64();
+        prop_assert!(x.is_finite());
+        let magnitude = distance(&q, &BigRational::zero());
+        let bits = x.abs().to_bits();
+        let err = distance(&magnitude, &BigRational::from_f64(x.abs()).unwrap());
+        for neighbour in [bits.saturating_sub(1), bits + 1] {
+            let other = BigRational::from_f64(f64::from_bits(neighbour)).unwrap();
+            let other_err = distance(&magnitude, &other);
+            prop_assert!(err <= other_err, "{q}: {bits:#x} is farther than {neighbour:#x}");
+            if err == other_err {
+                prop_assert_eq!(bits & 1, 0, "{}: a tie must round to even", q);
+            }
+        }
+        prop_assert_eq!(x.is_sign_negative(), negative);
     }
 }

@@ -14,6 +14,13 @@
 # more than its BENCHMARK.json bound, or when the share of failed ops
 # rose. It runs no benchmark.
 #
+# A ledger whose change claims a gain carries
+# `"claim": {"workload": "<workload>", "metric": "<end-to-end metric>"}`.
+# The script then also prints that metric's change/parent median ratio
+# and exits non-zero unless the change median beats the parent median
+# in the metric's BENCHMARK.json `better` direction. A ledger without
+# the field claims nothing and checks as above.
+#
 # Usage: bash scripts/bench-compare.sh BENCH_16.json   (CI runs it on
 #        the committed ledger)
 set -euo pipefail
@@ -52,6 +59,20 @@ for workload, sides in ledger["workloads"].items():
     print(f"  failed-op share: parent {share['parent']:.6f}, change {share['change']:.6f}")
     if share["change"] > share["parent"]:
         failures.append(f"{workload} failed-op share rose")
+
+claim = ledger.get("claim")
+if claim:
+    workload, name = claim["workload"], claim["metric"]
+    better = next(m["better"] for m in metrics if m["name"] == name)
+    sides = ledger["workloads"][workload]
+    p = sides["parent"]["metrics"][name]["median"]
+    c = sides["change"]["metrics"][name]["median"]
+    ratio = c / p if p else float("inf") if c else 1.0
+    beats = c < p if better == "lower" else c > p
+    print(f"claim: {workload} {name} parent {p:.4f} change {c:.4f} ratio {ratio:6.3f} "
+          f"({better} is better)  {'ok' if beats else 'NOT SHOWN'}")
+    if not beats:
+        failures.append(f"claimed gain {workload} {name} not shown: ratio {ratio:.3f}")
 
 for f in failures:
     print(f"bench-compare: {f}", file=sys.stderr)
