@@ -347,8 +347,9 @@ mod tests {
 
     #[test]
     fn residue_walk_equals_the_rational_walk() {
-        // Denominators from 2 to 97 and domains 1–3 of φ9: one block,
-        // then several, always the exact value.
+        // Denominators up to 97 on φ9 at domains 1–3: one to four
+        // primes in one block. tests/engine_exact.rs covers several
+        // blocks, a skipped prime and the fallback.
         for (domain, den) in [(1, 2), (2, 7), (3, 10), (3, 97)] {
             let mut rng = StdRng::seed_from_u64(u64::from(domain) * den);
             let db = random_database(

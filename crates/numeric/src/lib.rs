@@ -11,9 +11,14 @@
 //! * [`BigInt`] — signed wrapper,
 //! * [`BigRational`] — always-reduced fractions, the probability type,
 //! * [`ProbNum`] — the number trait every probability pass is written
-//!   against once, implemented for `BigRational` (exact answers), `f64`
-//!   (served answers) and `[f64; N]` (the lane kernel's scenario
-//!   blocks),
+//!   against once, implemented for `BigRational` (the exact oracles),
+//!   [`Residues`] (exact answers, one block of word-size primes per
+//!   pass), `f64` (served answers) and `[f64; N]` (the lane kernel's
+//!   scenario blocks),
+//! * [`ResidueCrt`] — rebuilds an exact probability from one modular
+//!   pass per prime block: `D = ∏` denominators, the residues of
+//!   `N = P · D` combined by CRT, `N / D` reduced once; a `D` wider than
+//!   the prime table has no plan and its pass runs in `BigRational`,
 //! * [`binomial`] — exact binomial coefficients (used to check the paper's
 //!   footnote 6: the number of Boolean functions with zero Euler
 //!   characteristic is `sum_j C(2^k, j)^2 = C(2^(k+1), 2^k)`).

@@ -6,8 +6,9 @@
 //! workspace — circuit, OBDD and artifact walks, lifted inference,
 //! brute force, grounded weighted model counting — is therefore written
 //! once, generic over [`ProbNum`], and instantiated for exact answers
-//! ([`BigRational`]), served answers (`f64`) and the lane kernel's
-//! blocks of scenarios (`[f64; N]`).
+//! ([`BigRational`], and [`Residues`](crate::Residues) blocks rebuilt by
+//! [`ResidueCrt`](crate::ResidueCrt)), served answers (`f64`) and the
+//! lane kernel's blocks of scenarios (`[f64; N]`).
 
 use crate::BigRational;
 
@@ -26,8 +27,9 @@ pub trait ProbNum: Clone {
     /// `1`.
     fn one() -> Self;
     /// An exact probability in this type: the value itself for
-    /// [`BigRational`], its nearest `f64` ([`BigRational::to_f64`]) for
-    /// floats, and that `f64` in every lane for lane blocks.
+    /// [`BigRational`], `a · b⁻¹` modulo each prime for residue blocks,
+    /// its nearest `f64` ([`BigRational::to_f64`]) for floats, and that
+    /// `f64` in every lane for lane blocks.
     fn from_rational(p: &BigRational) -> Self;
     /// `self + rhs`.
     fn add(&self, rhs: &Self) -> Self;
@@ -42,7 +44,8 @@ pub trait ProbNum: Clone {
     /// normalizes its result, so skipping a known-zero term saves real
     /// work. Floating types answer `false`, so their passes never
     /// branch on a value; their zero terms add `+0.0`, which leaves the
-    /// non-negative sums a probability pass forms unchanged.
+    /// non-negative sums a probability pass forms unchanged. Residue
+    /// blocks answer `false` too: a residue of 0 is not a zero value.
     fn is_skippable_zero(&self) -> bool;
 }
 
