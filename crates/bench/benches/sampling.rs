@@ -8,9 +8,9 @@
 //! needs to honor a given additive-error target, which by the Hoeffding
 //! bound scales as `1/ε²`. Both samplers are measured at domain 16 on
 //! the same complete-database shape E17/E21 use: Karp–Luby over the
-//! grounded DNF for a monotone hard `φ`, and naive world sampling
-//! through the lane kernel for a non-monotone hard `φ` (which has no
-//! DNF).
+//! grounded DNF for a monotone hard `φ`, and naive world sampling, each
+//! world scored on its witness pairs, for a non-monotone hard `φ`
+//! (which has no DNF).
 //!
 //! The two samplers get different ε sweeps on purpose. Karp–Luby's
 //! Hoeffding sample count carries the clause-mass factor `M²` (the
@@ -60,7 +60,7 @@ fn bench_sampling(c: &mut Criterion) {
             HQuery::new(BoolFn::from_fn(3, |v| v != 0)),
             [0.8, 0.6, 0.4],
         ),
-        // Non-monotone hard ⟹ naive world sampling via the lane kernel.
+        // Non-monotone hard ⟹ naive world sampling.
         (
             SamplerKind::NaiveWorlds,
             "naive-worlds",
@@ -110,11 +110,9 @@ fn bench_sampling(c: &mut Criterion) {
         }
 
         eprintln!(
-            "  sampling/{name}: {} samples/call at ε={tput_eps}, {} ns sampler \
-             time, {} lane-kernel calls",
+            "  sampling/{name}: {} samples/call at ε={tput_eps}, {} ns sampler time",
             probe.stats().samples_drawn,
             probe.stats().sample_nanos,
-            probe.stats().lane_kernel_calls,
         );
     }
     g.finish();

@@ -292,7 +292,7 @@ impl fmt::Display for CircuitStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{ProbMatrix, LANES};
+    use crate::eval::LANES;
 
     /// (x0 ∧ x1) ∨ ¬x2, rooted at the Or.
     fn sample() -> (Circuit, GateId) {
@@ -405,13 +405,12 @@ mod tests {
         let a = c.and(vec![n0, x1]);
         let root = c.or(vec![x0, a]);
 
-        let mut probs = ProbMatrix::new();
-        probs.reset(2);
+        let mut probs = [[0.0; LANES]; 2];
         let mut scenario = |lane: usize| {
             let p0 = 0.05 + 0.11 * lane as f64;
             let p1 = 1.0 / (lane as f64 + 3.0);
-            probs.set(0, lane, p0);
-            probs.set(1, lane, p1);
+            probs[0][lane] = p0;
+            probs[1][lane] = p1;
             (p0, p1)
         };
         let expected: Vec<f64> = (0..LANES)
@@ -425,12 +424,12 @@ mod tests {
             })
             .collect();
         let mut scratch = EvalScratch::new();
-        let got = c.probability(root, |v| *probs.block(v), &mut scratch);
+        let got = c.probability(root, |v| probs[v as usize], &mut scratch);
         for lane in 0..LANES {
             assert_eq!(got[lane].to_bits(), expected[lane].to_bits(), "lane {lane}");
         }
         // Scratch reuse across calls changes nothing.
-        let again = c.probability(root, |v| *probs.block(v), &mut scratch);
+        let again = c.probability(root, |v| probs[v as usize], &mut scratch);
         assert_eq!(again, got);
     }
 
@@ -439,14 +438,14 @@ mod tests {
         let mut c = Circuit::new();
         let t = c.and(vec![]); // empty ∧ = ⊤
         let f = c.or(vec![]); // empty ∨ = ⊥
-        let probs = ProbMatrix::new();
+        let probs: Vec<[f64; LANES]> = Vec::new();
         let mut scratch = EvalScratch::new();
         assert_eq!(
-            c.probability(t, |v| *probs.block(v), &mut scratch),
+            c.probability(t, |v| probs[v as usize], &mut scratch),
             [1.0; LANES]
         );
         assert_eq!(
-            c.probability(f, |v| *probs.block(v), &mut scratch),
+            c.probability(f, |v| probs[v as usize], &mut scratch),
             [0.0; LANES]
         );
     }

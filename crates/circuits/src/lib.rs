@@ -39,5 +39,5 @@ mod obdd;
 pub mod verify;
 
 pub use circuit::{Circuit, CircuitStats, Gate, GateId};
-pub use eval::{EvalScratch, ProbMatrix, LANES};
+pub use eval::{EvalScratch, LANES};
 pub use obdd::{NodeRef, ObddError, ObddManager};

@@ -765,7 +765,7 @@ impl ObddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{ProbMatrix, LANES};
+    use crate::eval::LANES;
     use intext_numeric::BigRational;
 
     /// One probability pass from `r` with every variable of the order
@@ -1041,17 +1041,13 @@ mod tests {
         let t = m.and(x0, x1);
         let f = m.xor(t, x2);
 
-        let mut probs = ProbMatrix::new();
-        probs.reset(3);
         let lane_prob = |lane: usize, v: u32| 0.03 + 0.07 * lane as f64 + 0.21 * f64::from(v);
-        for lane in 0..LANES {
-            for v in 0..3u32 {
-                probs.set(v, lane, lane_prob(lane, v));
-            }
-        }
+        let probs: Vec<[f64; LANES]> = (0..3u32)
+            .map(|v| std::array::from_fn(|lane| lane_prob(lane, v)))
+            .collect();
         let mut scratch = EvalScratch::new();
         let vars = || m.order().iter().copied();
-        let got = m.probability(f, scratch.prepare(vars(), |v| *probs.block(v)));
+        let got = m.probability(f, scratch.prepare(vars(), |v| probs[v as usize]));
         for (lane, &p) in got.iter().enumerate() {
             let scalar = walk(&m, f, |v| lane_prob(lane, v));
             assert_eq!(p.to_bits(), scalar.to_bits(), "lane {lane}");
@@ -1061,7 +1057,7 @@ mod tests {
         assert_eq!(m.probability(NodeRef::FALSE, &mut scratch), [0.0; LANES]);
         // And the reachability marks were unwound: a second walk through
         // the same scratch gives the same bits.
-        let again = m.probability(f, scratch.prepare(vars(), |v| *probs.block(v)));
+        let again = m.probability(f, scratch.prepare(vars(), |v| probs[v as usize]));
         assert_eq!(again, got);
     }
 
@@ -1084,14 +1080,13 @@ mod tests {
         assert_eq!(walk(&m, node, |_| 1.0), 1.0);
         assert!(walk(&m, node, |_| BigRational::one()).is_one());
 
-        let mut probs = ProbMatrix::new();
-        probs.reset(DEPTH as usize);
-        for v in 0..DEPTH {
-            probs.set(v, 0, 1.0);
-            probs.set(v, 1, 0.0);
+        let mut probs = vec![[0.0; LANES]; DEPTH as usize];
+        for block in &mut probs {
+            block[0] = 1.0;
+            block[1] = 0.0;
         }
         let mut scratch = EvalScratch::new();
-        scratch.prepare(0..DEPTH, |v| *probs.block(v));
+        scratch.prepare(0..DEPTH, |v| probs[v as usize]);
         let lanes = m.probability(node, &mut scratch);
         assert_eq!(lanes[0], 1.0, "∏ 1.0 over the whole chain");
         assert_eq!(lanes[1], 0.0, "x0 already absent");

@@ -1,7 +1,7 @@
 //! The zero-allocation claim of the lane-batched kernel, asserted for
 //! real: a counting global allocator measures that steady-state
 //! lane passes (`probability` on `[f64; LANES]` blocks) — circuit and
-//! OBDD alike, including the `ProbMatrix` refills and the OBDD pass's
+//! OBDD alike, including the probability-block refills and the OBDD pass's
 //! `prepare` between blocks — perform **zero** heap
 //! allocations once the scratch has grown to the artifact's size.
 //!
@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use intext_circuits::{Circuit, EvalScratch, ObddManager, ProbMatrix, LANES};
+use intext_circuits::{Circuit, EvalScratch, ObddManager, LANES};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -86,31 +86,27 @@ fn steady_state_lane_walks_do_not_allocate() {
     let (circuit, root) = test_circuit(VARS / 2);
     let (obdd, obdd_root) = test_obdd(VARS);
 
-    let mut probs = ProbMatrix::new();
+    let mut probs: Vec<[f64; LANES]> = Vec::new();
     let mut scratch = EvalScratch::new();
-    let refill = |probs: &mut ProbMatrix, round: u64| {
-        probs.reset(VARS as usize);
-        for v in 0..VARS {
-            for lane in 0..LANES {
-                probs.set(
-                    v,
-                    lane,
-                    1.0 / (2.0 + f64::from(v) + (lane as u64 + round) as f64),
-                );
-            }
+    let refill = |probs: &mut Vec<[f64; LANES]>, round: u64| {
+        probs.resize(VARS as usize, [0.0; LANES]);
+        for (v, block) in (0..VARS).zip(probs.iter_mut()) {
+            *block = std::array::from_fn(|lane| {
+                1.0 / (2.0 + f64::from(v) + (lane as u64 + round) as f64)
+            });
         }
     };
 
-    // One lane pass each: the circuit reads the matrix at its variable
-    // gates, the OBDD reads `p` and `1 − p` prepared from it.
-    let circuit_lanes = |probs: &ProbMatrix, scratch: &mut EvalScratch| {
-        circuit.probability(root, |v| *probs.block(v), scratch)
+    // One lane pass each: the circuit reads the blocks at its variable
+    // gates, the OBDD reads `p` and `1 − p` prepared from them.
+    let circuit_lanes = |probs: &[[f64; LANES]], scratch: &mut EvalScratch| {
+        circuit.probability(root, |v| probs[v as usize], scratch)
     };
-    let obdd_lanes = |probs: &ProbMatrix, scratch: &mut EvalScratch| {
-        obdd.probability(obdd_root, scratch.prepare(0..VARS, |v| *probs.block(v)))
+    let obdd_lanes = |probs: &[[f64; LANES]], scratch: &mut EvalScratch| {
+        obdd.probability(obdd_root, scratch.prepare(0..VARS, |v| probs[v as usize]))
     };
 
-    // Warm-up: grows the matrix and the scratch (circuit gate values are
+    // Warm-up: grows the blocks and the scratch (circuit gate values are
     // the larger buffer, the OBDD pass adds the prepared tables).
     refill(&mut probs, 0);
     let warm_c = circuit_lanes(&probs, &mut scratch);

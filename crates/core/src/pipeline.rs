@@ -148,13 +148,11 @@ impl CompiledLineage {
     /// ([`to_circuit`](Self::to_circuit)), so both give the same `f64`
     /// bits.
     ///
-    /// Run on `[f64; LANES]` blocks (`prob` reading a [`ProbMatrix`]
-    /// block) this is the lane kernel: lane `l` is bit-identical to the
-    /// `f64` pass under lane `l`'s probabilities, and a reused `scratch`
-    /// makes it allocation-free once it has grown to the largest leaf
-    /// (`DESIGN.md` §6).
-    ///
-    /// [`ProbMatrix`]: intext_circuits::ProbMatrix
+    /// Run on `[f64; LANES]` blocks (`prob` returning one variable's
+    /// probability in every scenario lane) this is the lane kernel:
+    /// lane `l` is bit-identical to the `f64` pass under lane `l`'s
+    /// probabilities, and a reused `scratch` makes it allocation-free
+    /// once it has grown to the largest leaf (`DESIGN.md` §6).
     pub fn walk<N: ProbNum>(&self, prob: impl Fn(u32) -> N, scratch: &mut EvalScratch<N>) -> N {
         scratch.prepare(self.support.iter().copied(), prob);
         self.template.fold(&mut |step: Fold<N>| match step {

@@ -2,7 +2,7 @@
 //! real: a counting global allocator measures that steady-state
 //! `CompiledLineage::walk` lane passes (on `[f64; LANES]` blocks) —
 //! the `prepare` of the support, every leaf OBDD's pass, the template
-//! fold on top, and the `ProbMatrix` refills between blocks — perform
+//! fold on top, and the probability-block refills between blocks — perform
 //! **zero** heap allocations once the scratch has grown to the
 //! artifact's largest leaf.
 //!
@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use intext_boolfn::{phi9, BoolFn};
-use intext_circuits::{EvalScratch, ProbMatrix, LANES};
+use intext_circuits::{EvalScratch, LANES};
 use intext_core::{compile_dd, CompiledLineage, Template};
 use intext_lineage::compile_degenerate_obdd;
 use intext_tid::complete_database;
@@ -69,27 +69,23 @@ fn steady_state_artifact_lane_walks_do_not_allocate() {
     assert_eq!(*obdd.template(), Template::Hole(0));
 
     let vars = db.len();
-    let mut probs = ProbMatrix::new();
+    let mut probs: Vec<[f64; LANES]> = Vec::new();
     let mut scratch = EvalScratch::new();
-    let refill = |probs: &mut ProbMatrix, round: u64| {
-        probs.reset(vars);
-        for v in 0..vars as u32 {
-            for lane in 0..LANES {
-                probs.set(
-                    v,
-                    lane,
-                    1.0 / (2.0 + f64::from(v) + (lane as u64 + round) as f64),
-                );
-            }
+    let refill = |probs: &mut Vec<[f64; LANES]>, round: u64| {
+        probs.resize(vars, [0.0; LANES]);
+        for (v, block) in (0..vars as u32).zip(probs.iter_mut()) {
+            *block = std::array::from_fn(|lane| {
+                1.0 / (2.0 + f64::from(v) + (lane as u64 + round) as f64)
+            });
         }
     };
 
-    // One lane pass: every support variable's block read from the matrix.
-    let lanes = |artifact: &CompiledLineage, probs: &ProbMatrix, scratch: &mut EvalScratch| {
-        artifact.walk(|v| *probs.block(v), scratch)
+    // One lane pass: every support variable's block read from `probs`.
+    let lanes = |artifact: &CompiledLineage, probs: &[[f64; LANES]], scratch: &mut EvalScratch| {
+        artifact.walk(|v| probs[v as usize], scratch)
     };
 
-    // Warm-up: grows the matrix and the scratch to the largest leaf.
+    // Warm-up: grows the blocks and the scratch to the largest leaf.
     refill(&mut probs, 0);
     let warm_dd = lanes(&dd, &probs, &mut scratch);
     let warm_obdd = lanes(&obdd, &probs, &mut scratch);

@@ -21,7 +21,7 @@ use intext_query::{
 use intext_tid::{Database, Relation, Tid, TidError, TupleDesc, TupleId};
 
 use crate::cache::{Artifact, ArtifactCache, CacheKey};
-use crate::sample::{SampleRun, SamplerArtifact};
+use crate::sample::SamplerArtifact;
 use crate::stats::duration_nanos;
 use crate::store::{self, ArtifactKind, StoreError, TupleUpdate};
 use crate::{
@@ -548,7 +548,7 @@ impl PreparedQuery {
         stats: &mut EngineStats,
     ) -> (N, Option<Estimate>) {
         let started = Instant::now();
-        let (p, sampled): (N, Option<SampleRun>) = match &self.backend {
+        let (p, sampled): (N, Option<Estimate>) = match &self.backend {
             Backend::Artifact(artifact) => (N::artifact(artifact, tid), None),
             Backend::BruteForce(q) => (
                 pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples"),
@@ -559,17 +559,14 @@ impl PreparedQuery {
                 None,
             ),
             Backend::Sampler(sampler) => {
-                let run = sampler.run(tid, stream);
-                (N::embed(run.estimate.value), Some(run))
+                let estimate = sampler.run(tid, stream);
+                (N::embed(estimate.value), Some(estimate))
             }
         };
         let mut record = self.record_at(offset, started.elapsed());
-        if let Some(run) = sampled {
-            record.samples = run.estimate.samples;
-            stats.lane_kernel_calls += run.kernel_calls;
-        }
+        record.samples = sampled.map_or(0, |estimate| estimate.samples);
         stats.record(record);
-        (p, sampled.map(|run| run.estimate))
+        (p, sampled)
     }
 
     /// The one walker: evaluates `tids` — scenarios `offset..` of this

@@ -62,7 +62,7 @@
 //! enable [`EngineConfig::sampling`] and [`PqeEngine::estimate`] returns
 //! an [`Estimate`] with an `(ε, δ)` additive-error guarantee, produced
 //! by Karp–Luby DNF sampling over the grounded lineage (monotone `φ`)
-//! or naive world sampling through the lane kernel (everything else);
+//! or naive world sampling over the witness pairs (everything else);
 //! [`PqeEngine::explain`] names the sampler and the reason.
 //!
 //! Live instances update **in place**: [`PqeEngine::insert_tuple`] /

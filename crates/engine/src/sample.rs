@@ -14,8 +14,9 @@
 //!   is `[0, M]` where `M = Σ_j Pr(C_j)`, so Hoeffding gives
 //!   `N = ⌈M²·ln(2/δ) / (2ε²)⌉` samples.
 //! * **Naive world sampling** ([`SamplerKind::NaiveWorlds`]): Bernoulli
-//!   worlds evaluated through a 0/1-exact lineage circuit, `LANES`
-//!   worlds per kernel call. Indicator range `[0, 1]`, so
+//!   worlds over the witness tuples of the `h_{k,i}`, each scored `1`
+//!   iff `φ` holds on the `h_{k,i}` that have a fully present witness
+//!   pair (Definitions 3.1–3.2). Indicator range `[0, 1]`, so
 //!   `N = ⌈ln(2/δ) / (2ε²)⌉` regardless of instance size. This is the
 //!   fallback when `φ` is non-monotone or the DNF grounding would blow
 //!   up.
@@ -33,7 +34,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use intext_circuits::{Circuit, EvalScratch, GateId, ProbMatrix, LANES};
+use intext_boolfn::BoolFn;
 use intext_query::{h_witnesses, lineage_dnf, HQuery};
 use intext_tid::{Tid, TupleId};
 use rand::rngs::StdRng;
@@ -78,7 +79,8 @@ impl Default for SamplingConfig {
 pub enum SamplerKind {
     /// Karp–Luby DNF sampling over the grounded monotone lineage.
     KarpLuby,
-    /// Naive Bernoulli world sampling through the lane kernel.
+    /// Naive Bernoulli world sampling, each world scored on its witness
+    /// pairs.
     NaiveWorlds,
 }
 
@@ -114,19 +116,11 @@ pub struct Estimate {
     /// Wall time spent producing the estimate.
     pub elapsed: Duration,
     /// Which sampler produced the value; `None` when the answer is
-    /// exact (non-sampling plan, or a degenerate lineage the sampler
-    /// resolved symbolically).
+    /// exact (non-sampling plan, or an empty union or constant lineage
+    /// the sampler resolved without drawing).
     pub sampler: Option<SamplerKind>,
     /// `true` iff the deadline fired and `eps` was widened.
     pub deadline_hit: bool,
-}
-
-/// One sampler invocation's result plus the kernel-call count to fold
-/// into [`EngineStats`](crate::EngineStats).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SampleRun {
-    pub estimate: Estimate,
-    pub kernel_calls: u64,
 }
 
 /// Compiled, probability-independent sampler input for one
@@ -144,13 +138,15 @@ pub(crate) enum SamplerArtifact {
         clauses: Vec<Vec<usize>>,
         cfg: SamplingConfig,
     },
-    /// Naive-world input: a 0/1-exact lineage circuit (`∧`/`¬` gates
-    /// only, so Boolean lane inputs stay exactly `0.0`/`1.0` through
-    /// the product-form kernel) over tuple-id variables.
+    /// Naive-world input: `φ` and each `h_i`'s witness pairs as dense
+    /// indices into `support` (so world vectors are flat `Vec<bool>`s).
     Worlds {
-        circuit: Circuit,
-        root: GateId,
-        /// Tuple ids the circuit reads, ascending.
+        phi: BoolFn,
+        /// `witnesses[i]`: the pairs whose joint presence makes `h_i`
+        /// hold, as indices into `support`.
+        witnesses: Vec<Vec<(usize, usize)>>,
+        /// Distinct tuple ids the witness pairs mention, ascending;
+        /// empty when `φ` is `⊥`, whose lineage reads no tuple.
         support: Vec<u32>,
         cfg: SamplingConfig,
     },
@@ -185,12 +181,32 @@ impl SamplerArtifact {
                 }
             }
             SamplerKind::NaiveWorlds => {
-                let (circuit, root) = world_circuit(q, tid);
-                let mut support: Vec<u32> = circuit.vars(root).into_iter().collect();
+                let pairs: Vec<_> = if q.phi().is_bottom() {
+                    Vec::new()
+                } else {
+                    (0..=q.k())
+                        .map(|i| h_witnesses(tid.database(), i))
+                        .collect()
+                };
+                let mut support: Vec<u32> = pairs
+                    .iter()
+                    .flatten()
+                    .flat_map(|(a, b)| [a.0, b.0])
+                    .collect();
                 support.sort_unstable();
+                support.dedup();
+                let index = |t: TupleId| {
+                    support
+                        .binary_search(&t.0)
+                        .expect("witness tuple in support")
+                };
+                let witnesses = pairs
+                    .iter()
+                    .map(|ps| ps.iter().map(|&(a, b)| (index(a), index(b))).collect())
+                    .collect();
                 SamplerArtifact::Worlds {
-                    circuit,
-                    root,
+                    phi: q.phi().clone(),
+                    witnesses,
                     support,
                     cfg,
                 }
@@ -209,7 +225,7 @@ impl SamplerArtifact {
 
     /// Runs the sampler on `tid` using RNG stream `(cfg.seed, stream)`.
     /// Pure in `(self, tid, stream)` barring deadline truncation.
-    pub(crate) fn run(&self, tid: &Tid, stream: u64) -> SampleRun {
+    pub(crate) fn run(&self, tid: &Tid, stream: u64) -> Estimate {
         match self {
             SamplerArtifact::Dnf {
                 support,
@@ -217,11 +233,11 @@ impl SamplerArtifact {
                 cfg,
             } => run_karp_luby(support, clauses, *cfg, tid, stream),
             SamplerArtifact::Worlds {
-                circuit,
-                root,
+                phi,
+                witnesses,
                 support,
                 cfg,
-            } => run_naive_worlds(circuit, *root, support, *cfg, tid, stream),
+            } => run_naive_worlds(phi, witnesses, support, *cfg, tid, stream),
         }
     }
 }
@@ -242,18 +258,17 @@ fn achieved_eps(range: f64, delta: f64, drawn: u64) -> f64 {
     range * ((2.0 / delta).ln() / (2.0 * drawn as f64)).sqrt()
 }
 
-fn exact_estimate(value: f64, elapsed: Duration, sampler: SamplerKind) -> SampleRun {
-    SampleRun {
-        estimate: Estimate {
-            value,
-            eps: 0.0,
-            delta: 0.0,
-            samples: 0,
-            elapsed,
-            sampler: Some(sampler),
-            deadline_hit: false,
-        },
-        kernel_calls: 0,
+/// An answer a sampler resolved without drawing: exact, so it carries
+/// no sampler.
+fn exact_estimate(value: f64, elapsed: Duration) -> Estimate {
+    Estimate {
+        value,
+        eps: 0.0,
+        delta: 0.0,
+        samples: 0,
+        elapsed,
+        sampler: None,
+        deadline_hit: false,
     }
 }
 
@@ -266,7 +281,7 @@ fn run_karp_luby(
     cfg: SamplingConfig,
     tid: &Tid,
     stream: u64,
-) -> SampleRun {
+) -> Estimate {
     let start = Instant::now();
     let probs: Vec<f64> = support.iter().map(|&t| tid.prob_f64(TupleId(t))).collect();
     // Clause probabilities and their running prefix sum (the CDF the
@@ -280,7 +295,7 @@ fn run_karp_luby(
     if clauses.is_empty() || m <= 0.0 {
         // Empty DNF, or every clause has probability zero: the union is
         // the empty event and the answer is exact.
-        return exact_estimate(0.0, start.elapsed(), SamplerKind::KarpLuby);
+        return exact_estimate(0.0, start.elapsed());
     }
     let target = hoeffding_samples(m, cfg.eps, cfg.delta);
     let mut rng = StdRng::from_seed_stream(cfg.seed, stream);
@@ -316,66 +331,61 @@ fn run_karp_luby(
     } else {
         cfg.eps
     };
-    SampleRun {
-        estimate: Estimate {
-            value,
-            eps,
-            delta: cfg.delta,
-            samples: drawn,
-            elapsed: start.elapsed(),
-            sampler: Some(SamplerKind::KarpLuby),
-            deadline_hit,
-        },
-        kernel_calls: 0,
+    Estimate {
+        value,
+        eps,
+        delta: cfg.delta,
+        samples: drawn,
+        elapsed: start.elapsed(),
+        sampler: Some(SamplerKind::KarpLuby),
+        deadline_hit,
     }
 }
 
-/// Naive world sampling: draw Bernoulli worlds over the circuit's
-/// support and evaluate `LANES` of them per kernel call — sampled
-/// worlds are just another scenario batch with 0/1 probabilities.
+/// Naive world sampling: draw Bernoulli worlds over the witness tuples
+/// and score each `1` iff `φ` holds on the `h_i` that have a fully
+/// present witness pair — the lineage semantics of `Q_φ`.
 fn run_naive_worlds(
-    circuit: &Circuit,
-    root: GateId,
+    phi: &BoolFn,
+    witnesses: &[Vec<(usize, usize)>],
     support: &[u32],
     cfg: SamplingConfig,
     tid: &Tid,
     stream: u64,
-) -> SampleRun {
+) -> Estimate {
     let start = Instant::now();
+    let holds = |present: &[bool]| {
+        let truth = witnesses
+            .iter()
+            .enumerate()
+            .filter(|(_, pairs)| pairs.iter().any(|&(a, b)| present[a] && present[b]))
+            .fold(0, |truth, (i, _)| truth | 1 << i);
+        phi.eval(truth)
+    };
     if support.is_empty() {
-        // The lineage is constant: evaluate it symbolically.
-        let value = circuit.probability(root, |_| 0.0, &mut EvalScratch::new());
-        return exact_estimate(value, start.elapsed(), SamplerKind::NaiveWorlds);
+        // The lineage is constant: its value on the empty world.
+        return exact_estimate(f64::from(u8::from(holds(&[]))), start.elapsed());
     }
     let probs: Vec<f64> = support.iter().map(|&t| tid.prob_f64(TupleId(t))).collect();
     let target = hoeffding_samples(1.0, cfg.eps, cfg.delta);
     let mut rng = StdRng::from_seed_stream(cfg.seed, stream);
-    let vars = support.last().map_or(0, |&t| t as usize + 1);
-    let mut matrix = ProbMatrix::new();
-    let mut scratch = EvalScratch::new();
+    let mut present = vec![false; support.len()];
     let mut hits = 0u64;
     let mut drawn = 0u64;
-    let mut kernel_calls = 0u64;
     let mut deadline_hit = false;
     while drawn < target {
         if let Some(budget) = cfg.deadline {
-            if drawn > 0 && start.elapsed() >= budget {
+            // The clock is read every 8 worlds.
+            if drawn.is_multiple_of(8) && drawn > 0 && start.elapsed() >= budget {
                 deadline_hit = true;
                 break;
             }
         }
-        let block = ((target - drawn) as usize).min(LANES);
-        matrix.reset(vars);
-        for lane in 0..block {
-            for (&t, &p) in support.iter().zip(&probs) {
-                let bit = rng.random::<f64>() < p;
-                matrix.set(t, lane, f64::from(u8::from(bit)));
-            }
+        for (slot, &p) in present.iter_mut().zip(&probs) {
+            *slot = rng.random::<f64>() < p;
         }
-        let lanes = circuit.probability(root, |v| *matrix.block(v), &mut scratch);
-        kernel_calls += 1;
-        hits += lanes[..block].iter().filter(|&&v| v > 0.5).count() as u64;
-        drawn += block as u64;
+        hits += u64::from(holds(&present));
+        drawn += 1;
     }
     let value = (hits as f64 / drawn as f64).clamp(0.0, 1.0);
     let eps = if deadline_hit {
@@ -383,71 +393,20 @@ fn run_naive_worlds(
     } else {
         cfg.eps
     };
-    SampleRun {
-        estimate: Estimate {
-            value,
-            eps,
-            delta: cfg.delta,
-            samples: drawn,
-            elapsed: start.elapsed(),
-            sampler: Some(SamplerKind::NaiveWorlds),
-            deadline_hit,
-        },
-        kernel_calls,
+    Estimate {
+        value,
+        eps,
+        delta: cfg.delta,
+        samples: drawn,
+        elapsed: start.elapsed(),
+        sampler: Some(SamplerKind::NaiveWorlds),
+        deadline_hit,
     }
-}
-
-/// Builds the grounded lineage of `Q_φ` as a circuit of `∧`/`¬` gates
-/// only (`∨` via De Morgan), so that evaluating it with lane inputs
-/// that are exactly `0.0`/`1.0` yields exactly `0.0`/`1.0` — the
-/// product-form `∨`-gate of the probability kernel *sums* lanes and
-/// would exceed 1 on Boolean inputs, hence the restriction.
-fn world_circuit(q: &HQuery, tid: &Tid) -> (Circuit, GateId) {
-    let db = tid.database();
-    let mut c = Circuit::new();
-    let or = |c: &mut Circuit, inputs: Vec<GateId>| -> GateId {
-        if inputs.is_empty() {
-            return c.constant(false);
-        }
-        let negs: Vec<GateId> = inputs.into_iter().map(|g| c.not(g)).collect();
-        let all = c.and(negs);
-        c.not(all)
-    };
-    // h_i holds iff some witness pair is fully present.
-    let h: Vec<GateId> = (0..=q.k())
-        .map(|i| {
-            let pairs: Vec<GateId> = h_witnesses(db, i)
-                .into_iter()
-                .map(|(a, b)| {
-                    let va = c.var(a.0);
-                    let vb = c.var(b.0);
-                    c.and(vec![va, vb])
-                })
-                .collect();
-            or(&mut c, pairs)
-        })
-        .collect();
-    // φ as the disjunction of its satisfying minterms over the h's.
-    let minterms: Vec<GateId> = q
-        .phi()
-        .sat_iter()
-        .map(|v| {
-            let lits: Vec<GateId> = h
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| if v >> i & 1 == 1 { g } else { c.not(g) })
-                .collect();
-            c.and(lits)
-        })
-        .collect();
-    let root = or(&mut c, minterms);
-    (c, root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intext_boolfn::BoolFn;
     use intext_numeric::BigRational;
     use intext_query::pqe_brute_force;
     use intext_tid::{complete_database, uniform_tid};
@@ -464,32 +423,6 @@ mod tests {
         }
     }
 
-    /// The world circuit is a 0/1-exact lineage: under every Boolean
-    /// world it agrees with `lineage_eval`, and its probability walk
-    /// returns exactly 0.0 or 1.0 on Boolean inputs (the property the
-    /// lane-kernel sampling relies on — shared variables make the walk
-    /// meaningless for *fractional* inputs, which is why worlds are
-    /// sampled instead of evaluated symbolically here).
-    #[test]
-    fn world_circuit_matches_lineage_on_every_world() {
-        for table in [0b0110_1001u64, 0b1110_1000, 0b0000_0001, 0xffff >> 8] {
-            let phi = BoolFn::from_table_u64(3, table);
-            let q = HQuery::new(phi);
-            let tid = uniform_tid(complete_database(2, 2), half());
-            let (c, root) = world_circuit(&q, &tid);
-            for world in 0..(1u64 << tid.len()) {
-                let want = q.lineage_eval(tid.database(), world);
-                assert_eq!(c.eval(root, &|v| world >> v & 1 == 1), want, "{world:#b}");
-                let walked = c.probability(
-                    root,
-                    |v| f64::from(u8::from(world >> v & 1 == 1)),
-                    &mut EvalScratch::new(),
-                );
-                assert_eq!(walked, f64::from(u8::from(want)), "{world:#b}");
-            }
-        }
-    }
-
     /// Both samplers hit the (ε, δ) contract on a hard monotone φ at a
     /// fixed seed, and the two artifacts of one query agree with the
     /// exact answer within ε.
@@ -502,8 +435,7 @@ mod tests {
         for kind in [SamplerKind::KarpLuby, SamplerKind::NaiveWorlds] {
             let art = SamplerArtifact::build(kind, &q, &tid, cfg(0.05, 1e-6));
             assert_eq!(art.kind(), kind);
-            let run = art.run(&tid, 0);
-            let est = run.estimate;
+            let est = art.run(&tid, 0);
             assert_eq!(est.sampler, Some(kind));
             assert!(est.samples > 0);
             assert!(!est.deadline_hit);
@@ -513,8 +445,6 @@ mod tests {
                 est.value,
                 est.eps
             );
-            // Naive worlds drives the lane kernel; Karp-Luby does not.
-            assert_eq!(run.kernel_calls > 0, kind == SamplerKind::NaiveWorlds);
         }
     }
 
@@ -527,17 +457,17 @@ mod tests {
         let tid = uniform_tid(complete_database(2, 2), half());
         for kind in [SamplerKind::KarpLuby, SamplerKind::NaiveWorlds] {
             let art = SamplerArtifact::build(kind, &q, &tid, cfg(0.02, 1e-3));
-            let a = art.run(&tid, 7).estimate;
-            let b = art.run(&tid, 7).estimate;
+            let a = art.run(&tid, 7);
+            let b = art.run(&tid, 7);
             assert_eq!(a.value.to_bits(), b.value.to_bits());
             assert_eq!(a.samples, b.samples);
-            let c = art.run(&tid, 8).estimate;
+            let c = art.run(&tid, 8);
             assert_ne!(a.value.to_bits(), c.value.to_bits(), "{kind}");
         }
     }
 
     /// A constant-false lineage short-circuits to an exact zero without
-    /// drawing samples.
+    /// drawing samples, and an exact answer names no sampler.
     #[test]
     fn empty_union_is_exact_zero() {
         let phi = BoolFn::from_fn(2, |_| false);
@@ -545,10 +475,11 @@ mod tests {
         let tid = uniform_tid(complete_database(1, 2), half());
         for kind in [SamplerKind::KarpLuby, SamplerKind::NaiveWorlds] {
             let art = SamplerArtifact::build(kind, &q, &tid, cfg(0.05, 1e-3));
-            let est = art.run(&tid, 0).estimate;
+            let est = art.run(&tid, 0);
             assert_eq!(est.value, 0.0);
             assert_eq!(est.samples, 0);
             assert_eq!(est.eps, 0.0);
+            assert_eq!(est.sampler, None, "{kind}");
         }
     }
 
@@ -566,7 +497,7 @@ mod tests {
         };
         for kind in [SamplerKind::KarpLuby, SamplerKind::NaiveWorlds] {
             let art = SamplerArtifact::build(kind, &q, &tid, tight);
-            let est = art.run(&tid, 0).estimate;
+            let est = art.run(&tid, 0);
             assert!(est.deadline_hit, "{kind}");
             assert!(est.eps > tight.eps, "{kind}: ε must widen on truncation");
             assert!(est.samples > 0, "at least one sample before the check");

@@ -25,7 +25,7 @@
 use intext_numeric::{BigRational, BigUint};
 use intext_tid::{Database, Tid, TupleDesc};
 
-use crate::{Atom, ConjunctiveQuery, Term};
+use crate::{ucq_brute_force, Atom, ConjunctiveQuery, QueryExpr, Term};
 
 /// A positive partitioned 2-CNF: clauses `(x_i ∨ y_j)` over disjoint
 /// variable sets `x_0..x_{m-1}` and `y_0..y_{n-1}`.
@@ -108,11 +108,16 @@ impl Pp2Cnf {
 
     /// Counts the models **through the PQE oracle**: evaluates
     /// `Pr(q_triangle)` on the gadget TID (here by brute-force possible
-    /// worlds — the only generally correct oracle for a `#P`-hard query)
-    /// and inverts the reduction.
+    /// worlds, [`ucq_brute_force`] — the only generally correct oracle
+    /// for a `#P`-hard query) and inverts the reduction.
+    ///
+    /// # Panics
+    /// Panics if the gadget has 64 tuples or more (`m + n` plus the
+    /// clause count), past what brute force enumerates.
     pub fn count_models_via_pqe(&self) -> BigUint {
         let tid = self.to_tid();
-        let pr_q = pqe_brute_force_cq(&Self::triangle_query(), &tid);
+        let pr_q: BigRational = ucq_brute_force(&QueryExpr::Cq(Self::triangle_query()), &tid)
+            .expect("the gadget has fewer than 64 tuples");
         // #Φ = 2^(m+n) · (1 − Pr(q)).
         let worlds = BigUint::from(1u64).shl_bits(u64::from(self.num_x + self.num_y));
         let count =
@@ -120,34 +125,6 @@ impl Pp2Cnf {
         debug_assert!(count.denom().is_one(), "the count is an integer");
         count.numer().magnitude().clone()
     }
-}
-
-/// Brute-force PQE for an arbitrary conjunctive query: enumerates the
-/// possible worlds, materializes each sub-database, and runs the generic
-/// CQ evaluator. Exponential — which is the point when it plays the
-/// oracle for a `#P`-hard query.
-pub fn pqe_brute_force_cq(q: &ConjunctiveQuery, tid: &Tid) -> BigRational {
-    let db = tid.database();
-    let m = db.len();
-    assert!(m < 26, "brute-force CQ evaluation supports < 26 tuples");
-    let tuples: Vec<TupleDesc> = db.iter().map(|(_, t)| t).collect();
-    let mut total = BigRational::zero();
-    for world in 0..(1u64 << m) {
-        let p = tid.world_probability(world);
-        if p.is_zero() {
-            continue;
-        }
-        let mut sub = Database::new(db.k(), db.domain_size());
-        for (idx, &t) in tuples.iter().enumerate() {
-            if (world >> idx) & 1 == 1 {
-                sub.insert(t).expect("subset of a valid instance");
-            }
-        }
-        if q.eval(&sub) {
-            total = &total + &p;
-        }
-    }
-    total
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub use brute::{pqe_brute_force, BruteForceError};
 pub use cq::{Atom, ConjunctiveQuery, Term};
 pub use dnf::{dnf_clause_bound, lineage_dnf, DnfLineage};
 pub use ground::{ground_circuit, ground_circuit_probability, ground_cq, ucq_brute_force};
-pub use hardness::{pqe_brute_force_cq, Pp2Cnf};
+pub use hardness::Pp2Cnf;
 pub use hquery::{h_cq, h_truth_vector, h_witnesses, HQuery};
 pub use lifted::{is_safe_ucq, lifted_probability};
 pub use parse::{parse_query, ParseError, MAX_DEPTH};

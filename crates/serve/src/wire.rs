@@ -161,11 +161,20 @@ fn get_list<'a, T>(
     mut get: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
     let count = r.count(min_item_bytes)?;
-    let mut items = Vec::with_capacity(count);
+    let mut items = Vec::with_capacity(capacity::<T>(count, r));
     for _ in 0..count {
         items.push(get(r)?);
     }
     Ok(items)
+}
+
+/// The capacity to reserve for `count` decoded `T`s: at most what the
+/// unread bytes could fill, so a count that passed
+/// [`Reader::count`]'s few-bytes-per-item check still cannot reserve
+/// more memory than the frame holds. Items past it grow the `Vec` as
+/// they decode.
+fn capacity<T>(count: usize, r: &Reader<'_>) -> usize {
+    count.min(r.remaining() / size_of::<T>().max(1))
 }
 
 // ------------------------------------------------------------ value codecs
@@ -301,7 +310,7 @@ fn get_tid(r: &mut Reader) -> Result<Tid, WireError> {
     let domain_size = r.u32()?;
     let mut db = Database::new(k, domain_size);
     let count = r.count(6)?;
-    let mut probs = Vec::with_capacity(count);
+    let mut probs = Vec::with_capacity(capacity::<BigRational>(count, r));
     for _ in 0..count {
         db.insert(r.tuple()?)
             .map_err(|_| WireError::BadValue("tuple"))?;

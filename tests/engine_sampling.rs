@@ -27,7 +27,8 @@ use intext::engine::{
 };
 use intext::numeric::BigRational;
 use intext::query::{pqe_brute_force, HQuery};
-use intext::tid::{complete_database, uniform_tid, Tid, TupleId};
+use intext::serve::{ServeConfig, Server};
+use intext::tid::{complete_database, random_tid, uniform_tid, Database, Tid, TupleDesc, TupleId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -179,7 +180,7 @@ fn violation_rate_respects_delta_for_both_samplers() {
     let cases = [
         // Monotone hard ⟹ Karp–Luby over the grounded DNF.
         (BoolFn::from_fn(3, |v| v != 0), SamplerKind::KarpLuby),
-        // Non-monotone hard ⟹ naive world sampling through the kernel.
+        // Non-monotone hard ⟹ naive world sampling.
         (
             BoolFn::from_sat(3, [0b001, 0b010, 0b000]),
             SamplerKind::NaiveWorlds,
@@ -414,4 +415,172 @@ fn plan_batch_reports_the_compile_sample_split() {
         .unwrap();
     assert_eq!(bp.sampled, 0);
     assert_eq!((bp.compiles, bp.shared), (1, 2));
+}
+
+/// Sampled estimates keep their bits across changes to how a sampler
+/// computes them: per case, the stream-0 estimate's value bits and
+/// sample count, and the bits of a 3-scenario batch at 2 shards, under
+/// `sampling_engine(0xB175, 0.1, 1e-3)`. Any change to a sampler's
+/// draw order, its scoring or its sample count moves them.
+const PINNED: [(u64, u64, [u64; 3]); 4] = [
+    (
+        0x3f98_3060_c183_060c,
+        381,
+        [
+            0x3fa1_7845_e117_845e,
+            0x3f9a_e06b_81ae_06b8,
+            0x3fa5_8056_0158_0560,
+        ],
+    ),
+    (
+        0x3fe0_8bc2_2f08_bc23,
+        381,
+        [
+            0x3fe0_7641_d907_641e,
+            0x3fe1_7845_e117_845e,
+            0x3fe1_b8c6_e31b_8c6e,
+        ],
+    ),
+    (
+        0x3fb2_2448_9122_4489,
+        381,
+        [
+            0x3fb2_2448_9122_4489,
+            0x3fa9_8866_2198_8662,
+            0x3fb0_2040_8102_0408,
+        ],
+    ),
+    (
+        0x3fee_ab25_e99d_10f5,
+        7799,
+        [
+            0x3fee_7e1a_0399_e172,
+            0x3ff0_0000_0000_0000,
+            0x3fef_28f5_c28f_5c27,
+        ],
+    ),
+];
+
+/// [`PINNED`]'s quantities for `q` on `tid`.
+fn sampled_bits(q: &HQuery, tid: &Tid) -> (u64, u64, [u64; 3]) {
+    let engine = || sampling_engine(0xB175, 0.1, 1e-3);
+    let estimate = engine().estimate(q, tid).unwrap();
+    let scenarios: Vec<Tid> = (0..3u32)
+        .map(|s| {
+            let mut scenario = tid.clone();
+            scenario
+                .set_prob(TupleId(s), BigRational::from_ratio(1, 3 + u64::from(s)))
+                .unwrap();
+            scenario
+        })
+        .collect();
+    let batch = engine()
+        .evaluate_batch_sharded_f64(q, &scenarios, 2)
+        .unwrap();
+    (
+        estimate.value.to_bits(),
+        estimate.samples,
+        std::array::from_fn(|i| batch[i].to_bits()),
+    )
+}
+
+/// Three non-monotone hard φ through the naive world sampler — E22's φ,
+/// `φ_max-Euler` and a second `HardByTransfer` φ at k = 2 — and one
+/// monotone hard φ through Karp–Luby, each on a fixed random TID beyond
+/// the brute-force budget, answer [`PINNED`] bit for bit.
+#[test]
+fn naive_world_estimates_keep_their_bits() {
+    let tid = |k: u8, domain: u32, seed: u64| {
+        random_tid(
+            complete_database(k, domain),
+            10,
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
+    let cases = [
+        (
+            BoolFn::from_sat(3, [0b001, 0b010, 0b000]),
+            Region::HardByTransfer,
+            SamplerKind::NaiveWorlds,
+            tid(2, 3, 231),
+        ),
+        (
+            max_euler_fn(4),
+            Region::ConjecturedHard,
+            SamplerKind::NaiveWorlds,
+            tid(3, 2, 232),
+        ),
+        (
+            BoolFn::from_table_u64(3, 0x2d),
+            Region::HardByTransfer,
+            SamplerKind::NaiveWorlds,
+            tid(2, 3, 233),
+        ),
+        (
+            BoolFn::from_fn(3, |v| v != 0),
+            Region::HardMonotone,
+            SamplerKind::KarpLuby,
+            tid(2, 3, 234),
+        ),
+    ];
+    let observed: Vec<_> = cases
+        .iter()
+        .map(|(phi, region, kind, tid)| {
+            assert_eq!(classify(phi), *region);
+            let q = HQuery::new(phi.clone());
+            let plan = sampling_engine(0xB175, 0.1, 1e-3).plan(&q, tid);
+            assert_eq!(plan, Ok(Plan::Sample(*kind)), "{region:?}");
+            sampled_bits(&q, tid)
+        })
+        .collect();
+    assert_eq!(observed, PINNED);
+}
+
+/// An answer a sampler resolves without drawing is exact and names no
+/// sampler, from the engine and from the server alike: on a k = 1
+/// instance of 30 `R` tuples no `h_i` has a witness pair, so Karp–Luby's
+/// union is empty (φ = x0 ∧ x1) and the naive sampler's lineage is the
+/// constant φ(0) (φ = x0 ⊕ x1). The plan still names the sampler.
+#[test]
+fn exact_short_circuits_name_no_sampler() {
+    let mut db = Database::new(1, 30);
+    for a in 0..30 {
+        db.insert(TupleDesc::R(a)).unwrap();
+    }
+    let tid = uniform_tid(db, half());
+    let config = EngineConfig {
+        sampling: Some(SamplingConfig::default()),
+        ..EngineConfig::default()
+    };
+    assert!(tid.len() > config.max_brute_force_tuples);
+    let server = Server::start(ServeConfig {
+        engine: config,
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    for (phi, kind) in [
+        (BoolFn::from_fn(2, |v| v == 0b11), SamplerKind::KarpLuby),
+        (
+            BoolFn::from_fn(2, |v| v.count_ones() == 1),
+            SamplerKind::NaiveWorlds,
+        ),
+    ] {
+        let q = HQuery::new(phi);
+        let mut engine = PqeEngine::with_config(config);
+        assert_eq!(engine.plan(&q, &tid), Ok(Plan::Sample(kind)));
+        let served = server.handle().estimate(q.clone(), &tid).unwrap();
+        for est in [engine.estimate(&q, &tid).unwrap(), served] {
+            assert_eq!(
+                (est.value, est.eps, est.delta, est.samples),
+                (0.0, 0.0, 0.0, 0),
+                "{kind}"
+            );
+            assert_eq!(
+                est.sampler, None,
+                "{kind}: an exact answer names no sampler"
+            );
+        }
+        assert_eq!(engine.stats().plans(Plan::Sample(kind)), 1);
+    }
 }

@@ -4,7 +4,7 @@
 //! query, across random databases.
 
 use intext::boolfn::{enumerate, phi9, small, BoolFn};
-use intext::circuits::{verify, EvalScratch, ProbMatrix, LANES};
+use intext::circuits::{verify, EvalScratch, LANES};
 use intext::core::{classify, compile_dd, CompileError, CompiledLineage};
 use intext::engine::{Plan, PqeEngine};
 use intext::extensional::{pqe_extensional, ExtensionalError};
@@ -114,16 +114,15 @@ fn assert_artifact_is_its_circuit(artifact: &CompiledLineage, scenarios: &[Tid],
             .to_bits(),
         "f64, {what}"
     );
-    let mut probs = ProbMatrix::new();
-    probs.reset(tid.len());
+    let mut probs = vec![[0.0; LANES]; tid.len()];
     for (lane, scenario) in scenarios.iter().cycle().take(LANES).enumerate() {
         for v in 0..tid.len() as u32 {
-            probs.set(v, lane, scenario.prob_f64(TupleId(v)));
+            probs[v as usize][lane] = scenario.prob_f64(TupleId(v));
         }
     }
     let mut scratch = EvalScratch::new();
-    let lanes = artifact.walk(|v| *probs.block(v), &mut scratch);
-    let via_circuit = circuit.probability(root, |v| *probs.block(v), &mut scratch);
+    let lanes = artifact.walk(|v| probs[v as usize], &mut scratch);
+    let via_circuit = circuit.probability(root, |v| probs[v as usize], &mut scratch);
     assert_eq!(
         lanes.map(f64::to_bits),
         via_circuit.map(f64::to_bits),
