@@ -30,7 +30,7 @@ use crate::{
 
 /// Largest grounded DNF (clause bound, pre-deduplication) the planner
 /// hands to the Karp–Luby sampler; beyond it the naive world sampler
-/// takes over, whose per-sample cost is bounded by the circuit size
+/// takes over, whose per-sample cost is bounded by the witness count
 /// rather than the clause count.
 const MAX_KARP_LUBY_CLAUSES: u64 = 4096;
 
