@@ -23,13 +23,27 @@
 //!
 //! Every response is asserted bit-identical to the baseline as the
 //! bench runs, so the numbers can never come from a wrong answer.
+//!
+//! E28: what decoding a request costs (`wire` group). A served read
+//! decodes its whole TID — every tuple and its probability — before
+//! the engine sees it, so on a cached artifact decoding can outweigh
+//! the walk. `decode_request` decodes an `EvaluateF64` on the same
+//! domain-8 TID and a 16-scenario `BatchF64` of re-weightings of it,
+//! the shapes of perfbench's hot-read reads and batches; `rational_new`
+//! rebuilds that TID's probabilities from their parts, the reduction
+//! every decoded probability goes through. Each decoded request is
+//! asserted to re-encode to its own bytes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use intext_bench::bench_tid;
 use intext_boolfn::phi9;
 use intext_engine::PqeEngine;
-use intext_query::HQuery;
-use intext_serve::{ServeConfig, Server};
+use intext_numeric::BigRational;
+use intext_query::{HQuery, Query};
+use intext_serve::wire::{decode_request, encode_request};
+use intext_serve::{Request, ServeConfig, Server};
+use intext_tid::random_tid;
+use rand::{rngs::StdRng, SeedableRng};
 use std::hint::black_box;
 use std::thread;
 
@@ -102,5 +116,54 @@ fn bench_serve_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_serve_throughput);
+/// Scenarios per batch request, as in perfbench's hot-read batches.
+const BATCH_SCENARIOS: u64 = 16;
+
+fn bench_wire_decode(c: &mut Criterion) {
+    let mut g = c.benchmark_group("wire");
+    let q = Query::from(HQuery::new(phi9()));
+    let tid = bench_tid(3, 8, 24);
+    let tids = (0..BATCH_SCENARIOS)
+        .map(|seed| random_tid(tid.database().clone(), 10, &mut StdRng::seed_from_u64(seed)))
+        .collect();
+    let requests = [
+        (
+            "evaluate_f64",
+            Request::EvaluateF64 {
+                q: q.clone(),
+                tid: tid.clone(),
+            },
+        ),
+        ("batch_f64", Request::BatchF64 { q, tids, shards: 2 }),
+    ];
+    for (name, request) in &requests {
+        let bytes = encode_request(1, request);
+        let (_, decoded) = decode_request(&bytes).expect("an encoded request decodes");
+        assert_eq!(
+            encode_request(1, &decoded),
+            bytes,
+            "{name} did not round-trip"
+        );
+        g.throughput(Throughput::Bytes(bytes.len() as u64));
+        g.bench_function(BenchmarkId::new("decode_request", name), |b| {
+            b.iter(|| decode_request(black_box(&bytes)).expect("decodes"));
+        });
+    }
+    let parts: Vec<_> = tid
+        .database()
+        .iter()
+        .map(|(id, _)| (tid.prob(id).numer().clone(), tid.prob(id).denom().clone()))
+        .collect();
+    g.throughput(Throughput::Elements(parts.len() as u64));
+    g.bench_function(BenchmarkId::new("rational_new", parts.len()), |b| {
+        b.iter(|| {
+            for (num, den) in &parts {
+                black_box(BigRational::new(num.clone(), den.clone()));
+            }
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_serve_throughput, bench_wire_decode);
 criterion_main!(benches);

@@ -1,40 +1,55 @@
 //! Arbitrary-precision unsigned integers with 32-bit limbs.
 //!
 //! Little-endian limb order, always normalized (no trailing zero limbs; the
-//! empty limb vector is zero). Schoolbook algorithms throughout: the
+//! empty limb vector is zero). A value below 2⁶⁴ — every one-digit tuple
+//! probability's numerator and denominator — keeps its at most two limbs
+//! inline, so building, cloning and dropping it touches no heap; wider
+//! values keep a limb vector. Schoolbook algorithms throughout: the
 //! operands in this project are at most a few thousand bits, far below the
 //! crossover where Karatsuba would pay off.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Shl, Sub};
 
 /// An arbitrary-precision unsigned integer.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone)]
 pub struct BigUint {
-    /// Little-endian 32-bit limbs; invariant: last limb (if any) is nonzero.
-    limbs: Vec<u32>,
+    repr: Repr,
+}
+
+/// The storage of a [`BigUint`], canonical for its value: a value below
+/// 2⁶⁴ is always `Inline`, so equal values have equal representations.
+#[derive(Clone)]
+enum Repr {
+    /// A value below 2⁶⁴: its normalized limb count (0, 1 or 2) and its
+    /// limbs, zero past the count.
+    Inline(u8, [u32; 2]),
+    /// A value of 2⁶⁴ or more: three or more little-endian limbs, the
+    /// last one nonzero.
+    Heap(Vec<u32>),
 }
 
 impl BigUint {
     /// The value `0`.
     pub fn zero() -> Self {
-        BigUint { limbs: Vec::new() }
+        BigUint::from(0u64)
     }
 
     /// The value `1`.
     pub fn one() -> Self {
-        BigUint { limbs: vec![1] }
+        BigUint::from(1u64)
     }
 
     /// Returns `true` iff the value is `0`.
     pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+        self.limbs().is_empty()
     }
 
     /// Returns `true` iff the value is `1`.
     pub fn is_one(&self) -> bool {
-        self.limbs == [1]
+        self.limbs() == [1]
     }
 
     /// Builds from little-endian limbs, normalizing trailing zeros.
@@ -42,7 +57,14 @@ impl BigUint {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
-        BigUint { limbs }
+        match *limbs {
+            [] => BigUint::zero(),
+            [lo] => BigUint::from(lo),
+            [lo, hi] => BigUint::from(u64::from(lo) | (u64::from(hi) << 32)),
+            _ => BigUint {
+                repr: Repr::Heap(limbs),
+            },
+        }
     }
 
     /// The little-endian 32-bit limbs, normalized (no trailing zeros, so
@@ -50,34 +72,34 @@ impl BigUint {
     /// [`from_limbs`](Self::from_limbs) losslessly — the serialization
     /// form wire codecs use.
     pub fn limbs(&self) -> &[u32] {
-        &self.limbs
+        match &self.repr {
+            Repr::Inline(len, limbs) => &limbs[..usize::from(*len)],
+            Repr::Heap(limbs) => limbs,
+        }
     }
 
     /// Number of significant bits (`0` for zero).
     pub fn bits(&self) -> u64 {
-        match self.limbs.last() {
+        let limbs = self.limbs();
+        match limbs.last() {
             None => 0,
-            Some(&top) => {
-                (self.limbs.len() as u64 - 1) * 32 + (32 - u64::from(top.leading_zeros()))
-            }
+            Some(&top) => (limbs.len() as u64 - 1) * 32 + (32 - u64::from(top.leading_zeros())),
         }
     }
 
     /// Tests bit `i` (little-endian position).
     pub fn bit(&self, i: u64) -> bool {
         let limb = (i / 32) as usize;
-        self.limbs
+        self.limbs()
             .get(limb)
             .is_some_and(|&w| (w >> (i % 32)) & 1 == 1)
     }
 
     /// Converts to `u64`, returning `None` on overflow.
     pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(u64::from(self.limbs[0])),
-            2 => Some(u64::from(self.limbs[0]) | (u64::from(self.limbs[1]) << 32)),
-            _ => None,
+        match self.repr {
+            Repr::Inline(_, [lo, hi]) => Some(u64::from(lo) | (u64::from(hi) << 32)),
+            Repr::Heap(_) => None,
         }
     }
 
@@ -108,7 +130,7 @@ impl BigUint {
         }
         let limb_shift = (n / 32) as usize;
         let bit_shift = (n % 32) as u32;
-        let src = &self.limbs[limb_shift..];
+        let src = &self.limbs()[limb_shift..];
         let mut limbs = Vec::with_capacity(src.len());
         for (i, &w) in src.iter().enumerate() {
             let mut v = w >> bit_shift;
@@ -131,10 +153,10 @@ impl BigUint {
         let bit_shift = (n % 32) as u32;
         let mut out = vec![0u32; limb_shift];
         if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs);
+            out.extend_from_slice(self.limbs());
         } else {
             let mut carry = 0u32;
-            for &w in &self.limbs {
+            for &w in self.limbs() {
                 out.push((w << bit_shift) | carry);
                 carry = w >> (32 - bit_shift);
             }
@@ -145,22 +167,27 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// Shifts right by one bit (used by binary GCD).
+    /// Shifts right by one bit in place (used by binary GCD).
     fn shr1(&mut self) {
+        let Repr::Heap(limbs) = &mut self.repr else {
+            *self = BigUint::from(self.to_u64().expect("an inline value fits a u64") >> 1);
+            return;
+        };
         let mut carry = 0u32;
-        for w in self.limbs.iter_mut().rev() {
+        for w in limbs.iter_mut().rev() {
             let new_carry = *w & 1;
             *w = (*w >> 1) | (carry << 31);
             carry = new_carry;
         }
-        while self.limbs.last() == Some(&0) {
-            self.limbs.pop();
+        if limbs.last() == Some(&0) {
+            // Three limbs can shift down to two, which are stored inline.
+            *self = BigUint::from_limbs(std::mem::take(limbs));
         }
     }
 
     /// Returns `true` iff the value is even (zero counts as even).
     fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|&w| w & 1 == 0)
+        self.limbs().first().is_none_or(|&w| w & 1 == 0)
     }
 
     /// Greatest common divisor (binary GCD: shifts and subtractions only).
@@ -204,9 +231,9 @@ impl BigUint {
     pub fn div_rem_u32(&self, d: u32) -> (BigUint, u32) {
         assert!(d != 0, "division by zero");
         let d64 = u64::from(d);
-        let mut out = vec![0u32; self.limbs.len()];
+        let mut out = vec![0u32; self.limbs().len()];
         let mut rem: u64 = 0;
-        for (i, &w) in self.limbs.iter().enumerate().rev() {
+        for (i, &w) in self.limbs().iter().enumerate().rev() {
             let cur = (rem << 32) | u64::from(w);
             out[i] = (cur / d64) as u32;
             rem = cur % d64;
@@ -222,16 +249,16 @@ impl BigUint {
     pub fn rem_u64(&self, m: u64) -> u64 {
         assert!(m != 0, "division by zero");
         let m = u128::from(m);
-        self.limbs.iter().rev().fold(0u64, |rem, &w| {
+        self.limbs().iter().rev().fold(0u64, |rem, &w| {
             (((u128::from(rem) << 32) | u128::from(w)) % m) as u64
         })
     }
 
     /// `self · m + a` in one pass over the limbs.
     pub fn mul_add_u64(&self, m: u64, a: u64) -> BigUint {
-        let mut out = Vec::with_capacity(self.limbs.len() + 3);
+        let mut out = Vec::with_capacity(self.limbs().len() + 3);
         let mut carry = u128::from(a);
-        for &w in &self.limbs {
+        for &w in self.limbs() {
             let cur = u128::from(w) * u128::from(m) + carry;
             out.push(cur as u32);
             carry = cur >> 32;
@@ -264,18 +291,10 @@ impl BigUint {
             Ordering::Greater => {}
         }
         let n = self.bits();
-        let mut quotient_limbs = vec![0u32; self.limbs.len()];
+        let mut quotient_limbs = vec![0u32; self.limbs().len()];
         let mut rem = BigUint::zero();
         for i in (0..n).rev() {
-            // rem = rem * 2 + bit_i(self)
-            rem = rem.shl_bits(1);
-            if self.bit(i) {
-                if rem.limbs.is_empty() {
-                    rem.limbs.push(1);
-                } else {
-                    rem.limbs[0] |= 1;
-                }
-            }
+            rem = rem.mul_add_u64(2, u64::from(self.bit(i)));
             if rem >= *divisor {
                 rem = &rem - divisor;
                 quotient_limbs[(i / 32) as usize] |= 1 << (i % 32);
@@ -301,15 +320,38 @@ impl BigUint {
     }
 }
 
+impl Default for BigUint {
+    fn default() -> Self {
+        BigUint::zero()
+    }
+}
+
 impl From<u32> for BigUint {
     fn from(v: u32) -> Self {
-        BigUint::from_limbs(vec![v])
+        BigUint::from(u64::from(v))
     }
 }
 
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {
-        BigUint::from_limbs(vec![v as u32, (v >> 32) as u32])
+        let len = (64 - v.leading_zeros()).div_ceil(32) as u8;
+        BigUint {
+            repr: Repr::Inline(len, [v as u32, (v >> 32) as u32]),
+        }
+    }
+}
+
+impl PartialEq for BigUint {
+    fn eq(&self, other: &Self) -> bool {
+        self.limbs() == other.limbs()
+    }
+}
+
+impl Eq for BigUint {}
+
+impl Hash for BigUint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.limbs().hash(state);
     }
 }
 
@@ -321,11 +363,12 @@ impl PartialOrd for BigUint {
 
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
+        let (lhs, rhs) = (self.limbs(), other.limbs());
+        match lhs.len().cmp(&rhs.len()) {
             Ordering::Equal => {}
             ord => return ord,
         }
-        for (a, b) in self.limbs.iter().rev().zip(other.limbs.iter().rev()) {
+        for (a, b) in lhs.iter().rev().zip(rhs.iter().rev()) {
             match a.cmp(b) {
                 Ordering::Equal => {}
                 ord => return ord,
@@ -339,10 +382,10 @@ impl Add for &BigUint {
     type Output = BigUint;
 
     fn add(self, rhs: &BigUint) -> BigUint {
-        let (long, short) = if self.limbs.len() >= rhs.limbs.len() {
-            (&self.limbs, &rhs.limbs)
+        let (long, short) = if self.limbs().len() >= rhs.limbs().len() {
+            (self.limbs(), rhs.limbs())
         } else {
-            (&rhs.limbs, &self.limbs)
+            (rhs.limbs(), self.limbs())
         };
         let mut out = Vec::with_capacity(long.len() + 1);
         let mut carry = 0u64;
@@ -365,11 +408,11 @@ impl Sub for &BigUint {
     /// Panics on underflow (`self < rhs`).
     fn sub(self, rhs: &BigUint) -> BigUint {
         assert!(self >= rhs, "BigUint subtraction underflow");
-        let mut out = Vec::with_capacity(self.limbs.len());
+        let (lhs, rhs) = (self.limbs(), rhs.limbs());
+        let mut out = Vec::with_capacity(lhs.len());
         let mut borrow = 0i64;
-        for i in 0..self.limbs.len() {
-            let d = i64::from(self.limbs[i]) - i64::from(rhs.limbs.get(i).copied().unwrap_or(0))
-                + borrow;
+        for (i, &l) in lhs.iter().enumerate() {
+            let d = i64::from(l) - i64::from(rhs.get(i).copied().unwrap_or(0)) + borrow;
             if d < 0 {
                 out.push((d + (1i64 << 32)) as u32);
                 borrow = -1;
@@ -389,15 +432,16 @@ impl Mul for &BigUint {
         if self.is_zero() || rhs.is_zero() {
             return BigUint::zero();
         }
-        let mut out = vec![0u32; self.limbs.len() + rhs.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
+        let (lhs, rhs) = (self.limbs(), rhs.limbs());
+        let mut out = vec![0u32; lhs.len() + rhs.len()];
+        for (i, &a) in lhs.iter().enumerate() {
             let mut carry = 0u64;
-            for (j, &b) in rhs.limbs.iter().enumerate() {
+            for (j, &b) in rhs.iter().enumerate() {
                 let cur = u64::from(a) * u64::from(b) + u64::from(out[i + j]) + carry;
                 out[i + j] = cur as u32;
                 carry = cur >> 32;
             }
-            let mut idx = i + rhs.limbs.len();
+            let mut idx = i + rhs.len();
             while carry != 0 {
                 let cur = u64::from(out[idx]) + carry;
                 out[idx] = cur as u32;
@@ -486,6 +530,27 @@ mod tests {
         assert!(BigUint::one().is_one());
         assert_eq!(BigUint::zero().to_string(), "0");
         assert_eq!(BigUint::one().to_string(), "1");
+    }
+
+    #[test]
+    fn values_below_two_to_the_64_are_inline() {
+        // The inline form costs no size: a Vec<u32>'s niche holds the tag.
+        assert_eq!(size_of::<BigUint>(), 24);
+        let inline = |v: &BigUint| matches!(v.repr, Repr::Inline(..));
+        for v in [0, 1, u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            assert!(inline(&big(v)), "{v}");
+        }
+        assert!(inline(&BigUint::from_limbs(vec![1, 2, 0, 0])));
+        let three = BigUint::from_limbs(vec![0, 0, 1]);
+        assert!(!inline(&three));
+        // Results that shrink below 2⁶⁴ come back inline.
+        assert!(inline(&three.shr_bits(1)));
+        assert!(inline(&(&three - &big(1))));
+        let mut halved = three.clone();
+        halved.shr1();
+        assert_eq!(halved, big(1 << 63));
+        assert!(inline(&halved));
+        assert!(inline(&three.div_rem(&big(3)).0));
     }
 
     #[test]

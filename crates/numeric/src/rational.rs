@@ -38,12 +38,27 @@ impl BigRational {
 
     /// Builds `num / den`, reducing to lowest terms.
     ///
+    /// Parts below 2⁶⁴ — every one-digit tuple probability — reduce in
+    /// machine words: their gcd is taken in `u64`, and parts already in
+    /// lowest terms are kept as passed, so no heap is touched. Wider
+    /// parts reduce through [`BigUint::gcd`] and [`BigUint::div_rem`].
+    ///
     /// # Panics
     /// Panics if `den` is zero.
     pub fn new(num: BigInt, den: BigUint) -> Self {
         assert!(!den.is_zero(), "rational with zero denominator");
         if num.is_zero() {
             return BigRational::zero();
+        }
+        if let (Some(n), Some(d)) = (num.magnitude().to_u64(), den.to_u64()) {
+            let g = gcd_u64(n, d);
+            if g == 1 {
+                return BigRational { num, den };
+            }
+            return BigRational {
+                num: BigInt::from_sign_mag(num.sign(), BigUint::from(n / g)),
+                den: BigUint::from(d / g),
+            };
         }
         let g = num.magnitude().gcd(&den);
         let (n, rn) = num.magnitude().div_rem(&g);
@@ -180,6 +195,22 @@ impl BigRational {
             BigInt::from_sign_mag(self.num.sign(), self.den.clone()),
             self.num.magnitude().clone(),
         )
+    }
+}
+
+/// `gcd(a, b)` of two nonzero words (binary gcd: shifts and subtractions).
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
     }
 }
 

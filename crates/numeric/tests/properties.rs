@@ -166,3 +166,159 @@ proptest! {
         prop_assert_eq!(x.is_sign_negative(), negative);
     }
 }
+
+/// The values where a part changes width: one limb, two limbs (the
+/// widest inline value), three limbs.
+const EDGES: [u128; 6] = [
+    (1 << 32) - 1,
+    1 << 32,
+    (1 << 32) + 1,
+    (1 << 64) - 1,
+    1 << 64,
+    (1 << 64) + 1,
+];
+
+fn from_u128(v: u128) -> BigUint {
+    BigUint::from_limbs((0..4).map(|i| (v >> (32 * i)) as u32).collect())
+}
+
+fn hash_of(v: &BigUint) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(v)
+}
+
+/// A part of one or two limbs drawn by `wide`, or an edge value moved
+/// by a small offset: products of two such parts straddle 2⁶⁴ and 2¹²⁸.
+fn part(seed: &mut u64, pick: u32) -> BigUint {
+    match pick % 3 {
+        0 => wide(seed, 1),
+        1 => wide(seed, 2),
+        _ => {
+            let edge = EDGES[(*seed % EDGES.len() as u64) as usize];
+            *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            from_u128(edge - 1 + u128::from(pick / 3 % 3))
+        }
+    }
+}
+
+fn signed(negative: bool, mag: BigUint) -> BigInt {
+    BigInt::from_sign_mag(
+        if negative {
+            Sign::Negative
+        } else {
+            Sign::Positive
+        },
+        mag,
+    )
+}
+
+/// `lhs_num / lhs_den == rhs_num / rhs_den`, by cross-multiplication.
+fn same_ratio(lhs_num: &BigInt, lhs_den: &BigUint, rhs_num: &BigInt, rhs_den: &BigUint) -> bool {
+    lhs_num * &BigInt::from(rhs_den.clone()) == rhs_num * &BigInt::from(lhs_den.clone())
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+    /// Reduction agrees on both sides of 2⁶⁴: scaling both parts of
+    /// `n / d` (each below 2⁶⁴, reduced in words) by a common factor of
+    /// one to three limbs pushes them into the limb path, which must land
+    /// on the same rational — in lowest terms by the limb gcd.
+    #[test]
+    fn reduction_agrees_across_two_to_the_64(
+        (n, d) in (1u64.., 1u64..),
+        g_limbs in 1usize..=3,
+        seed in any::<u64>(),
+        negative in any::<bool>(),
+    ) {
+        let mut seed = seed;
+        let g = wide(&mut seed, g_limbs);
+        let (n, d) = (BigUint::from(n), BigUint::from(d));
+        let words = BigRational::new(signed(negative, n.clone()), d.clone());
+        let limbs = BigRational::new(signed(negative, &n * &g), &d * &g);
+        prop_assert_eq!(&words, &limbs);
+        prop_assert!(words.numer().magnitude().gcd(words.denom()).is_one());
+        prop_assert!(same_ratio(words.numer(), words.denom(), &signed(negative, n), &d));
+        prop_assert_eq!(words.numer().is_negative(), negative);
+    }
+
+    /// Every edge value is one value however it was built — from a word,
+    /// from limbs with trailing zeros, or by arithmetic that crosses the
+    /// edge — and so compares, hashes, orders and serializes identically.
+    #[test]
+    fn edge_values_have_one_representation(offset in any::<u32>(), zeros in 0usize..3) {
+        let built: Vec<Vec<BigUint>> = EDGES
+            .iter()
+            .map(|&v| {
+                let big = from_u128(v);
+                let mut limbs = big.limbs().to_vec();
+                limbs.resize(limbs.len() + zeros, 0);
+                let delta = BigUint::from(offset.max(1));
+                let shift = u64::from(offset % 70);
+                let mut ways = vec![
+                    big.clone(),
+                    BigUint::from_limbs(limbs),
+                    &(&big + &delta) - &delta,
+                    (&big * &delta).div_rem(&delta).0,
+                    big.shl_bits(shift).shr_bits(shift),
+                ];
+                if let Ok(word) = u64::try_from(v) {
+                    ways.push(BigUint::from(word));
+                }
+                if let Ok(limb) = u32::try_from(v) {
+                    ways.push(BigUint::from(limb));
+                }
+                ways
+            })
+            .collect();
+        for (i, ways) in built.iter().enumerate() {
+            let canonical = &ways[0];
+            prop_assert_eq!(canonical.bits(), 128 - EDGES[i].leading_zeros() as u64);
+            prop_assert_eq!(canonical.to_u64(), u64::try_from(EDGES[i]).ok());
+            for way in ways {
+                prop_assert_eq!(way, canonical);
+                prop_assert_eq!(way.limbs(), canonical.limbs());
+                prop_assert_eq!(hash_of(way), hash_of(canonical));
+                prop_assert_eq!(way.cmp(canonical), std::cmp::Ordering::Equal);
+            }
+            if let Some(next) = built.get(i + 1) {
+                for (a, b) in ways.iter().zip(next) {
+                    prop_assert!(a < b);
+                }
+            }
+        }
+    }
+
+    /// `+`, `−`, `×`, `complement` and `cmp` on rationals whose parts
+    /// and products straddle 2⁶⁴ and 2¹²⁸ satisfy the cross-multiplication
+    /// identities, and every result is in lowest terms.
+    #[test]
+    fn rational_arithmetic_straddles_the_word_edges(
+        seed in any::<u64>(),
+        picks in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        signs in (any::<bool>(), any::<bool>()),
+    ) {
+        let mut seed = seed;
+        let (p, q) = (part(&mut seed, picks.0), part(&mut seed, picks.1));
+        let (r, s) = (part(&mut seed, picks.2), part(&mut seed, picks.3));
+        let (p, r) = (signed(signs.0, p), signed(signs.1, r));
+        let x = BigRational::new(p.clone(), q.clone());
+        let y = BigRational::new(r.clone(), s.clone());
+        let (ps, rq) = (&p * &BigInt::from(s.clone()), &r * &BigInt::from(q.clone()));
+        let qs = &q * &s;
+        let q_int = BigInt::from(q.clone());
+        let cases = [
+            (&x + &y, &ps + &rq, qs.clone()),
+            (&x - &y, &ps - &rq, qs.clone()),
+            (&x * &y, &p * &r, qs.clone()),
+            (x.complement(), &q_int - &p, q.clone()),
+        ];
+        for (z, num, den) in &cases {
+            prop_assert!(same_ratio(z.numer(), z.denom(), num, den), "{} vs {}/{}", z, num, den);
+            prop_assert!(z.is_zero() || z.numer().magnitude().gcd(z.denom()).is_one());
+        }
+        prop_assert_eq!(x.cmp(&y), ps.cmp(&rq));
+        prop_assert_eq!(&x * &y, &y * &x);
+        prop_assert_eq!(&(&x + &y) - &y, x);
+    }
+}

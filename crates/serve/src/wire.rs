@@ -184,14 +184,28 @@ fn put_biguint(w: &mut Writer, v: &BigUint) {
 }
 
 fn get_biguint(r: &mut Reader) -> Result<BigUint, WireError> {
-    let limbs = get_list(r, 4, |r| Ok(r.u32()?))?;
-    if limbs.last() == Some(&0) {
-        // from_limbs would normalize, but a non-canonical encoding is a
-        // protocol violation worth surfacing (it breaks byte-level
-        // determinism of re-encoded values).
+    let count = r.count(4)?;
+    let v = if count <= 2 {
+        // Below 2⁶⁴: straight into `BigUint`'s inline form, no limb `Vec`.
+        let mut word = 0u64;
+        for i in 0..count {
+            word |= u64::from(r.u32()?) << (32 * i);
+        }
+        BigUint::from(word)
+    } else {
+        let mut limbs = Vec::with_capacity(capacity::<u32>(count, r));
+        for _ in 0..count {
+            limbs.push(r.u32()?);
+        }
+        BigUint::from_limbs(limbs)
+    };
+    if v.limbs().len() != count {
+        // Building the value normalized a zero top limb away, but a
+        // non-canonical encoding is a protocol violation worth surfacing
+        // (it breaks byte-level determinism of re-encoded values).
         return Err(WireError::BadValue("denormalized limbs"));
     }
-    Ok(BigUint::from_limbs(limbs))
+    Ok(v)
 }
 
 fn put_rational(w: &mut Writer, v: &BigRational) {
@@ -746,10 +760,29 @@ mod tests {
     #[test]
     fn replies_round_trip_bit_exactly() {
         let p = BigRational::from_ratio(355, 452);
+        // Parts at the limb-count edges: 2³² − 1, 2³², 2⁶⁴ − 1 (the
+        // widest inline value) and 2⁶⁴ (the narrowest limb vector).
+        let edges = [
+            BigUint::from(u64::from(u32::MAX)),
+            BigUint::from(1u64 << 32),
+            BigUint::from(u64::MAX),
+            BigUint::from_limbs(vec![0, 0, 1]),
+        ];
+        let mut edge_rationals = Vec::new();
+        for (i, num) in edges.iter().enumerate() {
+            for den in &edges[i..] {
+                for sign in [Sign::Positive, Sign::Negative] {
+                    let num = BigInt::from_sign_mag(sign, num.clone());
+                    edge_rationals.push(BigRational::new(num, den.clone()));
+                }
+            }
+        }
         let replies: Vec<Result<Response, ServeError>> = vec![
             Ok(Response::Exact(p.clone())),
+            Ok(Response::Exact(edge_rationals[5].clone())),
             Ok(Response::F64(0.1 + 0.2)),
             Ok(Response::Batch(vec![p.clone(), BigRational::zero()])),
+            Ok(Response::Batch(edge_rationals)),
             Ok(Response::BatchF64(vec![f64::MIN_POSITIVE, 1.0])),
             Ok(Response::Snapshot(vec![1, 2, 3])),
             Ok(Response::Pong),
@@ -869,5 +902,29 @@ mod tests {
             decode_reply(&w.into_bytes()).unwrap_err(),
             WireError::BadValue("zero denominator")
         );
+        // A zero top limb is a typed rejection, inline or not, and a
+        // limb count past the frame is truncation.
+        for numerator in [&[0][..], &[5, 0], &[1, 2, 0]] {
+            let mut w = frame(OP_RESP_EXACT, 0);
+            w.u8(0);
+            put_list(&mut w, numerator, |w, &limb| w.u32(limb));
+            put_biguint(&mut w, &BigUint::one());
+            assert_eq!(
+                decode_reply(&w.into_bytes()).unwrap_err(),
+                WireError::BadValue("denormalized limbs"),
+                "numerator limbs {numerator:?}"
+            );
+        }
+        for count in [2, 3] {
+            let mut w = frame(OP_RESP_EXACT, 0);
+            w.u8(0);
+            w.u32(count);
+            w.u32(5);
+            assert_eq!(
+                decode_reply(&w.into_bytes()).unwrap_err(),
+                WireError::Truncated,
+                "{count} limbs claimed, one sent"
+            );
+        }
     }
 }

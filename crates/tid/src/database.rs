@@ -1,5 +1,6 @@
 //! Relational instances over the `H`-query vocabulary.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -84,9 +85,9 @@ pub struct Database {
     k: u8,
     domain_size: u32,
     tuples: Vec<TupleDesc>,
-    r: HashMap<u32, TupleId>,
-    s: Vec<HashMap<(u32, u32), TupleId>>,
-    t: HashMap<u32, TupleId>,
+    /// Every tuple's id, one map for all relations: an empty instance
+    /// allocates nothing, whatever its `k`.
+    ids: HashMap<TupleDesc, TupleId>,
 }
 
 impl Database {
@@ -100,9 +101,7 @@ impl Database {
             k,
             domain_size,
             tuples: Vec::new(),
-            r: HashMap::new(),
-            s: vec![HashMap::new(); usize::from(k)],
-            t: HashMap::new(),
+            ids: HashMap::new(),
         }
     }
 
@@ -144,33 +143,19 @@ impl Database {
     pub fn insert(&mut self, tuple: TupleDesc) -> Result<TupleId, DatabaseError> {
         let id = TupleId(u32::try_from(self.tuples.len()).expect("tuple count fits u32"));
         match tuple {
-            TupleDesc::R(a) => {
-                self.check_const(a)?;
-                if self.r.contains_key(&a) {
-                    return Err(DatabaseError::DuplicateTuple(tuple));
-                }
-                self.r.insert(a, id);
-            }
+            TupleDesc::R(a) | TupleDesc::T(a) => self.check_const(a)?,
             TupleDesc::S(i, a, b) => {
                 if i == 0 || i > self.k {
                     return Err(DatabaseError::BadRelationIndex(i));
                 }
                 self.check_const(a)?;
                 self.check_const(b)?;
-                let rel = &mut self.s[usize::from(i) - 1];
-                if rel.contains_key(&(a, b)) {
-                    return Err(DatabaseError::DuplicateTuple(tuple));
-                }
-                rel.insert((a, b), id);
-            }
-            TupleDesc::T(b) => {
-                self.check_const(b)?;
-                if self.t.contains_key(&b) {
-                    return Err(DatabaseError::DuplicateTuple(tuple));
-                }
-                self.t.insert(b, id);
             }
         }
+        match self.ids.entry(tuple) {
+            Entry::Occupied(_) => return Err(DatabaseError::DuplicateTuple(tuple)),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
         self.tuples.push(tuple);
         Ok(id)
     }
@@ -185,51 +170,32 @@ impl Database {
             return Err(DatabaseError::UnknownTuple(id));
         }
         let removed = self.tuples.remove(id.0 as usize);
-        self.r.clear();
-        self.t.clear();
-        for rel in &mut self.s {
-            rel.clear();
-        }
-        for (i, &tuple) in self.tuples.iter().enumerate() {
-            let id = TupleId(i as u32);
-            match tuple {
-                TupleDesc::R(a) => {
-                    self.r.insert(a, id);
-                }
-                TupleDesc::S(j, a, b) => {
-                    self.s[usize::from(j) - 1].insert((a, b), id);
-                }
-                TupleDesc::T(b) => {
-                    self.t.insert(b, id);
-                }
-            }
-        }
+        self.ids.clear();
+        let renumbered = self.tuples.iter().enumerate();
+        self.ids
+            .extend(renumbered.map(|(i, &tuple)| (tuple, TupleId(i as u32))));
         Ok(removed)
     }
 
     /// Looks up `R(a)`.
     pub fn r_tuple(&self, a: u32) -> Option<TupleId> {
-        self.r.get(&a).copied()
+        self.tuple_id(TupleDesc::R(a))
     }
 
     /// Looks up `S_i(a, b)`.
     pub fn s_tuple(&self, i: u8, a: u32, b: u32) -> Option<TupleId> {
         debug_assert!(i >= 1 && i <= self.k);
-        self.s[usize::from(i) - 1].get(&(a, b)).copied()
+        self.tuple_id(TupleDesc::S(i, a, b))
     }
 
     /// Looks up `T(b)`.
     pub fn t_tuple(&self, b: u32) -> Option<TupleId> {
-        self.t.get(&b).copied()
+        self.tuple_id(TupleDesc::T(b))
     }
 
     /// Generic lookup by description.
     pub fn tuple_id(&self, tuple: TupleDesc) -> Option<TupleId> {
-        match tuple {
-            TupleDesc::R(a) => self.r_tuple(a),
-            TupleDesc::S(i, a, b) => self.s_tuple(i, a, b),
-            TupleDesc::T(b) => self.t_tuple(b),
-        }
+        self.ids.get(&tuple).copied()
     }
 
     /// The description of a tuple id.
@@ -245,10 +211,13 @@ impl Database {
             .map(|(i, &t)| (TupleId(i as u32), t))
     }
 
-    /// All facts of `S_i`, as `((a, b), id)`.
+    /// All facts of `S_i`, as `((a, b), id)`, in insertion order.
     pub fn s_facts(&self, i: u8) -> impl Iterator<Item = ((u32, u32), TupleId)> + '_ {
         debug_assert!(i >= 1 && i <= self.k);
-        self.s[usize::from(i) - 1].iter().map(|(&ab, &id)| (ab, id))
+        self.iter().filter_map(move |(id, tuple)| match tuple {
+            TupleDesc::S(j, a, b) if j == i => Some(((a, b), id)),
+            _ => None,
+        })
     }
 
     /// `true` iff `other` has the same *shape*: chain length, domain, and
