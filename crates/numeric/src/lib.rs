@@ -7,9 +7,13 @@
 //! *exactly* — floating point would hide genuine disagreements behind
 //! rounding. This crate provides the minimal exact tower needed:
 //!
-//! * [`BigUint`] — arbitrary-precision unsigned integers (32-bit limbs),
+//! * [`BigUint`] — arbitrary-precision unsigned integers (32-bit limbs);
+//!   a value below 2⁶⁴ keeps its limbs inline, with no heap allocation,
 //! * [`BigInt`] — signed wrapper,
-//! * [`BigRational`] — always-reduced fractions, the probability type,
+//! * [`BigRational`] — always-reduced fractions, the probability type;
+//!   [`BigRational::new`] reduces parts below 2⁶⁴ with a `u64` gcd and
+//!   keeps parts already in lowest terms as passed, so a one-digit tuple
+//!   probability is built, decoded and dropped in machine words,
 //! * [`ProbNum`] — the number trait every probability pass is written
 //!   against once, implemented for `BigRational` (the exact oracles),
 //!   [`Residues`] (exact answers, one block of word-size primes per

@@ -8,6 +8,10 @@
 # benchmark (BENCHMARK.json's command, alternating sides): the run
 # count, the seeds, the attempted and failed ops of each run, and each
 # end-to-end metric's median and interquartile range over the runs.
+# A metric may also carry `values`: one number per run, in the order of
+# its side's `seeds`, e.g.
+#   "batch_p90_ms": {"median": 1.26, "iqr": 0.05, "unit": "ms",
+#                    "values": [1.21, 1.30, ...]}
 #
 # The script prints every end-to-end metric's change/parent median
 # ratio and exits non-zero when a metric is worse than the parent by
@@ -17,9 +21,13 @@
 # A ledger whose change claims a gain carries
 # `"claim": {"workload": "<workload>", "metric": "<end-to-end metric>"}`.
 # The script then also prints that metric's change/parent median ratio
-# and exits non-zero unless the change median beats the parent median
-# in the metric's BENCHMARK.json `better` direction. A ledger without
-# the field claims nothing and checks as above.
+# and exits non-zero unless
+#   - the change median beats the parent median in the metric's
+#     BENCHMARK.json `better` direction,
+#   - by more than the parent's interquartile range, and
+#   - when both sides carry `values`, the change wins at least 9 of
+#     every 10 pairs of runs, paired by seed, a tie winning for neither.
+# A ledger without the field claims nothing and checks as above.
 #
 # Usage: bash scripts/bench-compare.sh BENCH_16.json   (CI runs it on
 #        the committed ledger)
@@ -67,12 +75,29 @@ if claim:
     sides = ledger["workloads"][workload]
     p = sides["parent"]["metrics"][name]["median"]
     c = sides["change"]["metrics"][name]["median"]
+    iqr = sides["parent"]["metrics"][name]["iqr"]
     ratio = c / p if p else float("inf") if c else 1.0
-    beats = c < p if better == "lower" else c > p
+
+    def better_than(x, y):
+        return x < y if better == "lower" else x > y
+
+    beats = better_than(c, p) and abs(c - p) > iqr
     print(f"claim: {workload} {name} parent {p:.4f} change {c:.4f} ratio {ratio:6.3f} "
-          f"({better} is better)  {'ok' if beats else 'NOT SHOWN'}")
+          f"({better} is better), parent IQR {iqr:.4f}  {'ok' if beats else 'NOT SHOWN'}")
     if not beats:
-        failures.append(f"claimed gain {workload} {name} not shown: ratio {ratio:.3f}")
+        failures.append(f"claimed gain {workload} {name} not shown: ratio {ratio:.3f}, "
+                        f"medians {abs(c - p):.4f} apart against a parent IQR of {iqr:.4f}")
+    values = [sides[side]["metrics"][name].get("values") for side in ("parent", "change")]
+    if None not in values:
+        parent_by_seed = dict(zip(sides["parent"]["seeds"], values[0]))
+        pairs = [(parent_by_seed[seed], v) for seed, v in zip(sides["change"]["seeds"], values[1])
+                 if seed in parent_by_seed]
+        wins = sum(better_than(v, pv) for pv, v in pairs)
+        won = bool(pairs) and 10 * wins >= 9 * len(pairs)
+        print(f"claim: the change wins {wins} of {len(pairs)} seed-matched pairs  "
+              f"{'ok' if won else 'NOT SHOWN'}")
+        if not won:
+            failures.append(f"claimed gain {workload} {name} won {wins} of {len(pairs)} pairs")
 
 for f in failures:
     print(f"bench-compare: {f}", file=sys.stderr)

@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # 10 ms per benchmark: one warm-up + at least one timed iteration each,
-# keeping the whole 18-target suite in CI-friendly time.
+# keeping the whole 19-target suite in CI-friendly time.
 export INTEXT_BENCH_BUDGET_MS="${INTEXT_BENCH_BUDGET_MS:-10}"
 
 target_dir="$(cargo metadata --format-version 1 --no-deps --offline |

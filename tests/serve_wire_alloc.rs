@@ -105,7 +105,7 @@ fn live_bytes_held<T>(decode: impl FnOnce() -> T) -> (usize, T) {
 }
 
 #[test]
-fn decoding_stays_within_the_payload_the_vocabulary_and_a_few_allocations() {
+fn hostile_list_counts_reserve_no_more_than_their_payload() {
     let q = Query::from(HQuery::new(phi9()));
     let empty_tid = uniform_tid(Database::new(3, 1), BigRational::from_ratio(1, 2));
     // Each frame ends in an empty list, whose count the hostile copy
