@@ -265,7 +265,9 @@ enum Resolved {
         required_k: u8,
     },
     /// General and unsafe (or non-UCQ): ground the lineage to an OBDD
-    /// over raw tuple ids, within [`EngineConfig::max_ground_tuples`].
+    /// over the tuple ids in the query's hierarchy order, grouped by the
+    /// root variable's constant ([`ground_circuit`]), within
+    /// [`EngineConfig::max_ground_tuples`].
     Ground {
         /// The query expression to ground per instance.
         expr: Arc<QueryExpr>,

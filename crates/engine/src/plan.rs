@@ -34,7 +34,8 @@ pub enum Plan {
     Lifted,
     /// A general query that is neither H-shaped nor safe, on an
     /// instance within the grounding budget: ground the lineage and
-    /// compile an OBDD over raw tuple ids. Cacheable.
+    /// compile an OBDD over the tuple ids, grouped by the root
+    /// variable's constant. Cacheable.
     GroundCircuit,
 }
 

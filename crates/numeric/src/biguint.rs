@@ -272,35 +272,84 @@ impl BigUint {
 
     /// Long division: returns `(quotient, remainder)`.
     ///
-    /// Bitwise shift-subtract long division: `O(bits(self) * limbs)`.
-    /// Adequate for this project's operand sizes and trivially correct.
+    /// Schoolbook long division on 32-bit limbs (Knuth, TAOCP vol. 2,
+    /// §4.3.1, Algorithm D), `O(limbs(self) · limbs(divisor))`: each
+    /// quotient limb is estimated from the remainder's top two limbs and
+    /// the divisor's top limb in `u64`, corrected with the next limb,
+    /// then multiplied and subtracted; an estimate still one too large
+    /// shows as a negative remainder and is undone by adding the divisor
+    /// back. A one-limb divisor takes [`div_rem_u32`](Self::div_rem_u32).
     ///
     /// # Panics
     /// Panics if `divisor` is zero.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
-        if let Some(d) = divisor.to_u64() {
-            if let Ok(d32) = u32::try_from(d) {
-                let (q, r) = self.div_rem_u32(d32);
-                return (q, BigUint::from(u64::from(r)));
+        if let &[d] = divisor.limbs() {
+            let (q, r) = self.div_rem_u32(d);
+            return (q, BigUint::from(r));
+        }
+        if self < divisor {
+            return (BigUint::zero(), self.clone());
+        }
+        // Normalize: shift both sides so that the divisor's top limb has
+        // its high bit set, which makes each estimate at most two too
+        // large. The dividend gains one limb for the shifted-out bits.
+        let shift = divisor.limbs().last().map_or(0, |top| top.leading_zeros());
+        let shifted = |limbs: &[u32]| -> Vec<u32> {
+            let mut out = Vec::with_capacity(limbs.len() + 1);
+            let mut carry = 0u32;
+            for &w in limbs {
+                let x = u64::from(w) << shift;
+                out.push(x as u32 | carry);
+                carry = (x >> 32) as u32;
             }
-        }
-        match self.cmp(divisor) {
-            Ordering::Less => return (BigUint::zero(), self.clone()),
-            Ordering::Equal => return (BigUint::one(), BigUint::zero()),
-            Ordering::Greater => {}
-        }
-        let n = self.bits();
-        let mut quotient_limbs = vec![0u32; self.limbs().len()];
-        let mut rem = BigUint::zero();
-        for i in (0..n).rev() {
-            rem = rem.mul_add_u64(2, u64::from(self.bit(i)));
-            if rem >= *divisor {
-                rem = &rem - divisor;
-                quotient_limbs[(i / 32) as usize] |= 1 << (i % 32);
+            out.push(carry);
+            out
+        };
+        let mut v = shifted(divisor.limbs());
+        v.pop();
+        let mut u = shifted(self.limbs());
+        let n = v.len();
+        let (v1, v2) = (u64::from(v[n - 1]), u64::from(v[n - 2]));
+        let mut q = vec![0u32; u.len() - n];
+        for j in (0..q.len()).rev() {
+            let top = u64::from(u[j + n]) << 32 | u64::from(u[j + n - 1]);
+            let (mut qhat, mut rhat) = (top / v1, top % v1);
+            while qhat >> 32 != 0 || qhat * v2 > (rhat << 32 | u64::from(u[j + n - 2])) {
+                qhat -= 1;
+                rhat += v1;
+                if rhat >> 32 != 0 {
+                    break;
+                }
             }
+            // u[j..=j+n] -= qhat · v, carrying the product's high half
+            // and the borrow together.
+            let mut k: i64 = 0;
+            for i in 0..n {
+                let p = qhat * u64::from(v[i]);
+                let t = i64::from(u[i + j]) - k - i64::from(p as u32);
+                u[i + j] = t as u32;
+                k = (p >> 32) as i64 - (t >> 32);
+            }
+            let t = i64::from(u[j + n]) - k;
+            u[j + n] = t as u32;
+            if t < 0 {
+                qhat -= 1;
+                let mut carry = 0u64;
+                for i in 0..n {
+                    let s = u64::from(u[i + j]) + u64::from(v[i]) + carry;
+                    u[i + j] = s as u32;
+                    carry = s >> 32;
+                }
+                u[j + n] = u[j + n].wrapping_add(carry as u32);
+            }
+            q[j] = qhat as u32;
         }
-        (BigUint::from_limbs(quotient_limbs), rem)
+        u.truncate(n);
+        (
+            BigUint::from_limbs(q),
+            BigUint::from_limbs(u).shr_bits(u64::from(shift)),
+        )
     }
 
     /// `self^exp` by repeated squaring.

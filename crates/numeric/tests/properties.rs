@@ -322,3 +322,54 @@ proptest! {
         prop_assert_eq!(&(&x + &y) - &y, x);
     }
 }
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+    /// Long division meets its definition, `q · d + r == n` with
+    /// `r < d`, for dividends of one to eight limbs and divisors of one
+    /// to six: random divisors, divisors whose top limb is `0x8000_0000`
+    /// (already normalized) or `0xFFFF_FFFF` (the largest estimates), and
+    /// divisors just below, equal to and just above the dividend.
+    #[test]
+    fn biguint_div_rem_meets_its_definition(
+        seed in any::<u64>(),
+        (n_limbs, d_limbs) in (1usize..=8, 1usize..=6),
+        shape in 0u32..6,
+    ) {
+        let mut seed = seed;
+        let mut n = wide(&mut seed, n_limbs);
+        let mut d = wide(&mut seed, d_limbs);
+        let one = BigUint::one();
+        match shape {
+            1 | 2 => {
+                let mut limbs = d.limbs().to_vec();
+                *limbs.last_mut().unwrap() = if shape == 1 { 0x8000_0000 } else { 0xFFFF_FFFF };
+                d = BigUint::from_limbs(limbs);
+            }
+            3 => {
+                n = &d + &one;
+            }
+            4 => n = d.clone(),
+            5 => n = &d - &one,
+            _ => {}
+        }
+        prop_assume!(!d.is_zero());
+        let (q, r) = n.div_rem(&d);
+        prop_assert_eq!(&(&q * &d) + &r, n.clone(), "{} / {}", n, d);
+        prop_assert!(r < d, "{} / {}: remainder {}", n, d, r);
+    }
+}
+
+/// A quotient limb whose corrected estimate is still one too large:
+/// `0x8000_0000_0000_0000_0000_0003 / 0x2000_0000_0000_0000_0000_0001`
+/// estimates 4 from the top limbs, the multiply-subtract goes negative,
+/// and adding the divisor back gives the quotient 3.
+#[test]
+fn biguint_div_rem_adds_back_an_overestimate() {
+    let n = BigUint::from_limbs(vec![3, 0, 0x8000_0000]);
+    let d = BigUint::from_limbs(vec![1, 0, 0x2000_0000]);
+    let (q, r) = n.div_rem(&d);
+    assert_eq!(q, BigUint::from(3u64));
+    assert_eq!(r, BigUint::from_limbs(vec![0, 0, 0x2000_0000]));
+}

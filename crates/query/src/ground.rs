@@ -5,17 +5,24 @@
 //! per homomorphism of the leaf into the database, listing the tuples
 //! the homomorphism uses. The Boolean skeleton above the leaves
 //! (conjunction, disjunction, negation) then compiles directly to an
-//! OBDD over raw tuple ids in ascending order, and the weighted model
-//! count of that OBDD is the query probability. Exponential in the
-//! worst case — callers budget the tuple count — but exact on any
-//! query, safe or not, monotone or not.
+//! OBDD over the tuple ids, and the weighted model count of that OBDD
+//! is the query probability. The OBDD's variable order follows the
+//! query's hierarchy: tuples grouped by the constant of the root
+//! variable (the one in every atom of a leaf), `R(c)`, then the `S`
+//! tuples grouped at `c`, then `T(c)`, for each constant `c` in turn.
+//! For a hierarchical, inversion-free query that order gives an OBDD
+//! linear in the instance (Jha–Suciu, ICDT 2011). Unsafe queries and
+//! queries with an inversion keep a fixed interleaving and stay
+//! exponential in the worst case — callers budget the tuple count — but
+//! the route is exact on any query, safe or not, monotone or not.
 
 use intext_circuits::{EvalScratch, NodeRef, ObddManager};
 use intext_numeric::ProbNum;
-use intext_tid::{Database, Tid, TupleId};
+use intext_tid::{Database, Relation, Tid, TupleDesc, TupleId};
 
 use crate::brute::{tuple_weights, BruteForceError};
 use crate::cq::{ConjunctiveQuery, Term};
+use crate::lifted::separators;
 use crate::ucq::QueryExpr;
 
 /// Lineage of one CQ leaf: a DNF with one clause (sorted, deduplicated
@@ -96,16 +103,31 @@ pub fn ground_cq(cq: &ConjunctiveQuery, db: &Database) -> Vec<Vec<TupleId>> {
 fn build(m: &mut ObddManager, expr: &QueryExpr, db: &Database) -> NodeRef {
     match expr {
         QueryExpr::Cq(cq) => {
-            let mut node = NodeRef::FALSE;
-            for clause in ground_cq(cq, db) {
-                let mut conj = NodeRef::TRUE;
-                for id in clause {
-                    let lit = m.literal(id.0, true);
-                    conj = m.and(conj, lit);
-                }
-                node = m.or(node, conj);
+            let mut terms: Vec<NodeRef> = ground_cq(cq, db)
+                .into_iter()
+                .map(|clause| {
+                    let mut conj = NodeRef::TRUE;
+                    for id in clause {
+                        let lit = m.literal(id.0, true);
+                        conj = m.and(conj, lit);
+                    }
+                    conj
+                })
+                .collect();
+            // A balanced tree of `∨`s: neighbouring clauses share their
+            // root constant, so each partial disjunction stays narrow,
+            // where a left fold re-walks the whole growing disjunction
+            // once per clause. The reduced OBDD is the same either way.
+            while terms.len() > 1 {
+                terms = terms
+                    .chunks(2)
+                    .map(|pair| match *pair {
+                        [a, b] => m.or(a, b),
+                        _ => pair[0],
+                    })
+                    .collect();
             }
-            node
+            terms.pop().unwrap_or(NodeRef::FALSE)
         }
         QueryExpr::And(parts) => {
             let mut node = NodeRef::TRUE;
@@ -130,14 +152,97 @@ fn build(m: &mut ObddManager, expr: &QueryExpr, db: &Database) -> NodeRef {
     }
 }
 
-/// Compiles a query's grounded lineage to an OBDD over raw tuple ids
-/// (ascending variable order). The pair plugs straight into the
-/// engine's degenerate-lineage artifact type. The apply steps leave
-/// every intermediate function in the arena, so it is compacted to the
-/// root's reachable nodes: the manager holds exactly what a walk visits
-/// and what a cache budget counts.
+/// The variable order of [`ground_circuit`] for `expr` on `db`: every
+/// tuple id once, sorted by its group's constant, then `R` / `S` / `T`,
+/// then the other argument, then the `S` index. `S_i`'s grouping
+/// position comes from the CQ leaves' root variables: leaves with one
+/// root decide first, and a leaf with several takes the first that
+/// agrees with them. `S_i` falls back to its first position when the
+/// leaves disagree (an inversion), when a leaf naming `S_i` has no
+/// root, or when no leaf names it. The roots are read off the
+/// normalized leaves, so every spelling that shares a ground cache key
+/// gets the same order.
+fn hierarchy_order(expr: &QueryExpr, db: &Database) -> Vec<u32> {
+    // Per S_i, the positions still open to it: bit p is position p.
+    let mut open = vec![0b11u8; usize::from(db.k().max(expr.required_k())) + 1];
+    let mut several = Vec::new();
+    for leaf in expr.normalize_leaves().leaves() {
+        // Per root, the positions it leaves each S_i of the leaf.
+        let choices: Vec<Vec<u8>> = separators(leaf)
+            .into_iter()
+            .map(|root| {
+                let mut masks = vec![0b11u8; open.len()];
+                for atom in &leaf.atoms {
+                    if let Relation::S(i) = atom.rel {
+                        let at = (0..2).filter(|&p| atom.args[p] == Term::Var(root));
+                        masks[usize::from(i)] &= at.fold(0, |m, p| m | 1 << p);
+                    }
+                }
+                masks
+            })
+            .collect();
+        match choices.len() {
+            0 => {
+                for atom in &leaf.atoms {
+                    if let Relation::S(i) = atom.rel {
+                        open[usize::from(i)] = 0;
+                    }
+                }
+            }
+            1 => open.iter_mut().zip(&choices[0]).for_each(|(o, m)| *o &= m),
+            _ => several.push(choices),
+        }
+    }
+    for choices in several {
+        // A position already lost to a disagreement cannot be agreed on.
+        let agrees = |masks: &&Vec<u8>| masks.iter().zip(&open).all(|(m, o)| m & o != 0 || *o == 0);
+        let pick = choices.iter().find(agrees).unwrap_or(&choices[0]);
+        open.iter_mut().zip(pick).for_each(|(o, m)| *o &= m);
+    }
+    let mut keyed: Vec<((u32, u8, u32, u8), u32)> = db
+        .iter()
+        .map(|(id, desc)| {
+            let key = match desc {
+                TupleDesc::R(c) => (c, 0, 0, 0),
+                TupleDesc::S(i, a, b) if open[usize::from(i)] == 0b10 => (b, 1, a, i),
+                TupleDesc::S(i, a, b) => (a, 1, b, i),
+                TupleDesc::T(c) => (c, 2, 0, 0),
+            };
+            (key, id.0)
+        })
+        .collect();
+    keyed.sort_unstable();
+    let order: Vec<u32> = keyed.into_iter().map(|(_, id)| id).collect();
+    debug_assert!({
+        let mut ids = order.clone();
+        ids.sort_unstable();
+        ids.into_iter().eq(0..db.len() as u32)
+    });
+    order
+}
+
+/// Compiles a query's grounded lineage to an OBDD in the query's
+/// hierarchy order. The order takes the domain constants `c` in turn:
+/// `R(c)`, then the `S` tuples grouped at `c`, then `T(c)`. An `S_i`
+/// tuple is grouped at its argument in the position the root variable
+/// (one in every atom of a CQ leaf) takes in `S_i`'s atoms; within a
+/// group the other argument `o` ascends, with `S1(c,o), S2(c,o), …`
+/// side by side. For a hierarchical, inversion-free query each leaf's
+/// lineage is then a disjunction, over the groups, of functions of one
+/// group's tuples, so the OBDD is linear in the instance (Jha–Suciu,
+/// *Knowledge compilation meets database theory*, ICDT 2011), where
+/// ascending tuple ids, which put every `R` tuple before every `S`
+/// tuple, need a width of about `2^|R|` even on `R(x), S1(x,y)`. When
+/// the leaves disagree on a position (an inversion) or a leaf has no
+/// root, `S_i` is grouped at its first argument: a fixed interleaving
+/// that stays exponential on unsafe queries, only narrower.
+///
+/// The pair plugs straight into the engine's degenerate-lineage artifact
+/// type. The apply steps leave every intermediate function in the
+/// arena, so it is compacted to the root's reachable nodes: the manager
+/// holds exactly what a walk visits and what a cache budget counts.
 pub fn ground_circuit(expr: &QueryExpr, db: &Database) -> (ObddManager, NodeRef) {
-    let mut m = ObddManager::new((0..db.len() as u32).collect());
+    let mut m = ObddManager::new(hierarchy_order(expr, db));
     let root = build(&mut m, expr, db);
     let (m, roots) = m.compact(&[root]);
     (m, roots[0])
@@ -194,8 +299,9 @@ pub fn ucq_brute_force<N: ProbNum>(expr: &QueryExpr, tid: &Tid) -> Result<N, Bru
 mod tests {
     use super::*;
     use crate::cq::Atom;
+    use crate::parse::parse_query;
     use intext_numeric::BigRational;
-    use intext_tid::{Relation, TupleDesc};
+    use intext_tid::{complete_database, Vocabulary};
 
     fn fixture() -> Tid {
         let mut db = Database::new(2, 3);
@@ -281,14 +387,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grounded_arena_holds_only_the_roots_nodes() {
-        // The unsafe join R(x), S1(x,y), T(y) on the complete k = 1,
-        // domain-6 instance minus one S1 tuple: the apply steps create
-        // several times more nodes than the final function keeps.
+    /// The complete k = 1, domain-6 instance minus one S1 tuple, and the
+    /// unsafe join R(x), S1(x,y), T(y) on it: compile-churn's grounded
+    /// shape.
+    fn near_complete_unsafe_join() -> (Database, QueryExpr) {
         let mut db = Database::new(1, 6);
         let mut dropped = false;
-        for (_, desc) in intext_tid::complete_database(1, 6).iter() {
+        for (_, desc) in complete_database(1, 6).iter() {
             if !dropped && matches!(desc, TupleDesc::S(..)) {
                 dropped = true;
                 continue;
@@ -300,8 +405,97 @@ mod tests {
             Atom::binary(Relation::S(1), Term::Var(0), Term::Var(1)),
             Atom::unary(Relation::T, Term::Var(1)),
         ]));
+        (db, expr)
+    }
+
+    #[test]
+    fn grounded_arena_holds_only_the_roots_nodes() {
+        // The apply steps create several times more nodes than the
+        // final function keeps.
+        let (db, expr) = near_complete_unsafe_join();
         let (m, root) = ground_circuit(&expr, &db);
         assert_eq!(m.arena_size(), m.size(root));
+    }
+
+    #[test]
+    fn hierarchical_queries_ground_to_linear_obdds() {
+        // 2|D| nodes holds with room at every domain; ascending tuple
+        // ids exceed it by domain 8 (2,295 nodes for R(x), S1(x,y) on
+        // 144 tuples), and S1(x,y), S2(x,y) takes 131,070 at domain 4.
+        // Domains ascend so that an exponential order fails before the
+        // domain-16 compile.
+        let voc = Vocabulary::h(2);
+        for text in [
+            "R(x), S1(x,y)",
+            "S2(x,y), T(y)",
+            "S1(x,y), S2(x,y)",
+            "R(x), S1(x,y), S2(x,z)",
+        ] {
+            let expr = parse_query(text, &voc).unwrap();
+            for domain in [4, 8, 16] {
+                let db = complete_database(2, domain);
+                let (m, root) = ground_circuit(&expr, &db);
+                assert!(
+                    m.size(root) <= 2 * db.len(),
+                    "{text} at domain {domain}: {} nodes on {} tuples",
+                    m.size(root),
+                    db.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unsafe_join_grounds_in_the_fixed_interleaving() {
+        // No root variable: each R(c), S1(c,·), T(c) group still sits
+        // together, which keeps the OBDD at 1,467 nodes where
+        // ascending tuple ids take 7,070.
+        let (db, expr) = near_complete_unsafe_join();
+        let (m, root) = ground_circuit(&expr, &db);
+        assert!(m.size(root) <= 1_500, "{} nodes", m.size(root));
+    }
+
+    #[test]
+    fn grouping_follows_the_root_variables_position() {
+        let voc = Vocabulary::h(2);
+        let db = complete_database(2, 2);
+        let order = |text: &str| -> String {
+            let ids = hierarchy_order(&parse_query(text, &voc).unwrap(), &db);
+            let descs: Vec<String> = ids
+                .into_iter()
+                .map(|id| db.describe(TupleId(id)).to_string())
+                .collect();
+            descs.join(" ")
+        };
+        // Root x sits first in S1 and S2: group c holds S_i(c, ·).
+        let by_first = "R(0) S1(0,0) S2(0,0) S1(0,1) S2(0,1) T(0) \
+                        R(1) S1(1,0) S2(1,0) S1(1,1) S2(1,1) T(1)";
+        assert_eq!(order("R(x), S1(x,y), S2(x,z)"), by_first);
+        // Both x and y are roots of S1(x,y), S2(x,y); the first agrees.
+        assert_eq!(order("S1(x,y), S2(x,y)"), by_first);
+        // Root y sits second in S2; S1, which no leaf names, keeps its
+        // first position.
+        let s2_by_second = "R(0) S1(0,0) S2(0,0) S1(0,1) S2(1,0) T(0) \
+                            R(1) S1(1,0) S2(0,1) S1(1,1) S2(1,1) T(1)";
+        assert_eq!(order("S2(x,y), T(y)"), s2_by_second);
+        // A two-root leaf takes the root that agrees with the other
+        // leaves: x for S1(x,y), S2(x,y) above; here y, so both S_i
+        // group by their second argument.
+        assert_eq!(
+            order("S1(x,y), T(y) | S2(x,y), S1(x,y)"),
+            "R(0) S1(0,0) S2(0,0) S1(1,0) S2(1,0) T(0) \
+             R(1) S1(0,1) S2(0,1) S1(1,1) S2(1,1) T(1)"
+        );
+        // An inversion (S1 grouped by x in one leaf, by y in the other)
+        // and a rootless leaf both fall back to the first position.
+        assert_eq!(order("R(x), S1(x,y) | S1(x,y), T(y)"), by_first);
+        assert_eq!(order("R(x), S1(x,y), T(y)"), by_first);
+        // S1's inversion leaves the two-root leaf free to agree with
+        // S2(x,y), T(y) on S2.
+        assert_eq!(
+            order("R(x), S1(x,y) | S1(x,y), T(y) | S2(x,y), T(y) | S1(x,y), S2(x,y)"),
+            s2_by_second
+        );
     }
 
     #[test]

@@ -98,9 +98,10 @@ fn dedup_atoms(cq: &ConjunctiveQuery) -> ConjunctiveQuery {
     ConjunctiveQuery::new(atoms)
 }
 
-/// Variables occurring in *every* atom — separator candidates, in
-/// ascending order for determinism.
-fn separators(cq: &ConjunctiveQuery) -> Vec<u8> {
+/// Variables occurring in *every* atom — separator candidates (and the
+/// root variables the grounding order groups by), in ascending order
+/// for determinism.
+pub(crate) fn separators(cq: &ConjunctiveQuery) -> Vec<u8> {
     let mut iter = cq.atoms.iter();
     let Some(first) = iter.next() else {
         return Vec::new();

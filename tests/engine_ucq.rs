@@ -3,7 +3,9 @@
 //! * **Differential on safe UCQs** — for every safe query in the
 //!   corpus, lifted inference ≡ grounded circuit ≡ brute force
 //!   bit-identically on exact rationals (and within 1e-12 on f64),
-//!   both at the function level and through `PqeEngine::evaluate`.
+//!   both at the function level and through `PqeEngine::evaluate`;
+//!   past brute force's reach, lifted ≡ grounded at domains 8 and 12,
+//!   where the grounding's hierarchy order keeps every compile small.
 //! * **H-shape recognition** — all 272 Boolean functions with `k ≤ 2`,
 //!   rendered to UCQ text and re-parsed, land on the *same* plans and
 //!   cached artifacts as their native `HQuery` twins: zero extra
@@ -15,11 +17,12 @@ use intext::boolfn::BoolFn;
 use intext::engine::{Plan, PqeEngine};
 use intext::numeric::BigRational;
 use intext::query::{
-    ground_circuit_probability, h_query_text, is_safe_ucq, lifted_probability, parse_query,
-    ucq_brute_force, HQuery, Query,
+    ground_circuit, ground_circuit_probability, h_query_text, is_safe_ucq, lifted_probability,
+    parse_query, ucq_brute_force, HQuery, Query,
 };
 use intext::tid::{
-    complete_database, random_database, random_tid, uniform_tid, DbGenConfig, Tid, Vocabulary,
+    complete_database, random_database, random_tid, uniform_tid, Database, DbGenConfig, Tid,
+    Vocabulary,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,11 +34,17 @@ mod common;
 /// trivially 0/1, small enough that brute force (2^tuples worlds) is
 /// instant.
 fn corpus_tid(k: u8, seed: u64) -> Tid {
+    random_instance(k, 2, seed)
+}
+
+/// A reproducible random instance with roughly a fifth of the tuples
+/// missing.
+fn random_instance(k: u8, domain_size: u32, seed: u64) -> Tid {
     let mut rng = StdRng::seed_from_u64(common::BASE_SEED ^ seed);
     let db = random_database(
         &DbGenConfig {
             k,
-            domain_size: 2,
+            domain_size,
             density: 0.8,
             prob_denominator: 7,
         },
@@ -118,6 +127,55 @@ fn safe_ucqs_lifted_equals_grounded_equals_brute() {
         safe_checked >= 12,
         "corpus shrank: {safe_checked} safe queries"
     );
+}
+
+/// The grounding's variable order lists every tuple id exactly once,
+/// for every corpus query (constants included) on complete instances
+/// and on instances with missing tuples.
+#[test]
+fn grounding_order_is_a_permutation_of_the_tuple_ids() {
+    let voc = Vocabulary::h(2);
+    let mut instances = vec![complete_database(2, 3), Database::new(2, 3)];
+    instances.extend((0..3).map(|seed| random_instance(2, 3, seed).database().clone()));
+    for &(text, _) in CORPUS {
+        let expr = parse_query(text, &voc).unwrap();
+        for db in &instances {
+            let (m, _) = ground_circuit(&expr, db);
+            let mut ids = m.order().to_vec();
+            ids.sort_unstable();
+            assert!(
+                ids.into_iter().eq(0..db.len() as u32),
+                "{text} on {} tuples: the order is not a permutation",
+                db.len()
+            );
+        }
+    }
+}
+
+/// Part 1a past brute force: on every corpus query that is safe as
+/// written, lifted ≡ grounded bit for bit on exact rationals at domains
+/// 8 and 12. Queries that are safe only after normalization (the
+/// grounding sees the text as written) are skipped.
+#[test]
+fn safe_ucqs_lifted_equals_grounded_at_domains_8_and_12() {
+    let voc = Vocabulary::h(2);
+    let mut checked = 0;
+    for &(text, expect_safe) in CORPUS {
+        let expr = parse_query(text, &voc).unwrap();
+        let written = expr.to_ucq().expect("the corpus is negation-free");
+        if !expect_safe || !is_safe_ucq(&written) {
+            continue;
+        }
+        let ucq = written.normalize();
+        for (domain, seed) in [(8, 0), (8, 1), (12, 2)] {
+            let tid = random_instance(2, domain, seed);
+            let lifted: BigRational = lifted_probability(&ucq, &tid).expect("safe queries lift");
+            let grounded: BigRational = ground_circuit_probability(&expr, &tid);
+            assert_eq!(lifted, grounded, "{text} at domain {domain} (seed {seed})");
+        }
+        checked += 1;
+    }
+    assert!(checked >= 12, "corpus shrank: {checked} safe queries");
 }
 
 /// Part 1b, engine level: the same corpus through the public API —
