@@ -7,7 +7,8 @@
 //! decomposable conjunctions — so probability computation is linear and
 //! [`ObddManager::to_circuit`] embeds OBDDs into the circuit world.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use intext_numeric::{BigUint, ProbNum};
 
@@ -63,6 +64,67 @@ struct Node {
 }
 
 const TERMINAL_LEVEL: u32 = u32::MAX;
+
+/// FxHash's multiply-rotate step over machine words. The keys it hashes
+/// are levels and [`NodeRef`]s the manager assigns itself, so no outside
+/// input can aim collisions at it; SipHash's protection would cost every
+/// `mk` and `apply` probe for nothing.
+#[derive(Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+}
+
+/// A table keyed by manager-assigned levels and node references.
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The binary operators of [`ObddManager::apply`].
+#[derive(Clone, Copy)]
+enum Op {
+    And,
+    Or,
+    Xor,
+}
+
+impl Op {
+    /// The result when the operands decide it without a recursion: a
+    /// terminal that absorbs or passes the other operand, or two equal
+    /// operands. Every pair of terminals is covered.
+    fn shortcut(self, a: NodeRef, b: NodeRef) -> Option<NodeRef> {
+        const F: NodeRef = NodeRef::FALSE;
+        const T: NodeRef = NodeRef::TRUE;
+        match (self, a, b) {
+            (Op::And, F, _) | (Op::And, _, F) => Some(F),
+            (Op::Or, T, _) | (Op::Or, _, T) => Some(T),
+            (Op::Xor, x, y) if x == y => Some(F),
+            (Op::And, T, x) | (Op::And, x, T) | (Op::Or, F, x) | (Op::Or, x, F) => Some(x),
+            (Op::Xor, F, x) | (Op::Xor, x, F) => Some(x),
+            (Op::And | Op::Or, x, y) if x == y => Some(x),
+            _ => None,
+        }
+    }
+}
 
 /// Why a serialized OBDD arena was rejected by
 /// [`ObddManager::from_parts`]. Every variant names the offending node
@@ -143,6 +205,17 @@ impl std::error::Error for ObddError {}
 /// unique table, so structural equality of [`NodeRef`]s is semantic
 /// equivalence (canonicity of reduced OBDDs).
 ///
+/// The unique table and the `apply` / `not` memos hash with a private
+/// word hasher (FxHash's multiply-rotate step), not SipHash: their keys
+/// are levels and node references the manager assigns as `mk` builds,
+/// and SipHash on every probe was much of a lineage unroll's cost.
+/// Tables keyed by bytes from outside the process keep the std hasher:
+/// [`from_parts`](Self::from_parts) checks a decoded arena for duplicate
+/// nodes with a std `HashSet` and leaves the unique table empty (a
+/// decoded lineage is walked, not built on; `mk` would rebuild the table
+/// from the validated arena), and the variable-to-level map of a decoded
+/// order stays on the std hasher too.
+///
 /// **Concurrency contract** (mirrors [`Circuit`](crate::Circuit), and is
 /// what lets the engine share compiled lineages across shard workers):
 /// node construction (`mk`, `apply`, …) takes `&mut self`, but every walk
@@ -157,10 +230,10 @@ pub struct ObddManager {
     level_of: HashMap<u32, u32>,
     nodes: Vec<Node>,
     /// `(level, lo, hi)` → node, for every node — or empty after
-    /// [`compact`](Self::compact), which skips it because compacted
-    /// arenas are walked and copied from, not built on; `mk` rebuilds it
-    /// on first use.
-    unique: HashMap<(u32, NodeRef, NodeRef), NodeRef>,
+    /// [`compact`](Self::compact) and [`from_parts`](Self::from_parts),
+    /// which skip it because their arenas are walked and copied from, not
+    /// built on; `mk` rebuilds it on first use.
+    unique: WordMap<(u32, NodeRef, NodeRef), NodeRef>,
 }
 
 impl ObddManager {
@@ -179,7 +252,7 @@ impl ObddManager {
             order,
             level_of,
             nodes: Vec::new(),
-            unique: HashMap::new(),
+            unique: WordMap::default(),
         }
     }
 
@@ -237,7 +310,7 @@ impl ObddManager {
             return Err(ObddError::TooManyNodes(entries.len()));
         }
         let mut nodes: Vec<Node> = Vec::with_capacity(entries.len());
-        let mut unique = HashMap::with_capacity(entries.len());
+        let mut unique = HashSet::with_capacity(entries.len());
         for (i, &(level, lo, hi)) in entries.iter().enumerate() {
             let node = i as u32;
             if level as usize >= order.len() {
@@ -264,10 +337,7 @@ impl ObddManager {
             if lo == hi {
                 return Err(ObddError::RedundantNode { node });
             }
-            if unique
-                .insert((level, lo, hi), NodeRef::from_index(i))
-                .is_some()
-            {
+            if !unique.insert((level, lo, hi)) {
                 return Err(ObddError::DuplicateNode { node });
             }
             nodes.push(Node { level, lo, hi });
@@ -276,7 +346,7 @@ impl ObddManager {
             order,
             level_of,
             nodes,
-            unique,
+            unique: WordMap::default(),
         })
     }
 
@@ -343,19 +413,18 @@ impl ObddManager {
         }
     }
 
+    /// `a op b`, returning at once wherever [`Op::shortcut`] decides,
+    /// so a constant or a repeated operand costs no walk of the other
+    /// operand, at the entry and at every recursion alike.
     fn apply(
         &mut self,
         a: NodeRef,
         b: NodeRef,
-        op: fn(bool, bool) -> bool,
-        memo: &mut HashMap<(NodeRef, NodeRef), NodeRef>,
+        op: Op,
+        memo: &mut WordMap<(NodeRef, NodeRef), NodeRef>,
     ) -> NodeRef {
-        if a.is_terminal() && b.is_terminal() {
-            return if op(a == NodeRef::TRUE, b == NodeRef::TRUE) {
-                NodeRef::TRUE
-            } else {
-                NodeRef::FALSE
-            };
+        if let Some(r) = op.shortcut(a, b) {
+            return r;
         }
         if let Some(&r) = memo.get(&(a, b)) {
             return r;
@@ -370,19 +439,22 @@ impl ObddManager {
         r
     }
 
-    /// Conjunction.
+    /// Conjunction. `and(a, FALSE)` is `FALSE`, and `and(a, TRUE)` and
+    /// `and(a, a)` are `a`, without a walk or an allocation.
     pub fn and(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
-        self.apply(a, b, |x, y| x && y, &mut HashMap::new())
+        self.apply(a, b, Op::And, &mut WordMap::default())
     }
 
-    /// Disjunction.
+    /// Disjunction. `or(a, TRUE)` is `TRUE`, and `or(a, FALSE)` and
+    /// `or(a, a)` are `a`, without a walk or an allocation.
     pub fn or(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
-        self.apply(a, b, |x, y| x || y, &mut HashMap::new())
+        self.apply(a, b, Op::Or, &mut WordMap::default())
     }
 
-    /// Exclusive or.
+    /// Exclusive or. `xor(a, FALSE)` is `a` and `xor(a, a)` is `FALSE`,
+    /// without a walk or an allocation.
     pub fn xor(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
-        self.apply(a, b, |x, y| x ^ y, &mut HashMap::new())
+        self.apply(a, b, Op::Xor, &mut WordMap::default())
     }
 
     /// Generalized multi-way apply: combines `inputs` under an arbitrary
@@ -429,7 +501,7 @@ impl ObddManager {
 
     /// Negation.
     pub fn not(&mut self, a: NodeRef) -> NodeRef {
-        fn rec(m: &mut ObddManager, a: NodeRef, memo: &mut HashMap<NodeRef, NodeRef>) -> NodeRef {
+        fn rec(m: &mut ObddManager, a: NodeRef, memo: &mut WordMap<NodeRef, NodeRef>) -> NodeRef {
             match a {
                 NodeRef::FALSE => NodeRef::TRUE,
                 NodeRef::TRUE => NodeRef::FALSE,
@@ -446,7 +518,7 @@ impl ObddManager {
                 }
             }
         }
-        rec(self, a, &mut HashMap::new())
+        rec(self, a, &mut WordMap::default())
     }
 
     /// Evaluates the function under a variable assignment.
@@ -616,7 +688,7 @@ impl ObddManager {
             order: self.order.clone(),
             level_of: self.level_of.clone(),
             nodes,
-            unique: HashMap::new(),
+            unique: WordMap::default(),
         };
         (out, images)
     }

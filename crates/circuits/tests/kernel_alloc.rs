@@ -3,7 +3,9 @@
 //! lane passes (`probability` on `[f64; LANES]` blocks) — circuit and
 //! OBDD alike, including the probability-block refills and the OBDD pass's
 //! `prepare` between blocks — perform **zero** heap
-//! allocations once the scratch has grown to the artifact's size.
+//! allocations once the scratch has grown to the artifact's size. A last
+//! phase checks that `apply` with a constant or a repeated operand
+//! returns at once, with no memo and no walk of the other operand.
 //!
 //! This file holds exactly one `#[test]` on purpose: the allocation
 //! counter is process-global, and a sibling test allocating on another
@@ -17,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use intext_circuits::{Circuit, EvalScratch, ObddManager, LANES};
+use intext_circuits::{Circuit, EvalScratch, NodeRef, ObddManager, LANES};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -71,11 +73,11 @@ fn test_circuit(pairs: u32) -> (Circuit, intext_circuits::GateId) {
 }
 
 /// A chain OBDD x0 ∧ x1 ∧ … ∧ x_{n-1} over the same variable space.
-fn test_obdd(vars: u32) -> (ObddManager, intext_circuits::NodeRef) {
+fn test_obdd(vars: u32) -> (ObddManager, NodeRef) {
     let mut m = ObddManager::new((0..vars).collect());
-    let mut node = intext_circuits::NodeRef::TRUE;
+    let mut node = NodeRef::TRUE;
     for level in (0..vars).rev() {
-        node = m.mk(level, intext_circuits::NodeRef::FALSE, node);
+        node = m.mk(level, NodeRef::FALSE, node);
     }
     (m, node)
 }
@@ -84,7 +86,7 @@ fn test_obdd(vars: u32) -> (ObddManager, intext_circuits::NodeRef) {
 fn steady_state_lane_walks_do_not_allocate() {
     const VARS: u32 = 256;
     let (circuit, root) = test_circuit(VARS / 2);
-    let (obdd, obdd_root) = test_obdd(VARS);
+    let (mut obdd, obdd_root) = test_obdd(VARS);
 
     let mut probs: Vec<[f64; LANES]> = Vec::new();
     let mut scratch = EvalScratch::new();
@@ -135,4 +137,25 @@ fn steady_state_lane_walks_do_not_allocate() {
     refill(&mut probs, 0);
     assert_eq!(circuit_lanes(&probs, &mut scratch), warm_c);
     assert_eq!(obdd_lanes(&probs, &mut scratch), warm_o);
+
+    // `apply`'s shortcuts on a built OBDD `x`: a constant operand or two
+    // equal ones decide the result without a memo or a walk of `x`.
+    let (x, f, t) = (obdd_root, NodeRef::FALSE, NodeRef::TRUE);
+    let before = allocations();
+    let got = [
+        obdd.or(x, f),
+        obdd.and(x, t),
+        obdd.and(x, x),
+        obdd.or(x, x),
+        obdd.xor(x, f),
+        obdd.xor(x, x),
+        obdd.and(x, f),
+    ];
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "apply's shortcuts must not touch the heap"
+    );
+    assert_eq!(got, [x, x, x, x, x, f, f]);
 }

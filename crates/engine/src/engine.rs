@@ -269,11 +269,15 @@ enum Resolved {
     /// root variable's constant ([`ground_circuit`]), within
     /// [`EngineConfig::max_ground_tuples`].
     Ground {
-        /// The query expression to ground per instance.
+        /// The query expression with its leaves normalized (each CQ
+        /// leaf its core, variables renamed canonically): what `text`
+        /// renders and what is grounded per instance. A core is an
+        /// equivalent query, so the lineage, its reduced OBDD and every
+        /// answer bit are those of the query as written.
         expr: Arc<QueryExpr>,
-        /// Canonical rendering of the normalized expression — the
-        /// text component of the ground [`CacheKey`], so syntactic
-        /// variants of one query share an artifact.
+        /// Canonical rendering of `expr` — the text component of the
+        /// ground [`CacheKey`], so syntactic variants of one query share
+        /// an artifact.
         text: Arc<str>,
         /// Minimum vocabulary `k` an instance must provide.
         required_k: u8,
@@ -1154,12 +1158,12 @@ impl PqeEngine {
             }
         }
         // Canonical, vocabulary-independent text: the ground cache key.
-        let text: Arc<str> = Arc::from(
-            expr.normalize_leaves()
-                .render(&|rel: Relation| rel.to_string()),
-        );
+        // The normalized leaves are also what grounding reads its order
+        // from, so they are normalized here once, not on every compile.
+        let expr = expr.normalize_leaves();
+        let text: Arc<str> = Arc::from(expr.render(&|rel: Relation| rel.to_string()));
         Ok(Resolved::Ground {
-            expr: Arc::new(expr.clone()),
+            expr: Arc::new(expr),
             text,
             required_k,
         })

@@ -10,6 +10,9 @@
 //! Transitions are pure functions of `(state, step, present)`; resets are
 //! explicit stream steps, which keeps the per-slot logic branch-free with
 //! respect to group boundaries.
+//!
+//! [`Reach`] bounds the states the automaton can be in before each step,
+//! from the stream's shape alone; the unroll visits only those.
 
 use intext_tid::{Database, TupleId};
 
@@ -99,6 +102,83 @@ pub(crate) fn witnesses(state: u32) -> u32 {
     state & !(R_BIT | T_BIT | PREV_BIT)
 }
 
+/// A superset of the automaton states reachable before a stream step
+/// when every read may see its slot present **or** absent, whether or
+/// not the database has a tuple there: per state bit, `can0` / `can1`
+/// say whether the bit may be clear / set, and the set is every state
+/// whose bits each agree with them.
+///
+/// The set depends on `k`, the split and the domain only, never on which
+/// tuples are present, so a compile and every later patch of a lineage
+/// see the same sets. It is closed under the transitions: the successors
+/// of its states lie in the next step's set, so a backward unroll that
+/// visits only these states reads only entries it computed.
+///
+/// The masks step by [`read`] and [`reset`] themselves. Both are
+/// monotone in the state bits (a set input bit never clears an output
+/// bit), so the successors of the set's least state have every bit that
+/// any successor may have clear, and those of its greatest state every
+/// bit that any may have set.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Reach {
+    can0: u32,
+    can1: u32,
+}
+
+impl Reach {
+    /// Every bit of a state over `h_{k,0..=k}` and the three latches.
+    fn state_bits(k: u8) -> u32 {
+        ((1 << (u32::from(k) + 1)) - 1) | R_BIT | T_BIT | PREV_BIT
+    }
+
+    /// The set after `step`.
+    fn step(self, step: StreamStep, k: u8) -> Reach {
+        let bits = Self::state_bits(k);
+        let successors = |s: u32| match step {
+            StreamStep::Read { op, .. } => [read(s, op, false, k), read(s, op, true, k)],
+            reset_step => [reset(s, reset_step); 2],
+        };
+        let [least0, least1] = successors(bits & !self.can0);
+        let [most0, most1] = successors(self.can1);
+        Reach {
+            can0: bits & !(least0 & least1),
+            can1: most0 | most1,
+        }
+    }
+
+    /// The sets before each step of `steps`, starting at stream position
+    /// 0, and after the last: `steps.len() + 1` of them.
+    pub(crate) fn along(steps: &[StreamStep], k: u8) -> Vec<Reach> {
+        let mut sets = Vec::with_capacity(steps.len() + 1);
+        // Before the first step: the all-clear start state alone.
+        let mut reach = Reach {
+            can0: Self::state_bits(k),
+            can1: 0,
+        };
+        sets.push(reach);
+        for &step in steps {
+            reach = reach.step(step, k);
+            sets.push(reach);
+        }
+        sets
+    }
+
+    /// Calls `f` on every state of the set (submask enumeration over the
+    /// bits that may be either).
+    pub(crate) fn for_each(self, mut f: impl FnMut(u32)) {
+        let fixed = self.can1 & !self.can0;
+        let free = self.can0 & self.can1;
+        let mut sub = free;
+        loop {
+            f(fixed | sub);
+            if sub == 0 {
+                break;
+            }
+            sub = (sub - 1) & free;
+        }
+    }
+}
+
 /// Builds the full `Π_L · Π_R` stream of a database for split variable
 /// `l`: all slots of the left-grouped relations `R, S_1..S_l`, then all
 /// slots of the right-grouped `T, S_{l+1}..S_k`.
@@ -153,8 +233,17 @@ pub fn slot_stream(db: &Database, l: u8) -> Vec<StreamStep> {
 /// reference semantics the OBDD unrolling is validated against.
 #[cfg(test)]
 pub(crate) fn run_concrete(steps: &[StreamStep], k: u8, world: u64) -> u32 {
+    witnesses(run_full(steps, k, world, |_, _| {}))
+}
+
+/// [`run_concrete`]'s loop, returning the full final state (witness bits
+/// and latches) and showing `visit` the full state before each step `j`
+/// as `visit(j, state)`.
+#[cfg(test)]
+fn run_full(steps: &[StreamStep], k: u8, world: u64, mut visit: impl FnMut(usize, u32)) -> u32 {
     let mut s = 0u32;
-    for &step in steps {
+    for (j, &step) in steps.iter().enumerate() {
+        visit(j, s);
         match step {
             StreamStep::Read { op, tuple } => {
                 let present = tuple.is_some_and(|t| (world >> t.0) & 1 == 1);
@@ -163,7 +252,7 @@ pub(crate) fn run_concrete(steps: &[StreamStep], k: u8, world: u64) -> u32 {
             r => s = reset(s, r),
         }
     }
-    witnesses(s)
+    s
 }
 
 #[cfg(test)]
@@ -229,6 +318,55 @@ mod tests {
                         let expect = expected_witnesses(&db, world, l);
                         assert_eq!(got, expect, "k={k} l={l} trial={trial} world={world:b}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reachable_sets_hold_every_state_a_world_reaches() {
+        // Every full state (witness bits and latches) that some world
+        // drives the automaton into before step j must be among the
+        // states `Reach` enumerates for step j, and so must the final
+        // state: on complete and sparse instances, k ≤ 3, domain ≤ 2,
+        // every split.
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut instances = Vec::new();
+        for k in 1..=3u8 {
+            for domain_size in 1..=2 {
+                instances.push(complete_database(k, domain_size));
+                for density in [0.3, 0.6] {
+                    let config = DbGenConfig {
+                        k,
+                        domain_size,
+                        density,
+                        prob_denominator: 10,
+                    };
+                    instances.push(random_database(&config, &mut rng));
+                }
+            }
+        }
+        for db in instances {
+            let k = db.k();
+            assert!(db.len() <= 16, "keep worlds enumerable");
+            for l in 0..=k {
+                let steps = slot_stream(&db, l);
+                let sets: Vec<std::collections::HashSet<u32>> = Reach::along(&steps, k)
+                    .into_iter()
+                    .map(|reach| {
+                        let mut states = std::collections::HashSet::new();
+                        reach.for_each(|s| assert!(states.insert(s), "{s:#x} enumerated twice"));
+                        states
+                    })
+                    .collect();
+                for world in 0..(1u64 << db.len()) {
+                    let last = run_full(&steps, k, world, |j, s| {
+                        assert!(sets[j].contains(&s), "k={k} l={l} j={j} state {s:#x}");
+                    });
+                    assert!(
+                        sets[steps.len()].contains(&last),
+                        "k={k} l={l} final {last:#x}"
+                    );
                 }
             }
         }

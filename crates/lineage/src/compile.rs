@@ -7,7 +7,7 @@ use intext_circuits::{Circuit, EvalScratch, GateId, NodeRef, ObddManager};
 use intext_numeric::ProbNum;
 use intext_tid::{Database, Tid, TupleId};
 
-use crate::automaton::{self, witnesses, StreamStep};
+use crate::automaton::{self, witnesses, Reach, StreamStep};
 
 /// Errors from the degenerate-lineage compiler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,13 +49,18 @@ impl std::error::Error for LineageError {}
 ///
 /// Entry `(j, v)` means: `v[state]` is the OBDD of the residual stream
 /// `steps[j..]` from automaton state `state`, over the variables at
-/// levels `≥ #present reads in steps[0..j]`. Checkpoints are kept at
-/// every **group** reset (`2·|dom|` of them, so the gap to the next one
-/// is one group — `O(k·|dom|)` reads) plus the terminal vector at
-/// `steps.len()`, sorted ascending by `j`. Denser checkpoints (every
-/// pair reset) would shorten the re-unrolled prefix by less than a
-/// group but multiply the transplant volume by `|dom|` — measured, that
-/// trade loses badly (E23).
+/// levels `≥ #present reads in steps[0..j]`. Only the states of the
+/// [`Reach`] set before step `j` have entries; every other entry is
+/// `FALSE` and never read, so it keeps no node alive. The sets depend on
+/// the stream's shape alone, which a single-tuple update keeps, so a
+/// patch's re-unrolled prefix reads exactly the entries the transplanted
+/// checkpoint holds. Checkpoints are kept at every **group** reset
+/// (`2·|dom|` of them, so the gap to the next one is one group —
+/// `O(k·|dom|)` reads) plus the terminal vector at `steps.len()`, sorted
+/// ascending by `j`. Denser checkpoints (every pair reset) would shorten
+/// the re-unrolled prefix by less than a group but multiply the
+/// transplant volume by `|dom|` — measured, that trade loses badly
+/// (E23).
 #[derive(Clone, Debug)]
 struct UnrollTrace {
     checkpoints: Vec<(u32, Vec<NodeRef>)>,
@@ -215,17 +220,20 @@ impl DegenerateLineage {
             .iter()
             .filter(|s| matches!(s, StreamStep::Read { tuple: Some(_), .. }))
             .count();
+        // The reachable sets depend on the stream's shape alone, which
+        // the change kept: the resumed checkpoint holds exactly the
+        // entries the prefix's last step reads.
         let mut prefix = Vec::new();
         let cur = unroll_backward(
             &mut manager,
             &new_steps[..c],
+            &Reach::along(&new_steps[..c], k),
             k,
             start_level,
             checkpoints[0].1.clone(),
             Some(&mut prefix),
         );
-        let nbits = u32::from(k) + 1;
-        let root = cur[encode_state(0, nbits)];
+        let root = cur[encode_state(0, u32::from(k) + 1)];
         prefix.reverse();
         prefix.append(&mut checkpoints);
         Some(Self::compacted(
@@ -272,80 +280,57 @@ impl DegenerateLineage {
     }
 }
 
-/// Compact state index → automaton state (witness bits, then `r`/`t`/
-/// `prev` latches).
-fn decode_state(idx: usize, nbits: u32) -> u32 {
-    let idx = idx as u32;
-    let mut s = idx & ((1 << nbits) - 1);
-    if idx & (1 << nbits) != 0 {
-        s |= automaton::R_BIT;
-    }
-    if idx & (1 << (nbits + 1)) != 0 {
-        s |= automaton::T_BIT;
-    }
-    if idx & (1 << (nbits + 2)) != 0 {
-        s |= automaton::PREV_BIT;
-    }
-    s
-}
-
-/// Automaton state → compact state index; inverse of [`decode_state`].
+/// Automaton state → compact state index: the witness bits `0..nbits`,
+/// then the `r`/`t`/`prev` latches (adjacent bits of the state).
 fn encode_state(s: u32, nbits: u32) -> usize {
-    let mut idx = witnesses(s);
-    if s & automaton::R_BIT != 0 {
-        idx |= 1 << nbits;
-    }
-    if s & automaton::T_BIT != 0 {
-        idx |= 1 << (nbits + 1);
-    }
-    if s & automaton::PREV_BIT != 0 {
-        idx |= 1 << (nbits + 2);
-    }
-    idx as usize
+    const _: () = assert!(automaton::T_BIT == automaton::R_BIT << 1);
+    const _: () = assert!(automaton::PREV_BIT == automaton::R_BIT << 2);
+    (witnesses(s) | (s >> automaton::R_BIT.trailing_zeros()) << nbits) as usize
 }
 
 /// The backward pass shared by full compilation and incremental
 /// patching: starting from `cur` = the per-state OBDD vector for the
 /// residual stream `steps[len..]` (with `start_level` present reads in
 /// `steps`), processes `steps` back-to-front and returns the vector for
-/// the whole of `steps`. When `checkpoints` is provided, the vector is
-/// snapshotted after every *group* reset step (pushed in descending
-/// step order).
+/// the whole of `steps`. `steps` starts at stream position 0, and
+/// `reach` holds its [`Reach::along`] sets: before each step only the
+/// states of that step's set are computed, every other entry is `FALSE`,
+/// and `cur` must hold every state of the last set. When `checkpoints`
+/// is provided, the vector is snapshotted after every *group* reset
+/// step (pushed in descending step order).
 fn unroll_backward(
     manager: &mut ObddManager,
     steps: &[StreamStep],
+    reach: &[Reach],
     k: u8,
     start_level: usize,
     mut cur: Vec<NodeRef>,
     mut checkpoints: Option<&mut Vec<(u32, Vec<NodeRef>)>>,
 ) -> Vec<NodeRef> {
+    debug_assert_eq!(reach.len(), steps.len() + 1);
     let nbits = u32::from(k) + 1;
-    let total_states = cur.len();
-    let mut next = vec![NodeRef::FALSE; total_states];
+    let mut next = vec![NodeRef::FALSE; cur.len()];
     let mut level = start_level;
     for (j, &step) in steps.iter().enumerate().rev() {
+        next.fill(NodeRef::FALSE);
+        let states = reach[j];
         match step {
             StreamStep::Read { op, tuple: Some(_) } => {
                 level -= 1;
-                for (idx, slot) in next.iter_mut().enumerate() {
-                    let s = decode_state(idx, nbits);
+                states.for_each(|s| {
                     let lo = cur[encode_state(automaton::read(s, op, false, k), nbits)];
                     let hi = cur[encode_state(automaton::read(s, op, true, k), nbits)];
-                    *slot = manager.mk(level as u32, lo, hi);
-                }
+                    next[encode_state(s, nbits)] = manager.mk(level as u32, lo, hi);
+                });
             }
-            StreamStep::Read { op, tuple: None } => {
-                for (idx, slot) in next.iter_mut().enumerate() {
-                    let s = decode_state(idx, nbits);
-                    *slot = cur[encode_state(automaton::read(s, op, false, k), nbits)];
-                }
-            }
-            reset_step => {
-                for (idx, slot) in next.iter_mut().enumerate() {
-                    let s = decode_state(idx, nbits);
-                    *slot = cur[encode_state(automaton::reset(s, reset_step), nbits)];
-                }
-            }
+            StreamStep::Read { op, tuple: None } => states.for_each(|s| {
+                next[encode_state(s, nbits)] =
+                    cur[encode_state(automaton::read(s, op, false, k), nbits)];
+            }),
+            reset_step => states.for_each(|s| {
+                next[encode_state(s, nbits)] =
+                    cur[encode_state(automaton::reset(s, reset_step), nbits)];
+            }),
         }
         std::mem::swap(&mut cur, &mut next);
         if let Some(cks) = checkpoints.as_deref_mut() {
@@ -368,6 +353,8 @@ fn unroll_backward(
 pub struct SplitCompiler {
     manager: ObddManager,
     steps: Vec<StreamStep>,
+    /// [`Reach::along`] `steps`: the states each step can see.
+    reach: Vec<Reach>,
     k: u8,
     l: u8,
 }
@@ -389,6 +376,7 @@ impl SplitCompiler {
             .collect();
         SplitCompiler {
             manager: ObddManager::new(order),
+            reach: Reach::along(&steps, db.k()),
             steps,
             k: db.k(),
             l,
@@ -411,7 +399,9 @@ impl SplitCompiler {
     }
 
     /// Unrolls the product automaton for `psi` (which must not depend on
-    /// the split variable) into a reduced OBDD; `O(2^k · |D|)`.
+    /// the split variable) into a reduced OBDD; `O(2^k · |D|)`, one `mk`
+    /// per present stream slot and automaton state the slot can be read
+    /// in (a set computed from the stream's shape alone).
     pub fn compile(&mut self, psi: &BoolFn) -> Result<NodeRef, LineageError> {
         Ok(self.compile_inner(psi, None)?[encode_state(0, u32::from(self.k) + 1)])
     }
@@ -449,24 +439,22 @@ impl SplitCompiler {
         // Compact state indexing: witness bits 0..=k, then r/t/prev.
         // `cur[idx]` = OBDD of the residual stream as a function of the
         // remaining tuple variables, per automaton state — seeded with
-        // the per-state terminal vector `psi(witnesses)`.
+        // the per-state terminal vector `psi(witnesses)` over the states
+        // the stream can end in.
         let nbits = u32::from(k) + 1;
-        let total_states = 1usize << (nbits + 3);
-        let terminal: Vec<NodeRef> = (0..total_states)
-            .map(|idx| {
-                if psi.eval(witnesses(decode_state(idx, nbits))) {
-                    NodeRef::TRUE
-                } else {
-                    NodeRef::FALSE
-                }
-            })
-            .collect();
+        let mut terminal = vec![NodeRef::FALSE; 1 << (nbits + 3)];
+        self.reach[self.steps.len()].for_each(|s| {
+            if psi.eval(witnesses(s)) {
+                terminal[encode_state(s, nbits)] = NodeRef::TRUE;
+            }
+        });
         if let Some(cks) = checkpoints.as_deref_mut() {
             cks.push((self.steps.len() as u32, terminal.clone()));
         }
         Ok(unroll_backward(
             &mut self.manager,
             &self.steps,
+            &self.reach,
             k,
             num_levels,
             terminal,
@@ -481,7 +469,9 @@ impl SplitCompiler {
 ///
 /// The split variable is any `l ∉ DEP(ψ)`; the automaton state space has
 /// `2^(k+4)` states (constant in data complexity), and the backward
-/// unrolling touches each stream slot once per state.
+/// unrolling touches each stream slot once per state it can be read in:
+/// a set computed from `k`, `l` and the domain alone (at `k = 3`, 18–31
+/// of the 128 states per present slot on average, 64 at most).
 pub fn compile_degenerate_obdd(
     psi: &BoolFn,
     db: &Database,
@@ -852,12 +842,20 @@ mod tests {
 
     #[test]
     fn patched_update_streams_on_sparse_instances() {
-        // Random insert/remove walks starting from sparse instances,
-        // patching step over step (patch-of-patch composition).
+        // Random insert/remove walks starting from the empty instance and
+        // from sparse ones, patching step over step (patch-of-patch
+        // composition), at every split. Inserting into a slot that was
+        // absent at compile time is where the states a slot can be read
+        // in (any presence) differ most from those the instance reaches.
         let mut rng = StdRng::seed_from_u64(41);
-        let psi = &BoolFn::var(3, 0) ^ &BoolFn::var(3, 2); // split l = 1
-        for _ in 0..5 {
-            let mut db = random_database(
+        let functions = [
+            &BoolFn::var(3, 1) ^ &BoolFn::var(3, 2), // split l = 0
+            &BoolFn::var(3, 0) ^ &BoolFn::var(3, 2), // split l = 1
+            &BoolFn::var(3, 0) | &BoolFn::var(3, 1), // split l = 2 = k
+        ];
+        let mut starts = vec![Database::new(2, 2)];
+        starts.extend((0..5).map(|_| {
+            random_database(
                 &DbGenConfig {
                     k: 2,
                     domain_size: 2,
@@ -865,8 +863,14 @@ mod tests {
                     prob_denominator: 10,
                 },
                 &mut rng,
-            );
-            let mut lin = compile_degenerate_obdd(&psi, &db).unwrap();
+            )
+        }));
+        for (psi, start) in functions
+            .iter()
+            .flat_map(|psi| starts.iter().map(move |db| (psi, db)))
+        {
+            let mut db = start.clone();
+            let mut lin = compile_degenerate_obdd(psi, &db).unwrap();
             let all = complete_database(2, 2);
             for step in 0..6 {
                 let old_db = db.clone();
@@ -889,13 +893,17 @@ mod tests {
                     continue;
                 }
                 lin = lin.patched(&old_db, &db).expect("one tuple changed");
-                let fresh = compile_degenerate_obdd(&psi, &db).unwrap();
+                let fresh = compile_degenerate_obdd(psi, &db).unwrap();
                 for world in 0..(1u64 << db.len()) {
                     assert_eq!(
                         lin.manager.eval(lin.root, &|v| (world >> v) & 1 == 1),
                         fresh.manager.eval(fresh.root, &|v| (world >> v) & 1 == 1),
                     );
                 }
+                let prefix = |l: &DegenerateLineage| -> Vec<_> {
+                    l.manager.node_entries().take(l.size()).collect()
+                };
+                assert_eq!(prefix(&lin), prefix(&fresh), "the stored nodes");
             }
         }
     }

@@ -159,14 +159,14 @@ fn build(m: &mut ObddManager, expr: &QueryExpr, db: &Database) -> NodeRef {
 /// root decide first, and a leaf with several takes the first that
 /// agrees with them. `S_i` falls back to its first position when the
 /// leaves disagree (an inversion), when a leaf naming `S_i` has no
-/// root, or when no leaf names it. The roots are read off the
-/// normalized leaves, so every spelling that shares a ground cache key
-/// gets the same order.
+/// root, or when no leaf names it. The roots are read off the leaves
+/// as given; the engine passes normalized leaves, so every spelling that
+/// shares a ground cache key gets the same order.
 fn hierarchy_order(expr: &QueryExpr, db: &Database) -> Vec<u32> {
     // Per S_i, the positions still open to it: bit p is position p.
     let mut open = vec![0b11u8; usize::from(db.k().max(expr.required_k())) + 1];
     let mut several = Vec::new();
-    for leaf in expr.normalize_leaves().leaves() {
+    for leaf in expr.leaves() {
         // Per root, the positions it leaves each S_i of the leaf.
         let choices: Vec<Vec<u8>> = separators(leaf)
             .into_iter()
@@ -236,6 +236,12 @@ fn hierarchy_order(expr: &QueryExpr, db: &Database) -> Vec<u32> {
 /// the leaves disagree on a position (an inversion) or a leaf has no
 /// root, `S_i` is grouped at its first argument: a fixed interleaving
 /// that stays exponential on unsafe queries, only narrower.
+///
+/// The roots are read off `expr`'s leaves as written, so two spellings
+/// of one query (renamed variables, a redundant atom) may get different
+/// orders. Callers who want an order independent of spelling pass
+/// normalized leaves ([`QueryExpr::normalize_leaves`]), as the engine
+/// does: it normalizes once when it resolves the query and grounds that.
 ///
 /// The pair plugs straight into the engine's degenerate-lineage artifact
 /// type. The apply steps leave every intermediate function in the

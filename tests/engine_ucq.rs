@@ -6,6 +6,8 @@
 //!   both at the function level and through `PqeEngine::evaluate`;
 //!   past brute force's reach, lifted ≡ grounded at domains 8 and 12,
 //!   where the grounding's hierarchy order keeps every compile small.
+//! * **Spellings** — renamed variables and a redundant atom share one
+//!   ground cache key and one compile, with fresh-engine answers.
 //! * **H-shape recognition** — all 272 Boolean functions with `k ≤ 2`,
 //!   rendered to UCQ text and re-parsed, land on the *same* plans and
 //!   cached artifacts as their native `HQuery` twins: zero extra
@@ -210,6 +212,39 @@ fn engine_answers_match_brute_force_on_the_corpus() {
         engine.stats().plans(Plan::GroundCircuit) > 0,
         "the corpus exercised ground plans"
     );
+}
+
+/// Part 1c: spellings of one grounded query — renamed variables and a
+/// redundant atom — normalize to one cache key, so one engine compiles
+/// once and grounds the normalized leaves for both, and each spelling's
+/// answer is bit-identical to a fresh engine's.
+#[test]
+fn spellings_of_a_grounded_query_share_one_compile() {
+    let voc = Vocabulary::h(2);
+    let tid = random_instance(2, 3, 26);
+    let mut engine = PqeEngine::new();
+    for text in ["R(x), S1(x,y), T(y)", "T(b), S1(a,b), R(a), S1(a,c)"] {
+        let q = Query::parse(text, &voc).unwrap();
+        assert_eq!(
+            engine.plan(&q, &tid).unwrap(),
+            Plan::GroundCircuit,
+            "{text}"
+        );
+        let exact = engine.evaluate(&q, &tid).unwrap();
+        let float = engine.evaluate_f64(&q, &tid).unwrap();
+        assert_eq!(
+            engine.stats().cache_misses,
+            1,
+            "{text}: one compile for both"
+        );
+        let mut fresh = PqeEngine::new();
+        assert_eq!(exact, fresh.evaluate(&q, &tid).unwrap(), "{text}");
+        assert_eq!(
+            float.to_bits(),
+            fresh.evaluate_f64(&q, &tid).unwrap().to_bits(),
+            "{text}"
+        );
+    }
 }
 
 /// Part 2: every Boolean function with `k ≤ 2` (16 + 256 = 272),
