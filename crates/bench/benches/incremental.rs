@@ -17,10 +17,14 @@
 //!   all, the walk reads the new weights (the cache key excludes
 //!   probabilities).
 //!
-//! The issue's acceptance bar: at domain 16, `patch_update_eval` beats
-//! `recompile_update_eval` by ≥ 5× for single-tuple updates (met on the
-//! `obdd` artifact, where patching avoids the whole unrolling). See
-//! `EXPERIMENTS.md` (E23) for measured numbers.
+//! The target this bench was written for: at domain 16,
+//! `patch_update_eval` beats `recompile_update_eval` by ≥ 5× for
+//! single-tuple updates. It was met on the `obdd` artifact, where
+//! patching avoids the whole unrolling, until the unroll came to visit
+//! only reachable automaton states: a recompile got about 4× cheaper and
+//! patching now wins by about 1.4×, because a patch still rebuilds the
+//! slot streams and copies the transplanted suffix, which that change
+//! did not shrink. See `EXPERIMENTS.md` (E23) for measured numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use intext_bench::bench_tid;
